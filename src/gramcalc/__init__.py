@@ -1,11 +1,13 @@
 """Exact grammar calculus on Laurent polynomials, with a permutation oracle.
 
 The package has three legs that check each other: a formal-derivative engine
-over substitution grammars (`grammar`, on top of `laurent`), an exhaustive
+over substitution grammars (`grammar`, on top of `laurent`), a
 permutation-statistics oracle (`permstat`), and a truncated exponential
-generating series engine with exact closed forms (`series`).  The `verify`
-module binds them into named cross-checks and `cli` exposes everything on the
-command line.
+generating series engine with exact closed forms (`series`).  The statistic
+tables come from a transfer recurrence over S_n that grows a permutation one
+letter at a time; the tests check it against brute force over S_n.  The
+`verify` module binds the legs into named cross-checks and `cli` exposes
+everything on the command line.
 """
 
 from .gdsl import GrammarSpec, GrammarSyntaxError, format_grammar, parse_grammar, parse_poly

@@ -1,0 +1,65 @@
+"""Statistic tables over S_n by a transfer recurrence, in polynomial time.
+
+Every statistic in ``gramcalc.permstat`` is decided by consecutive triples, so
+a permutation can be grown one letter at a time.  After m letters the state
+is the relative rank j of the last letter among the m letters, the direction
+of the step into it, and the running key (peaks, double descents) over the
+letters 1..m-1, which are already classified.  Appending a letter of relative
+rank r (1..m+1) is an up step iff r > j, and that step out classifies letter
+m: up-down is a peak, down-down a double descent, and up-up or down-up (a
+double rise or a valley) leave the key as it is.  The left pad 0 makes the
+step into p_1 an up step.  This is the state space of the Seidel-Entringer
+(boustrophedon) triangle; the counts of one (direction, key) pair are kept as
+a list over j, so one step is a prefix sum.
+
+Kind codes: 0 joint (exterior peaks, proper double descents), which never
+classifies p_n; 1 joint (peaks, double descents) and 2 quadruple (peaks - 1,
+double descents, valleys, double rises), which classify p_n with the down
+step into the right pad 0.  Valleys and double rises are not tracked: with
+both pads, peaks = valleys + 1 and the four classes add up to n.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+
+KIND_EXTERIOR_PDD = 0
+KIND_PEAK_DD = 1
+KIND_CARLITZ = 2
+
+
+def _merge(groups: dict, key: tuple, counts: list[int]) -> None:
+    have = groups.get(key)
+    groups[key] = counts if have is None else [a + b for a, b in zip(have, counts)]
+
+
+def count_table(n: int, kind: int) -> dict[tuple[int, ...], int]:
+    """Count the statistic key of every permutation of {1..n}, n >= 1."""
+    if n < 1:
+        raise ValueError("kernel requires n >= 1")
+    if kind not in (KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ):
+        raise ValueError(f"unknown statistic kind code {kind}")
+    # (step into the last letter is up, peaks, double descents) -> counts by
+    # the 0-based rank of the last letter among the letters so far
+    groups: dict[tuple[bool, int, int], list[int]] = {(True, 0, 0): [1]}
+    for _ in range(n - 1):
+        grown: dict[tuple[bool, int, int], list[int]] = {}
+        for (up, peaks, dds), by_rank in groups.items():
+            # a new letter at 0-based rank r steps up from every j < r, down from j >= r
+            below = list(accumulate(by_rank, initial=0))
+            total = below[-1]
+            _merge(grown, (True, peaks, dds), below)
+            fall = (False, peaks + 1, dds) if up else (False, peaks, dds + 1)
+            _merge(grown, fall, [total - b for b in below])
+        groups = grown
+    counts: dict[tuple[int, ...], int] = {}
+    for (up, peaks, dds), by_rank in groups.items():
+        if kind != KIND_EXTERIOR_PDD:
+            # the down step into the right pad 0 classifies p_n
+            peaks, dds = (peaks + 1, dds) if up else (peaks, dds + 1)
+        if kind == KIND_CARLITZ:
+            key: tuple[int, ...] = (peaks - 1, dds, peaks - 1, n + 1 - 2 * peaks - dds)
+        else:
+            key = (peaks, dds)
+        counts[key] = counts.get(key, 0) + sum(by_rank)
+    return counts

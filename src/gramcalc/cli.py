@@ -39,7 +39,7 @@ def _build_parser() -> _Parser:
     p_derive.add_argument("--n", type=int, help="derivative order")
     p_derive.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_table = sub.add_parser("table", help="enumerate a permutation statistic table")
+    p_table = sub.add_parser("table", help="print a permutation statistic table")
     p_table.add_argument("--kind", required=True, choices=permstat.TABLE_KINDS)
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument(
@@ -47,7 +47,6 @@ def _build_parser() -> _Parser:
         help="print this marginal triangle instead of the full table",
     )
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--jobs", type=int, default=1)
     p_table.add_argument("--cap", type=int, help="override the enumeration cap")
 
     p_series = sub.add_parser("series", help="expand a closed-form series exactly")
@@ -95,8 +94,11 @@ def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
         if not piece or "=" not in piece:
             raise CliError(f"bad point component {piece!r} (expected var=rational)")
         name, _, value = piece.partition("=")
+        name = name.strip()
+        if name in assignment:
+            raise CliError(f"variable '{name}' is assigned twice in --point")
         try:
-            assignment[name.strip()] = Fraction(value.strip())
+            assignment[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad rational {value!r} in --point: {exc}") from None
     root_value = None
@@ -138,7 +140,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = permstat.stat_table(args.n, args.kind, cap=args.cap, jobs=args.jobs)
+    table = permstat.stat_table(args.n, args.kind, cap=args.cap)
     if args.triangle:
         rows = permstat.specialize_triangle(table, args.triangle)
         if args.format == "csv":

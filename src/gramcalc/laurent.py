@@ -32,6 +32,15 @@ Scalar = Union[int, Fraction]
 _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
+def exact_scalar(value: Scalar) -> Fraction:
+    """``value`` as a Fraction; only ``int`` and ``Fraction`` are exact scalars."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            f"expected an exact scalar (int or Fraction), got {type(value).__name__} {value!r}"
+        )
+    return Fraction(value)
+
+
 def check_variable_name(name: str) -> str:
     """Return ``name`` if it is a valid variable identifier, else raise."""
     if not isinstance(name, str) or not _VAR_RE.match(name):
@@ -127,18 +136,6 @@ class LaurentPolynomial:
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         """The coefficient of the given monomial (0 if absent)."""
         return self._terms.get(monomial(exponents), _ZERO_FRAC)
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), _ZERO_FRAC)
-
-    def is_single_term(self) -> bool:
-        return len(self._terms) == 1
-
-    def total_degree(self) -> int:
-        """Largest term degree (sum of exponents); 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(_mono_degree(m) for m in self._terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -237,13 +234,14 @@ class LaurentPolynomial:
         Every variable occurring in the polynomial must be assigned, and a
         variable with a negative exponent must be assigned a nonzero value.
         """
+        values = {name: exact_scalar(v) for name, v in point.items()}
         total = _ZERO_FRAC
         for mono, coeff in self._terms.items():
             value = coeff
             for name, exp in mono:
-                if name not in point:
+                if name not in values:
                     raise ValueError(f"missing assignment for variable '{name}'")
-                base = Fraction(point[name])
+                base = values[name]
                 if exp < 0 and not base:
                     raise ValueError(
                         f"variable '{name}' has a negative exponent but is assigned 0"

@@ -1,4 +1,4 @@
-"""Brute-force permutation statistics: profiles, joint tables, marginals.
+"""Permutation statistics: profiles, joint tables, marginals.
 
 Statistics of a permutation ``p = p_1 .. p_n`` of ``{1..n}``:
 
@@ -9,47 +9,43 @@ Statistics of a permutation ``p = p_1 .. p_n`` of ``{1..n}``:
   of ``1 <= i <= n`` after padding with ``p_0 = p_{n+1} = 0`` (peak means
   up-down, valley down-up, double descent down-down, double rise up-up).
 
-``stat_table`` enumerates the whole symmetric group and tallies one of three
-key shapes:
+``stat_table`` counts one of three key shapes over the whole symmetric group:
 
 * ``"exterior_pdd"``: ``(exterior peaks, proper double descents)``,
 * ``"peak_dd"``: ``(peaks, double descents)``,
 * ``"carlitz_quadruple"``: ``(peaks - 1, double descents, valleys, double rises)``.
 
-The enumeration loop lives in a compiled extension when one was built
-(``gramcalc._statcore``), with a pure-Python fallback; set ``GRAMCALC_PURE=1``
-to force the fallback.  Both kernels accept a fixed first value so the walk
-can be partitioned across processes (``jobs``).
+The tables come from a transfer recurrence over the relative rank of the last
+letter (``gramcalc._transfer``), in time polynomial in n.  ``stat_profile``
+is the one definition of the statistics; brute force over S_n with it is the
+test oracle for the recurrence.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from . import _transfer as _kernel
 from .laurent import LaurentPolynomial
 
-if os.environ.get("GRAMCALC_PURE"):
-    from . import _statpure as _kernel
-else:
-    try:
-        from . import _statcore as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _statpure as _kernel
-
-KERNEL_IS_COMPILED: bool = bool(_kernel.IS_COMPILED)
+#: There is no compiled table engine; benchmark environment stamps read this.
+KERNEL_IS_COMPILED = False
 
 KIND_EXTERIOR_PDD = "exterior_pdd"
 KIND_PEAK_DD = "peak_dd"
 KIND_CARLITZ = "carlitz_quadruple"
 TABLE_KINDS = (KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ)
 
-_KIND_CODES = {KIND_EXTERIOR_PDD: 0, KIND_PEAK_DD: 1, KIND_CARLITZ: 2}
+_KIND_CODES = {
+    KIND_EXTERIOR_PDD: _kernel.KIND_EXTERIOR_PDD,
+    KIND_PEAK_DD: _kernel.KIND_PEAK_DD,
+    KIND_CARLITZ: _kernel.KIND_CARLITZ,
+}
 
-#: Default bound on exhaustive enumeration (10! is 3.6M permutations).
+#: Default bound on n for statistic tables.
 DEFAULT_ENUM_CAP = 10
 
 TRIANGLES = ("T", "U", "R", "W")
@@ -120,24 +116,13 @@ def stat_profile(values: Sequence[int]) -> StatProfile:
     )
 
 
-def _count_slice(args: tuple[int, int, int]) -> dict[tuple[int, ...], int]:
-    n, code, first = args
-    return _kernel.count_table(n, code, first)
-
-
 @lru_cache(maxsize=None)
 def _counts(n: int, kind: str) -> dict[tuple[int, ...], int]:
     return _kernel.count_table(n, _KIND_CODES[kind])
 
 
-def stat_table(
-    n: int,
-    kind: str,
-    *,
-    cap: int | None = None,
-    jobs: int = 1,
-) -> StatTable:
-    """Exhaustively tally the statistic key of every permutation of {1..n}.
+def stat_table(n: int, kind: str, *, cap: int | None = None) -> StatTable:
+    """Count the statistic key of every permutation of {1..n}.
 
     ``n = 0`` is only meaningful for the exterior-peak table, where the empty
     permutation contributes the single key (0, 0); the peak-based tables start
@@ -157,16 +142,6 @@ def stat_table(
         if kind != KIND_EXTERIOR_PDD:
             raise ValueError(f"{kind} tables start at n = 1")
         return StatTable(n=0, kind=kind, counts={(0, 0): 1})
-    if jobs > 1 and n >= 2:
-        code = _KIND_CODES[kind]
-        merged: dict[tuple[int, ...], int] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(
-                _count_slice, [(n, code, first) for first in range(1, n + 1)]
-            ):
-                for key, count in part.items():
-                    merged[key] = merged.get(key, 0) + count
-        return StatTable(n=n, kind=kind, counts=merged)
     return StatTable(n=n, kind=kind, counts=dict(_counts(n, kind)))
 
 

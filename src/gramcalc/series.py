@@ -23,7 +23,7 @@ from math import factorial
 from typing import Callable, Mapping, Sequence
 
 from .grammar import Grammar, derive_n
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, exact_scalar
 
 
 class InadmissiblePointError(ValueError):
@@ -199,11 +199,11 @@ class EvalPoint:
     discriminant_root: Fraction | None = None
 
     def __post_init__(self):
-        normalized = {name: Fraction(v) for name, v in self.assignment.items()}
+        normalized = {name: exact_scalar(v) for name, v in self.assignment.items()}
         object.__setattr__(self, "assignment", normalized)
         if self.discriminant_root is not None:
             object.__setattr__(
-                self, "discriminant_root", Fraction(self.discriminant_root)
+                self, "discriminant_root", exact_scalar(self.discriminant_root)
             )
 
     def value(self, name: str) -> Fraction:
@@ -261,6 +261,8 @@ def closed_form(
     ``no_pdd_U0`` the reciprocal series counting permutations with no proper
     double descent (it needs no point).
     """
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
     if which == "no_pdd_U0":
         coeffs = []
         for n in range(order + 1):

@@ -1,7 +1,7 @@
 """Named verification checks tying the three engines together.
 
 Every check computes its two sides through disjoint code paths (symbolic
-derivative vs. exhaustive enumeration vs. closed-form series), reports the
+derivative vs. permutation statistic tables vs. closed-form series), reports the
 smallest failing index, and is deterministic.  The shipped admissible points
 are re-validated (root squared equals the discriminant) at import time.
 """
@@ -83,7 +83,7 @@ _validate_shipped_points()
 
 
 def check_joint_ep_pdd(max_n: int = 8, grammar: Grammar | None = None) -> CheckReport:
-    """D^n(z) equals the enumerated (exterior peak, proper double descent) polynomial."""
+    """D^n(z) equals the counted (exterior peak, proper double descent) polynomial."""
     g = grammar or builtin_grammar("paper_G")
     items = derive_n(_Z, g, max_n).items
     failure = None
@@ -96,7 +96,7 @@ def check_joint_ep_pdd(max_n: int = 8, grammar: Grammar | None = None) -> CheckR
 
 
 def check_peak_dd(max_n: int = 8, grammar: Grammar | None = None) -> CheckReport:
-    """D^n(y) equals the enumerated (peak, double descent) polynomial."""
+    """D^n(y) equals the counted (peak, double descent) polynomial."""
     g = grammar or builtin_grammar("paper_G")
     items = derive_n(_Y, g, max_n).items
     failure = None
@@ -112,7 +112,7 @@ def check_recurrence(max_n: int = 9, grammar: Grammar | None = None) -> CheckRep
     """The convolution recurrence, symbolically and on the four marginal triangles.
 
     Checks P(n+1) = w P(n) + sum_k C(n,k) P(k) Q(n-k) with Q taken both from
-    the derivative engine (self-consistency) and from enumeration (cross
+    the derivative engine (self-consistency) and from the statistic tables (cross
     check), then the same shape for the T/R and U/W marginals.
     """
     g = grammar or builtin_grammar("paper_G")
@@ -242,11 +242,11 @@ def check_closed_forms(
     enum_limit: int = 10,
     grammar: Grammar | None = None,
 ) -> CheckReport:
-    """Closed-form series against the derivative engine and the enumeration oracle.
+    """Closed-form series against the derivative engine and the statistics oracle.
 
     Full assignments are checked against evaluated D^n(z) and D^n(y) and the
     series identity gen_y = y + xz * carlitz_F; x-only and y-only points
-    against the enumerated exterior-peak and proper-double-descent marginals
+    against the counted exterior-peak and proper-double-descent marginals
     (up to ``enum_limit``).  The point-free reciprocal series is checked
     against a specialization of D^n(z) for all n up to ``order``.
     """
@@ -271,7 +271,7 @@ def check_closed_forms(
 
 
 # Frozen reference output for the two classical grammars that have no
-# enumeration oracle here: the n-th derivative of x, canonically formatted.
+# statistics oracle here: the n-th derivative of x, canonically formatted.
 _ANDRE_GOLDEN = (
     "x",
     "x*y",
@@ -312,7 +312,7 @@ def check_classical_grammars(
 
     The Eulerian derivatives of x must have row sums n!; relabeling the
     four-variable rules must reproduce the Eulerian and exterior-peak rules;
-    the exterior-peak derivatives of x must carry the enumerated exterior-peak
+    the exterior-peak derivatives of x must carry the counted exterior-peak
     counts; the Andre and Ramanujan derivative sequences must match their
     frozen reference output.
     """
@@ -403,21 +403,18 @@ def run_checks(
     enum_limit: int = 10,
 ) -> list[CheckReport]:
     """Run the selected checks (all of them by default) and collect reports."""
+    runners = {
+        "joint_ep_pdd": lambda: check_joint_ep_pdd(max_n),
+        "peak_dd": lambda: check_peak_dd(max_n),
+        "recurrence": lambda: check_recurrence(max_n),
+        "invariants": check_invariants,
+        "closed_forms": lambda: check_closed_forms(order, enum_limit=enum_limit),
+        "classical_grammars": lambda: check_classical_grammars(min(max_n, 6)),
+    }
     selected = CHECK_IDS if ids is None else tuple(ids)
     reports = []
     for check_id in selected:
-        if check_id == "joint_ep_pdd":
-            reports.append(check_joint_ep_pdd(max_n))
-        elif check_id == "peak_dd":
-            reports.append(check_peak_dd(max_n))
-        elif check_id == "recurrence":
-            reports.append(check_recurrence(max_n))
-        elif check_id == "invariants":
-            reports.append(check_invariants())
-        elif check_id == "closed_forms":
-            reports.append(check_closed_forms(order, enum_limit=enum_limit))
-        elif check_id == "classical_grammars":
-            reports.append(check_classical_grammars(min(max_n, 6)))
-        else:
+        if check_id not in runners:
             raise ValueError(f"unknown check '{check_id}' (choose from {CHECK_IDS})")
+        reports.append(runners[check_id]())
     return reports

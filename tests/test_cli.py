@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gramcalc.cli import main
 from gramcalc.verify import CheckReport
 
@@ -164,11 +166,38 @@ def test_series_bad_point_syntax(capsys):
     assert "bad point component" in err
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        ("gen_z", "--point", "x=4,y=2,z=1,w=3", "--root", "3"),
+        ("gessel_T", "--point", "x=3/4", "--root", "1/2"),
+        ("elizalde_noy_U", "--point", "y=13/4", "--root", "15/4"),
+        ("no_pdd_U0",),
+    ],
+)
+def test_series_negative_order_rejected(capsys, form):
+    code, out, err = run(capsys, "series", "--which", *form, "--order", "-1")
+    assert code == 1
+    assert out == ""
+    assert "nonnegative" in err
+
+
+def test_series_duplicate_point_coordinate(capsys):
+    code, out, err = run(
+        capsys, "series", "--which", "gessel_T", "--point", "x=0,x=3/4", "--root", "1/2"
+    )
+    assert code == 1
+    assert out == ""
+    assert "'x'" in err
+
+
 def test_bad_flags_exit_1(capsys):
     code, _, err = run(capsys, "bogus-subcommand")
     assert code == 1
     assert "error" in err
     code, _, err = run(capsys, "table", "--kind", "descents", "--n", "2")
+    assert code == 1
+    code, _, err = run(capsys, "table", "--kind", "peak_dd", "--n", "6", "--jobs", "2")
     assert code == 1
 
 

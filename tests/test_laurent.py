@@ -123,6 +123,13 @@ def test_eval_zero_at_negative_exponent():
         (X ** -1).eval({"x": 0})
 
 
+def test_eval_rejects_floats():
+    with pytest.raises(TypeError, match="float"):
+        X.eval({"x": 0.1})
+    with pytest.raises(TypeError, match="float"):
+        Z.eval({"x": 0.5, "z": 1})
+
+
 # -- substitution ---------------------------------------------------------------
 
 def test_subst_collapses_to_marginal():

@@ -4,7 +4,6 @@ from math import factorial
 
 import pytest
 
-from gramcalc import _statpure
 from gramcalc.gdsl import parse_poly
 from gramcalc.grammar import builtin_grammar, derive_n
 from gramcalc.laurent import LaurentPolynomial as LP
@@ -12,6 +11,7 @@ from gramcalc.permstat import (
     KIND_CARLITZ,
     KIND_EXTERIOR_PDD,
     KIND_PEAK_DD,
+    TABLE_KINDS,
     specialize_triangle,
     stat_profile,
     stat_table,
@@ -202,33 +202,27 @@ def test_triangle_poly():
     assert triangle_poly(3, "T").eval({"x": Fraction(1, 2)}) == Fraction(7, 2)
 
 
-# -- kernels and parallel mode ---------------------------------------------------
+# -- the recurrence against brute force ------------------------------------------
 
-@pytest.mark.parametrize("kind_code", [0, 1, 2])
-def test_kernels_agree(kind_code):
-    _statcore = pytest.importorskip("gramcalc._statcore")
-
-    for n in range(1, 7):
-        assert _statcore.count_table(n, kind_code) == _statpure.count_table(n, kind_code)
-        assert _statcore.count_table(n, kind_code, first=2) == _statpure.count_table(
-            n, kind_code, first=2
-        )
-
-
-def test_slices_partition_the_group():
-    for kind_code in (0, 1, 2):
-        whole = _statpure.count_table(5, kind_code)
-        merged: dict = {}
-        for first in range(1, 6):
-            for key, count in _statpure.count_table(5, kind_code, first).items():
-                merged[key] = merged.get(key, 0) + count
-        assert merged == whole
+def _brute_force_counts(n):
+    """Tally all three keys over S_n, one ``stat_profile`` per permutation."""
+    counts = {kind: {} for kind in TABLE_KINDS}
+    for p in permutations(range(1, n + 1)):
+        s = stat_profile(p)
+        keys = {
+            KIND_EXTERIOR_PDD: (s.exterior_peaks, s.proper_double_descents),
+            KIND_PEAK_DD: (s.peaks, s.double_descents),
+            KIND_CARLITZ: (s.peaks - 1, s.double_descents, s.valleys, s.double_rises),
+        }
+        for kind, key in keys.items():
+            counts[kind][key] = counts[kind].get(key, 0) + 1
+    return counts
 
 
-def test_parallel_jobs_match_serial():
-    serial = stat_table(6, KIND_CARLITZ)
-    parallel = stat_table(6, KIND_CARLITZ, jobs=2)
-    assert parallel.counts == serial.counts
+@pytest.mark.parametrize("n", range(1, 10))
+def test_tables_match_brute_force(n):
+    for kind, counts in _brute_force_counts(n).items():
+        assert stat_table(n, kind).counts == counts, kind
 
 
 # -- exports ---------------------------------------------------------------------

@@ -134,6 +134,13 @@ def test_point_normalizes_to_fractions():
     assert pt.discriminant_root == Fraction(3)
 
 
+def test_point_rejects_floats():
+    with pytest.raises(TypeError, match="float"):
+        EvalPoint({"x": 0.1}, Fraction(1, 2))
+    with pytest.raises(TypeError, match="float"):
+        EvalPoint({"x": Fraction(3, 4)}, 0.5)
+
+
 def test_point_root_validation():
     with pytest.raises(InadmissiblePointError, match="squared"):
         closed_form("gen_z", EvalPoint({"x": 4, "y": 2, "z": 1, "w": 3}, 2), 4)
