@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grammar import Grammar
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, monomial
 
 
 class GrammarSyntaxError(ValueError):
@@ -187,7 +187,7 @@ def _parse_term(stream: _TokenStream, allowed: set[str] | None) -> tuple[Fractio
 def _parse_poly(stream: _TokenStream, allowed: set[str] | None) -> LaurentPolynomial:
     if stream.peek() is None:
         raise stream.fail("expected a polynomial")
-    result = LaurentPolynomial.zero()
+    terms = []
     sign = 1
     token = stream.peek()
     if token.kind in ("+", "-"):
@@ -195,10 +195,10 @@ def _parse_poly(stream: _TokenStream, allowed: set[str] | None) -> LaurentPolyno
         sign = -1 if token.kind == "-" else 1
     while True:
         coeff, exponents = _parse_term(stream, allowed)
-        result = result + LaurentPolynomial.term(sign * coeff, exponents)
+        terms.append((monomial(exponents), sign * coeff))
         token = stream.peek()
         if token is None:
-            return result
+            return LaurentPolynomial(terms)
         if token.kind not in ("+", "-"):
             raise stream.fail("expected '+' or '-' between terms")
         stream.next()

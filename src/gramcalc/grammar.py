@@ -12,15 +12,22 @@ On a single term the derivative is computed directly from the product rule,
 
 which also handles negative exponents: the ``e_v`` factor reproduces
 ``D(v^-1) = -v^-2 * D(v)`` without special casing.
+
+``derive`` and ``derive_n`` share one step that applies this rule in integer
+arithmetic: the start word and the rule images are scaled to integer
+coefficients over their common denominators, the partial terms are summed
+into one ``{monomial: int}`` map, and each derivative is normalised to
+``Fraction`` coefficients once, when it is handed out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
-from .laurent import LaurentPolynomial, check_variable_name
+from .laurent import LaurentPolynomial, Monomial, _mono_mul, _wrap, check_variable_name
 
 #: Iterated derivatives grow factorially; refuse absurd depths by default.
 DEFAULT_DERIVE_LIMIT = 25
@@ -40,6 +47,8 @@ class Grammar:
     inert: frozenset[str] = frozenset()
     name: str | None = None
     var_order: tuple[str, ...] | None = None
+
+    __hash__ = None  # the rules are a dict of unhashable polynomials
 
     def __post_init__(self):
         for name in self.rules:
@@ -83,22 +92,51 @@ class DerivativeSequence:
         return len(self.items) - 1
 
 
+def _scaled(p: LaurentPolynomial) -> tuple[dict[Monomial, int], int]:
+    """``p`` as integer coefficients over a common denominator ``den``."""
+    den = math.lcm(*(c.denominator for _, c in p.items()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.items()}, den
+
+
+def _derive_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolynomial]:
+    """``D^0(p) .. D^n(p)``, each step in integer arithmetic.
+
+    ``D^k(p)`` is kept as integer coefficients over ``den * rden^k``, where
+    ``den`` and ``rden`` are the common denominators of the start word and of
+    all rule images, and is normalised to ``Fraction`` once per coefficient.
+    """
+    images = {name: _scaled(image) for name, image in g.rules.items()}
+    rden = math.lcm(*(d for _, d in images.values()))
+    rules = {
+        name: [(m, c * (rden // d)) for m, c in terms.items()]
+        for name, (terms, d) in images.items()
+    }
+    terms, den = _scaled(p)
+    items = [p]
+    for _ in range(n):
+        out: dict[Monomial, int] = {}
+        for mono, coeff in terms.items():
+            for i, (name, exp) in enumerate(mono):
+                image = rules.get(name)
+                if image is None:
+                    continue
+                if exp == 1:
+                    rest = mono[:i] + mono[i + 1:]
+                else:
+                    rest = mono[:i] + ((name, exp - 1),) + mono[i + 1:]
+                scale = coeff * exp
+                for m, c in image:
+                    m = _mono_mul(rest, m)
+                    out[m] = out.get(m, 0) + scale * c
+        terms = {m: c for m, c in out.items() if c}
+        den *= rden
+        items.append(_wrap({m: Fraction(c, den) for m, c in terms.items()}))
+    return items
+
+
 def derive(p: LaurentPolynomial, g: Grammar) -> LaurentPolynomial:
     """Apply the formal derivative once, returning a canonical polynomial."""
-    rules = g.rules
-    result = LaurentPolynomial.zero()
-    for mono, coeff in p.items():
-        for i, (name, exp) in enumerate(mono):
-            image = rules.get(name)
-            if image is None:
-                continue
-            if exp == 1:
-                rest = mono[:i] + mono[i + 1:]
-            else:
-                rest = mono[:i] + ((name, exp - 1),) + mono[i + 1:]
-            partial = LaurentPolynomial({rest: coeff * exp})
-            result = result + partial * image
-    return result
+    return _derive_steps(p, g, 1)[1]
 
 
 def derive_n(
@@ -113,10 +151,7 @@ def derive_n(
         raise ValueError("derivative order must be nonnegative")
     if n > cap:
         raise ValueError(f"derivative order {n} exceeds the limit {cap}")
-    items = [p]
-    for _ in range(n):
-        items.append(derive(items[-1], g))
-    return DerivativeSequence(start=p, items=tuple(items), grammar=g)
+    return DerivativeSequence(start=p, items=tuple(_derive_steps(p, g, n)), grammar=g)
 
 
 def leibniz_check(
@@ -129,9 +164,11 @@ def leibniz_check(
     direct = derive_n(u * v, g, n).items[n]
     du = derive_n(u, g, n).items
     dv = derive_n(v, g, n).items
-    expanded = LaurentPolynomial.zero()
-    for k in range(n + 1):
-        expanded = expanded + math.comb(n, k) * (du[k] * dv[n - k])
+    expanded = LaurentPolynomial(
+        (m, math.comb(n, k) * c)
+        for k in range(n + 1)
+        for m, c in (du[k] * dv[n - k]).items()
+    )
     return direct == expanded
 
 

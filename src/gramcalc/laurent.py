@@ -256,7 +256,7 @@ class LaurentPolynomial:
         Variables absent from ``images`` are left alone.  A variable occurring
         with a negative exponent must map to a single-term image.
         """
-        result = _ZERO
+        terms = []
         for mono, coeff in self._terms.items():
             term = LaurentPolynomial.constant(coeff)
             for name, exp in mono:
@@ -269,8 +269,8 @@ class LaurentPolynomial:
                         "image is not a single term"
                     )
                 term = term * base ** exp
-            result = result + term
-        return result
+            terms.extend(term.items())
+        return LaurentPolynomial(terms)
 
     # -- ordering, display, serialization ------------------------------------
 

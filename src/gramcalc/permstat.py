@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _transfer as _kernel
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, monomial
 
 #: There is no compiled table engine; benchmark environment stamps read this.
 KERNEL_IS_COMPILED = False
@@ -156,22 +156,15 @@ def table_to_poly(table: StatTable) -> LaurentPolynomial:
     """
     n = table.n
     terms = []
-    if table.kind == KIND_EXTERIOR_PDD:
-        for (i, j), count in table.counts.items():
-            exps = {"x": i, "y": j, "z": i + 1, "w": n - 2 * i - j}
-            terms.append((count, exps))
-    elif table.kind == KIND_PEAK_DD:
-        for (i, j), count in table.counts.items():
-            exps = {"x": i, "y": j, "z": i, "w": n + 1 - 2 * i - j}
-            terms.append((count, exps))
-    else:
-        for (a, b, c, d), count in table.counts.items():
-            exps = {"x": a, "y": b, "z": c, "w": d}
-            terms.append((count, exps))
-    result = LaurentPolynomial.zero()
-    for count, exps in terms:
-        result = result + LaurentPolynomial.term(count, exps)
-    return result
+    for key, count in table.counts.items():
+        if table.kind == KIND_EXTERIOR_PDD:
+            i, j = key
+            key = (i, j, i + 1, n - 2 * i - j)
+        elif table.kind == KIND_PEAK_DD:
+            i, j = key
+            key = (i, j, i, n + 1 - 2 * i - j)
+        terms.append((monomial(dict(zip("xyzw", key))), count))
+    return LaurentPolynomial(terms)
 
 
 _TRIANGLE_SOURCE = {
@@ -203,10 +196,7 @@ def triangle_poly(n: int, which: str, *, cap: int | None = None) -> LaurentPolyn
     kind, _ = _TRIANGLE_SOURCE[which]
     rows = specialize_triangle(stat_table(n, kind, cap=cap), which)
     var = "x" if which in ("T", "R") else "y"
-    result = LaurentPolynomial.zero()
-    for k, count in rows:
-        result = result + LaurentPolynomial.term(count, {var: k})
-    return result
+    return LaurentPolynomial((monomial({var: k}), count) for k, count in rows)
 
 
 def triangle_csv(n: int, rows: Iterable[tuple[int, int]]) -> str:

@@ -2,9 +2,11 @@
 
 A ``TruncatedSeries`` holds the coefficients of ``t^0 .. t^order`` of a formal
 power series in ``t``.  Coefficients live in a pluggable exact ring, either
-the rationals or Laurent polynomials; the ring supplies ``zero``, ``one`` and
-``invert``, everything else goes through the elements' own operators.  There
-is no floating point anywhere.
+the rationals or Laurent polynomials; the ring supplies ``zero``, ``one``,
+``invert`` and ``dot`` (a sum of products), everything else goes through the
+elements' own operators.  Products and reciprocals are one ``dot`` per output
+coefficient; over the rationals ``dot`` sums integer numerators over a common
+denominator and reduces once.  There is no floating point anywhere.
 
 ``gen_series(p, g, order)`` is the exponential generating series of the
 iterated derivatives of ``p`` under the grammar ``g``: its n-th coefficient is
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Mapping, Sequence
 
 from .grammar import Grammar, derive_n
-from .laurent import LaurentPolynomial, exact_scalar
+from .laurent import LaurentPolynomial, _mono_mul, exact_scalar
 
 
 class InadmissiblePointError(ValueError):
@@ -32,12 +34,38 @@ class InadmissiblePointError(ValueError):
 
 @dataclass(frozen=True)
 class Ring:
-    """The minimal contract a coefficient ring must provide."""
+    """The minimal contract a coefficient ring must provide.
+
+    ``dot(xs, ys)`` is the sum of the products ``xs[i] * ys[i]``.
+    """
 
     name: str
     zero: object
     one: object
     invert: Callable[[object], object]
+    dot: Callable[[Sequence, Sequence], object]
+
+
+def _rational_dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
+    # Integer numerators over the lcm of the products' denominators, so that
+    # the only gcd normalisation is the one in the final Fraction.
+    products = [
+        (x.numerator * y.numerator, x.denominator * y.denominator)
+        for x, y in zip(xs, ys) if x and y
+    ]
+    den = lcm(*(d for _, d in products))
+    return Fraction(sum(n * (den // d) for n, d in products), den)
+
+
+def _laurent_dot(
+    xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial]
+) -> LaurentPolynomial:
+    return LaurentPolynomial(
+        (_mono_mul(ma, mb), ca * cb)
+        for x, y in zip(xs, ys)
+        for ma, ca in x.items()
+        for mb, cb in y.items()
+    )
 
 
 RATIONALS = Ring(
@@ -45,6 +73,7 @@ RATIONALS = Ring(
     zero=Fraction(0),
     one=Fraction(1),
     invert=lambda c: Fraction(1) / c,
+    dot=_rational_dot,
 )
 
 LAURENT = Ring(
@@ -52,6 +81,7 @@ LAURENT = Ring(
     zero=LaurentPolynomial.zero(),
     one=LaurentPolynomial.one(),
     invert=lambda p: p ** -1,
+    dot=_laurent_dot,
 )
 
 
@@ -112,18 +142,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.ring, [a * other for a in self.coeffs])
         self._match(other)
-        n = self.order
-        zero = self.ring.zero
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == zero:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b == zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.ring, out)
+        a, b, dot = self.coeffs, other.coeffs, self.ring.dot
+        return TruncatedSeries(
+            self.ring, [dot(a[: k + 1], b[k::-1]) for k in range(self.order + 1)]
+        )
 
     __rmul__ = __mul__
 
@@ -135,12 +157,10 @@ class TruncatedSeries:
             raise ValueError(
                 "series constant term vanishes; reciprocal does not exist"
             ) from None
+        c, dot = self.coeffs, self.ring.dot
         out = [head]
         for n in range(1, self.order + 1):
-            acc = self.ring.zero
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(head * acc))
+            out.append(-head * dot(c[1 : n + 1], out[n - 1 :: -1]))
         return TruncatedSeries(self.ring, out)
 
     def derivative(self) -> "TruncatedSeries":
@@ -176,10 +196,8 @@ class TruncatedSeries:
 def exp_series(alpha, order: int, ring: Ring = RATIONALS) -> TruncatedSeries:
     """exp(alpha * t) truncated: the n-th coefficient is alpha^n / n!."""
     coeffs = [ring.one]
-    power = ring.one
     for n in range(1, order + 1):
-        power = power * alpha
-        coeffs.append(power * Fraction(1, factorial(n)))
+        coeffs.append(coeffs[-1] * alpha * Fraction(1, n))
     return TruncatedSeries(ring, coeffs)
 
 
@@ -264,6 +282,8 @@ def closed_form(
     if order < 0:
         raise ValueError("series order must be nonnegative")
     if which == "no_pdd_U0":
+        if point is not None:
+            raise InadmissiblePointError("closed form 'no_pdd_U0' takes no point")
         coeffs = []
         for n in range(order + 1):
             if n % 3 == 0:

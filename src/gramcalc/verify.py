@@ -250,6 +250,8 @@ def check_closed_forms(
     (up to ``enum_limit``).  The point-free reciprocal series is checked
     against a specialization of D^n(z) for all n up to ``order``.
     """
+    if enum_limit < 0:
+        raise ValueError(f"enumeration limit must be nonnegative, got {enum_limit}")
     g = grammar or builtin_grammar("paper_G")
     pts = SHIPPED_POINTS if points is None else tuple(points)
     dz_items = derive_n(_Z, g, order).items

@@ -191,6 +191,24 @@ def test_series_duplicate_point_coordinate(capsys):
     assert "'x'" in err
 
 
+def test_series_no_pdd_rejects_point(capsys):
+    code, out, err = run(
+        capsys, "series", "--which", "no_pdd_U0", "--point", "x=1", "--order", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "no_pdd_U0" in err and "no point" in err
+
+
+def test_verify_negative_enum_limit_rejected(capsys):
+    code, out, err = run(
+        capsys, "verify", "--check", "closed_forms", "--order", "4", "--enum-limit", "-5"
+    )
+    assert code == 1
+    assert out == ""
+    assert "enum" in err
+
+
 def test_bad_flags_exit_1(capsys):
     code, _, err = run(capsys, "bogus-subcommand")
     assert code == 1

@@ -1,9 +1,13 @@
+from collections.abc import Hashable
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramcalc.gdsl import parse_poly
+from gramcalc.gdsl import parse_grammar, parse_poly
 from gramcalc.grammar import (
+    BUILTIN_GRAMMAR_NAMES,
     Grammar,
     builtin_grammar,
     derive,
@@ -126,12 +130,81 @@ def test_parity_closed_form_for_double_inverse():
             assert items[2 * k + 2] == m * ((W + Y) ** 2 - 2 * X * Z) * delta ** k
 
 
+def test_grammar_is_declared_unhashable():
+    assert not isinstance(G, Hashable)
+    with pytest.raises(TypeError):
+        hash(G)
+
+
 def test_grammar_json_shape():
     obj = G.to_json_obj()
     assert obj["name"] == "paper_G"
     assert sorted(obj["rules"]) == ["w", "x", "y", "z"]
     assert obj["rules"]["z"] == [{"coeff": "1", "exps": {"w": 1, "z": 1}}]
     assert obj["inert"] == []
+
+
+# -- differential: derive_n against the textbook product rule ---------------------
+
+
+def reference_derive(p, g):
+    """One derivative by the product rule, written with polynomial operators."""
+    result = LP.zero()
+    for mono, coeff in p.items():
+        for i, (name, exp) in enumerate(mono):
+            image = g.rules.get(name)
+            if image is None:
+                continue
+            rest = dict(mono[:i] + mono[i + 1:])
+            rest[name] = exp - 1
+            result = result + LP.term(coeff * exp, rest) * image
+    return result
+
+
+def assert_matches_reference(p, g, n):
+    items = derive_n(p, g, n).items
+    expected = p
+    assert items[0] == p
+    for k in range(1, n + 1):
+        expected = reference_derive(expected, g)
+        assert items[k] == expected, f"order {k}"
+        assert all(type(c) is Fraction and c for _, c in items[k].items())
+
+
+RATIONAL_GRAM = """\
+vars: a b
+inert: t
+rule a -> 2/3*a*b - 1/2*t
+rule b -> 5/4*a^-1*b + 3/7*b^2*t
+start: -3/5*a^-1*b^2 + 1/6*a*t
+n: 6
+"""
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRAMMAR_NAMES)
+def test_derive_n_matches_product_rule_on_builtins(name):
+    g = builtin_grammar(name)
+    for var in g.rules:
+        assert_matches_reference(LP.variable(var), g, 7)
+    variables = sorted(g.rules)
+    word = LP.term(Fraction(-7, 3), {variables[0]: -2, variables[-1]: 1})
+    word = word + LP.term(Fraction(5, 4), {variables[-1]: -1}) + 2
+    assert_matches_reference(word, g, 6)
+
+
+def test_derive_n_matches_product_rule_with_rational_rules_and_inert():
+    spec = parse_grammar(RATIONAL_GRAM)
+    g = spec.to_grammar()
+    assert_matches_reference(spec.start, g, spec.default_n)
+    assert_matches_reference(LP.variable("t"), g, 2)
+    assert_matches_reference(LP.variable("a") ** -3 * Fraction(9, 2), g, 4)
+
+
+def test_derive_n_order_zero_and_zero_word():
+    word = parse_poly("-2/3*x^-1*z^2 + 5*y*w^-2")
+    assert derive_n(word, G, 0).items == (word,)
+    assert derive_n(LP.zero(), G, 3).items == (LP.zero(),) * 4
+    assert derive(word, G) == reference_derive(word, G)
 
 
 # -- properties ----------------------------------------------------------------

@@ -277,6 +277,67 @@ def test_no_pdd_series_matches_enumeration():
         assert egf[n] == rows.get(0, 0)
 
 
+# -- differential: products and reciprocals against a naive convolution --------------
+
+
+def naive_mul(a, b):
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+def naive_inverse(c):
+    out = [1 / c[0]]
+    for n in range(1, len(c)):
+        out.append(-sum(c[k] * out[n - k] for k in range(1, n + 1)) / c[0])
+    return out
+
+
+def mixed_rationals(seed, length):
+    """Mixed-sign rationals with varied denominators and about a fifth zeros."""
+    values = []
+    for i in range(length):
+        k = (seed * 7919 + i * 104729) % 97
+        if k % 5 == 0:
+            values.append(Fraction(0))
+        else:
+            values.append(Fraction((-1) ** k * (k + 1) ** (1 + i % 3), 1 + (k * 13) % 23))
+    return values
+
+
+@pytest.mark.parametrize("order", [0, 1, 60, 75])
+def test_rational_mul_and_inverse_match_naive_convolution(order):
+    a, b = mixed_rationals(1, order + 1), mixed_rationals(2, order + 1)
+    a[0] = Fraction(-3, 7)
+    sa, sb = TruncatedSeries(RATIONALS, a), TruncatedSeries(RATIONALS, b)
+    assert list((sa * sb).coeffs) == naive_mul(a, b)
+    assert list(sa.inverse().coeffs) == naive_inverse(a)
+    assert all(type(c) is Fraction for c in (sa * sb).coeffs + sa.inverse().coeffs)
+    zero = TruncatedSeries(RATIONALS, [Fraction(0)] * (order + 1))
+    assert (sa * zero).coeffs == zero.coeffs
+
+
+def test_laurent_mul_and_inverse_match_naive_convolution():
+    a = [X * Y ** -1 * Fraction(-2, 3), LP.zero(), X + Fraction(1, 2) * Z, W ** -2 - Y, 3 * X * Z]
+    b = [Y - Fraction(5, 4) * W, X ** -1, LP.zero(), Fraction(7, 2) * Y * Z, LP.zero()]
+    sa, sb = TruncatedSeries(LAURENT, a), TruncatedSeries(LAURENT, b)
+    expected = [LP.zero()] * 5
+    for i in range(5):
+        for j in range(5 - i):
+            expected[i + j] = expected[i + j] + a[i] * b[j]
+    assert list((sa * sb).coeffs) == expected
+    head = a[0] ** -1
+    inverse = [head]
+    for n in range(1, 5):
+        acc = LP.zero()
+        for k in range(1, n + 1):
+            acc = acc + a[k] * inverse[n - k]
+        inverse.append(-(head * acc))
+    assert list(sa.inverse().coeffs) == inverse
+
+
 # -- randomized multiplicativity ----------------------------------------------------
 
 exponents = st.dictionaries(st.sampled_from("xyzw"), st.integers(0, 2), max_size=3)
