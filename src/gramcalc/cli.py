@@ -47,7 +47,6 @@ def _build_parser() -> _Parser:
         help="print this marginal triangle instead of the full table",
     )
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--cap", type=int, help="override the enumeration cap")
 
     p_series = sub.add_parser("series", help="expand a closed-form series exactly")
     p_series.add_argument("--which", required=True, choices=CLOSED_FORMS)
@@ -64,7 +63,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--check", choices=verify.CHECK_IDS, help="run one check only")
     p_verify.add_argument("--max-n", type=int, default=8)
     p_verify.add_argument("--order", type=int, default=12)
-    p_verify.add_argument("--enum-limit", type=int, default=10)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -140,7 +138,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = permstat.stat_table(args.n, args.kind, cap=args.cap)
+    table = permstat.stat_table(args.n, args.kind)
     if args.triangle:
         rows = permstat.specialize_triangle(table, args.triangle)
         if args.format == "csv":
@@ -191,9 +189,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify(args) -> int:
     ids = (args.check,) if args.check else None
-    reports = verify.run_checks(
-        ids, max_n=args.max_n, order=args.order, enum_limit=args.enum_limit
-    )
+    reports = verify.run_checks(ids, max_n=args.max_n, order=args.order)
     if args.format == "json":
         print(json.dumps([r.to_json_obj() for r in reports]))
     else:

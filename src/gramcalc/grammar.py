@@ -29,8 +29,10 @@ from typing import Mapping
 
 from .laurent import LaurentPolynomial, Monomial, _mono_mul, _wrap, check_variable_name
 
-#: Iterated derivatives grow factorially; refuse absurd depths by default.
-DEFAULT_DERIVE_LIMIT = 25
+#: Iterated derivatives grow factorially, so this is the largest derivative
+#: order, and the largest n a statistic table is built for: every derivative
+#: order has a table to check it.
+MAX_N = 25
 
 BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")
 
@@ -139,18 +141,12 @@ def derive(p: LaurentPolynomial, g: Grammar) -> LaurentPolynomial:
     return _derive_steps(p, g, 1)[1]
 
 
-def derive_n(
-    p: LaurentPolynomial,
-    g: Grammar,
-    n: int,
-    limit: int | None = None,
-) -> DerivativeSequence:
-    """Compute ``D^0(p) .. D^n(p)`` by iterated single derivatives."""
-    cap = DEFAULT_DERIVE_LIMIT if limit is None else limit
+def derive_n(p: LaurentPolynomial, g: Grammar, n: int) -> DerivativeSequence:
+    """Compute ``D^0(p) .. D^n(p)`` by iterated single derivatives, n <= MAX_N."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    if n > cap:
-        raise ValueError(f"derivative order {n} exceeds the limit {cap}")
+    if n > MAX_N:
+        raise ValueError(f"derivative order {n} exceeds the limit {MAX_N}")
     return DerivativeSequence(start=p, items=tuple(_derive_steps(p, g, n)), grammar=g)
 
 

@@ -9,7 +9,9 @@ Statistics of a permutation ``p = p_1 .. p_n`` of ``{1..n}``:
   of ``1 <= i <= n`` after padding with ``p_0 = p_{n+1} = 0`` (peak means
   up-down, valley down-up, double descent down-down, double rise up-up).
 
-``stat_table`` counts one of three key shapes over the whole symmetric group:
+``stat_table`` counts one of three key shapes over the whole symmetric group
+S_n, for n up to ``grammar.MAX_N``, the largest derivative order, so that
+every derivative has a table to check it:
 
 * ``"exterior_pdd"``: ``(exterior peaks, proper double descents)``,
 * ``"peak_dd"``: ``(peaks, double descents)``,
@@ -23,12 +25,12 @@ test oracle for the recurrence.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _transfer as _kernel
+from .grammar import MAX_N
 from .laurent import LaurentPolynomial, monomial
 
 #: There is no compiled table engine; benchmark environment stamps read this.
@@ -45,16 +47,7 @@ _KIND_CODES = {
     KIND_CARLITZ: _kernel.KIND_CARLITZ,
 }
 
-#: Default bound on n for statistic tables.
-DEFAULT_ENUM_CAP = 10
-
 TRIANGLES = ("T", "U", "R", "W")
-
-
-def enum_cap() -> int:
-    """The enumeration bound: GRAMCALC_ENUM_CAP if set, else the default."""
-    value = os.environ.get("GRAMCALC_ENUM_CAP")
-    return int(value) if value else DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ def _counts(n: int, kind: str) -> dict[tuple[int, ...], int]:
     return _kernel.count_table(n, _KIND_CODES[kind])
 
 
-def stat_table(n: int, kind: str, *, cap: int | None = None) -> StatTable:
+def stat_table(n: int, kind: str) -> StatTable:
     """Count the statistic key of every permutation of {1..n}.
 
     ``n = 0`` is only meaningful for the exterior-peak table, where the empty
@@ -130,14 +123,10 @@ def stat_table(n: int, kind: str, *, cap: int | None = None) -> StatTable:
     """
     if kind not in _KIND_CODES:
         raise ValueError(f"unknown table kind {kind!r} (choose from {TABLE_KINDS})")
-    limit = enum_cap() if cap is None else cap
-    if n > limit:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration cap {limit} "
-            "(raise it with --cap or GRAMCALC_ENUM_CAP)"
-        )
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the limit {MAX_N}")
     if n == 0:
         if kind != KIND_EXTERIOR_PDD:
             raise ValueError(f"{kind} tables start at n = 1")
@@ -191,10 +180,10 @@ def specialize_triangle(table: StatTable, which: str) -> list[tuple[int, int]]:
     return sorted(marginal.items())
 
 
-def triangle_poly(n: int, which: str, *, cap: int | None = None) -> LaurentPolynomial:
+def triangle_poly(n: int, which: str) -> LaurentPolynomial:
     """The marginal as a univariate polynomial (in x for T and R, y for U and W)."""
     kind, _ = _TRIANGLE_SOURCE[which]
-    rows = specialize_triangle(stat_table(n, kind, cap=cap), which)
+    rows = specialize_triangle(stat_table(n, kind), which)
     var = "x" if which in ("T", "R") else "y"
     return LaurentPolynomial((monomial({var: k}), count) for k, count in rows)
 

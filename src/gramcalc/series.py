@@ -27,6 +27,10 @@ from typing import Callable, Mapping, Sequence
 from .grammar import Grammar, derive_n
 from .laurent import LaurentPolynomial, _mono_mul, exact_scalar
 
+#: The largest order ``closed_form`` expands to; the work grows faster than
+#: cubically in the order.
+MAX_ORDER = 300
+
 
 class InadmissiblePointError(ValueError):
     """A closed form was asked for at a point it cannot be evaluated at."""
@@ -281,6 +285,8 @@ def closed_form(
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
+    if order > MAX_ORDER:
+        raise ValueError(f"series order {order} exceeds the limit {MAX_ORDER}")
     if which == "no_pdd_U0":
         if point is not None:
             raise InadmissiblePointError("closed form 'no_pdd_U0' takes no point")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .grammar import Grammar, builtin_grammar, derive, derive_n
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, monomial
 from .permstat import (
     KIND_EXTERIOR_PDD,
     KIND_PEAK_DD,
@@ -55,6 +55,16 @@ class CheckReport:
 
 def _report(check_id: str, limit: int, failure: str | None) -> CheckReport:
     return CheckReport(check_id, limit, failure is None, failure)
+
+
+def _convolution(head: LaurentPolynomial, left, right, n: int) -> LaurentPolynomial:
+    """``head + sum_{k<n} C(n,k) left[k] right[n-k]``, built once from its terms."""
+    terms = dict(head.items())
+    for k in range(n):
+        b = comb(n, k)
+        for m, c in (left[k] * right[n - k]).items():
+            terms[m] = terms.get(m, 0) + b * c
+    return LaurentPolynomial(terms)
 
 
 # Shipped admissible points.  The three full assignments make the grammar
@@ -123,10 +133,8 @@ def check_recurrence(max_n: int = 9, grammar: Grammar | None = None) -> CheckRep
     }
     failure = None
     for n in range(max_n + 1):
-        for label, q_of in (("engine", q_items.__getitem__), ("oracle", q_oracle.__getitem__)):
-            rhs = _W * p_items[n]
-            for k in range(n):
-                rhs = rhs + comb(n, k) * (p_items[k] * q_of(n - k))
+        for label, q in (("engine", q_items), ("oracle", q_oracle)):
+            rhs = _convolution(_W * p_items[n], p_items, q, n)
             if p_items[n + 1] != rhs:
                 failure = f"n={n} (Q from {label}): expected {p_items[n + 1]}, got {rhs}"
                 break
@@ -138,11 +146,8 @@ def check_recurrence(max_n: int = 9, grammar: Grammar | None = None) -> CheckRep
         u_polys = [triangle_poly(m, "U") for m in range(max_n + 2)]
         w_polys = {m: triangle_poly(m, "W") for m in range(1, max_n + 1)}
         for n in range(max_n + 1):
-            t_rhs = t_polys[n]
-            u_rhs = u_polys[n]
-            for k in range(n):
-                t_rhs = t_rhs + comb(n, k) * (t_polys[k] * r_polys[n - k])
-                u_rhs = u_rhs + comb(n, k) * (u_polys[k] * w_polys[n - k])
+            t_rhs = _convolution(t_polys[n], t_polys, r_polys, n)
+            u_rhs = _convolution(u_polys[n], u_polys, w_polys, n)
             if t_polys[n + 1] != t_rhs:
                 failure = f"T marginal, n={n}: expected {t_polys[n + 1]}, got {t_rhs}"
                 break
@@ -193,13 +198,7 @@ def check_invariants(grammar: Grammar | None = None) -> CheckReport:
     return _report("invariants", 12, failure)
 
 
-def _check_point_forms(
-    pt: EvalPoint,
-    order: int,
-    enum_limit: int,
-    dz_items,
-    dy_items,
-) -> str | None:
+def _check_point_forms(pt: EvalPoint, order: int, dz_items, dy_items) -> str | None:
     a = dict(pt.assignment)
     keys = set(a)
     tag = "point (" + ", ".join(f"{k}={a[k]}" for k in sorted(a)) + ")"
@@ -221,14 +220,14 @@ def _check_point_forms(
         return None
     if keys == {"x"}:
         egf = closed_form("gessel_T", pt, order).egf_coefficients()
-        for n in range(min(order, enum_limit) + 1):
+        for n in range(order + 1):
             expected = triangle_poly(n, "T").eval(a)
             if egf[n] != expected:
                 return f"{tag}, gessel_T, n={n}: expected {expected}, got {egf[n]}"
         return None
     if keys == {"y"}:
         egf = closed_form("elizalde_noy_U", pt, order).egf_coefficients()
-        for n in range(min(order, enum_limit) + 1):
+        for n in range(order + 1):
             expected = triangle_poly(n, "U").eval(a)
             if egf[n] != expected:
                 return f"{tag}, elizalde_noy_U, n={n}: expected {expected}, got {egf[n]}"
@@ -239,26 +238,23 @@ def _check_point_forms(
 def check_closed_forms(
     order: int = 12,
     points: tuple[EvalPoint, ...] | None = None,
-    enum_limit: int = 10,
     grammar: Grammar | None = None,
 ) -> CheckReport:
     """Closed-form series against the derivative engine and the statistics oracle.
 
     Full assignments are checked against evaluated D^n(z) and D^n(y) and the
     series identity gen_y = y + xz * carlitz_F; x-only and y-only points
-    against the counted exterior-peak and proper-double-descent marginals
-    (up to ``enum_limit``).  The point-free reciprocal series is checked
-    against a specialization of D^n(z) for all n up to ``order``.
+    against the counted exterior-peak and proper-double-descent marginals.
+    The point-free reciprocal series is checked against a specialization of
+    D^n(z).  Every comparison runs for all n up to ``order``.
     """
-    if enum_limit < 0:
-        raise ValueError(f"enumeration limit must be nonnegative, got {enum_limit}")
     g = grammar or builtin_grammar("paper_G")
     pts = SHIPPED_POINTS if points is None else tuple(points)
     dz_items = derive_n(_Z, g, order).items
     dy_items = derive_n(_Y, g, order).items
     failure = None
     for pt in pts:
-        failure = _check_point_forms(pt, order, enum_limit, dz_items, dy_items)
+        failure = _check_point_forms(pt, order, dz_items, dy_items)
         if failure:
             break
     if failure is None:
@@ -357,11 +353,9 @@ def check_classical_grammars(
         gz_items = derive_n(_Z, g, max_n).items
         for n in range(max_n + 1):
             rows = specialize_triangle(stat_table(n, KIND_EXTERIOR_PDD), "T")
-            expected = LaurentPolynomial.zero()
-            for k, count in rows:
-                expected = expected + LaurentPolynomial.term(
-                    count, {"x": 2 * k + 1, "y": n - 2 * k}
-                )
+            expected = LaurentPolynomial(
+                (monomial({"x": 2 * k + 1, "y": n - 2 * k}), count) for k, count in rows
+            )
             if ep_items[n] != expected:
                 failure = f"exterior-peak marginal, n={n}: expected {expected}, got {ep_items[n]}"
                 break
@@ -402,7 +396,6 @@ def run_checks(
     ids: tuple[str, ...] | None = None,
     max_n: int = 8,
     order: int = 12,
-    enum_limit: int = 10,
 ) -> list[CheckReport]:
     """Run the selected checks (all of them by default) and collect reports."""
     runners = {
@@ -410,7 +403,7 @@ def run_checks(
         "peak_dd": lambda: check_peak_dd(max_n),
         "recurrence": lambda: check_recurrence(max_n),
         "invariants": check_invariants,
-        "closed_forms": lambda: check_closed_forms(order, enum_limit=enum_limit),
+        "closed_forms": lambda: check_closed_forms(order),
         "classical_grammars": lambda: check_classical_grammars(min(max_n, 6)),
     }
     selected = CHECK_IDS if ids is None else tuple(ids)

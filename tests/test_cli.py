@@ -1,4 +1,5 @@
 import json
+from math import factorial
 
 import pytest
 
@@ -122,11 +123,13 @@ def test_table_triangle_csv(capsys):
 
 
 def test_table_over_cap(capsys):
-    code, _, err = run(
-        capsys, "table", "--kind", "exterior_pdd", "--n", "6", "--cap", "5"
-    )
+    code, out, err = run(capsys, "table", "--kind", "exterior_pdd", "--n", "26")
     assert code == 1
-    assert "enumeration cap" in err
+    assert out == ""
+    assert "exceeds the limit 25" in err
+    code, out, _ = run(capsys, "table", "--kind", "exterior_pdd", "--n", "25", "--triangle", "T")
+    assert code == 0
+    assert sum(int(line.split("count=")[1]) for line in out.splitlines()) == factorial(25)
 
 
 def test_series_text(capsys):
@@ -182,6 +185,16 @@ def test_series_negative_order_rejected(capsys, form):
     assert "nonnegative" in err
 
 
+def test_series_order_bounded(capsys):
+    code, out, err = run(capsys, "series", "--which", "no_pdd_U0", "--order", "301")
+    assert code == 1
+    assert out == ""
+    assert "exceeds the limit 300" in err
+    code, out, _ = run(capsys, "series", "--which", "no_pdd_U0", "--order", "300")
+    assert code == 0
+    assert len(out.splitlines()) == 301
+
+
 def test_series_duplicate_point_coordinate(capsys):
     code, out, err = run(
         capsys, "series", "--which", "gessel_T", "--point", "x=0,x=3/4", "--root", "1/2"
@@ -200,15 +213,6 @@ def test_series_no_pdd_rejects_point(capsys):
     assert "no_pdd_U0" in err and "no point" in err
 
 
-def test_verify_negative_enum_limit_rejected(capsys):
-    code, out, err = run(
-        capsys, "verify", "--check", "closed_forms", "--order", "4", "--enum-limit", "-5"
-    )
-    assert code == 1
-    assert out == ""
-    assert "enum" in err
-
-
 def test_bad_flags_exit_1(capsys):
     code, _, err = run(capsys, "bogus-subcommand")
     assert code == 1
@@ -217,6 +221,20 @@ def test_bad_flags_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "table", "--kind", "peak_dd", "--n", "6", "--jobs", "2")
     assert code == 1
+    code, _, err = run(capsys, "table", "--kind", "peak_dd", "--n", "6", "--cap", "10")
+    assert code == 1
+    assert "--cap" in err
+
+
+def test_verify_negative_enum_limit_rejected(capsys):
+    # --enum-limit no longer exists; argparse rejects it as an unknown flag.
+    code, out, err = run(
+        capsys, "verify", "--check", "closed_forms", "--order", "4", "--enum-limit", "-5"
+    )
+    assert code == 1
+    assert out == ""
+    assert "enum" in err
+    assert "--enum-limit" in err
 
 
 def test_verify_single_check(capsys):
@@ -239,7 +257,7 @@ def test_verify_json(capsys):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import gramcalc.cli as cli_module
 
-    def fake_run_checks(ids, max_n, order, enum_limit):
+    def fake_run_checks(ids, max_n, order):
         return [CheckReport("joint_ep_pdd", 4, False, "n=1: expected 0, got 1")]
 
     monkeypatch.setattr(cli_module.verify, "run_checks", fake_run_checks)

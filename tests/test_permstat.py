@@ -123,16 +123,10 @@ def test_table_n0_conventions():
 
 
 def test_table_cap():
-    with pytest.raises(ValueError, match="enumeration cap"):
-        stat_table(5, KIND_EXTERIOR_PDD, cap=4)
-    with pytest.raises(ValueError, match="enumeration cap"):
-        stat_table(11, KIND_EXTERIOR_PDD)
-
-
-def test_table_env_cap(monkeypatch):
-    monkeypatch.setenv("GRAMCALC_ENUM_CAP", "3")
-    with pytest.raises(ValueError, match="enumeration cap"):
-        stat_table(4, KIND_EXTERIOR_PDD)
+    for kind in TABLE_KINDS:
+        with pytest.raises(ValueError, match="exceeds the limit 25"):
+            stat_table(26, kind)
+        assert sum(stat_table(25, kind).counts.values()) == factorial(25)
 
 
 def test_unknown_kind():
@@ -154,12 +148,14 @@ def test_table_polynomials_match_printed_values():
 
 
 def test_joint_polynomials_match_derivatives():
-    z_items = derive_n(LP.variable("z"), G, 6).items
-    y_items = derive_n(LP.variable("y"), G, 6).items
-    for n in range(7):
-        assert table_to_poly(stat_table(n, KIND_EXTERIOR_PDD)) == z_items[n]
+    # Up to the shared limit n = 25; past the brute-force range (n <= 9) the
+    # derivative is the recurrence's only check.
+    z_items = derive_n(LP.variable("z"), G, 25).items
+    y_items = derive_n(LP.variable("y"), G, 25).items
+    for n in range(26):
+        assert table_to_poly(stat_table(n, KIND_EXTERIOR_PDD)) == z_items[n], n
         if n >= 1:
-            assert table_to_poly(stat_table(n, KIND_PEAK_DD)) == y_items[n]
+            assert table_to_poly(stat_table(n, KIND_PEAK_DD)) == y_items[n], n
 
 
 def test_peak_table_factors_through_quadruple():

@@ -20,7 +20,7 @@ from gramcalc.verify import (
 
 
 def test_default_suite_passes_at_small_caps():
-    reports = run_checks(max_n=5, order=8, enum_limit=7)
+    reports = run_checks(max_n=5, order=8)
     assert [r.check_id for r in reports] == list(CHECK_IDS)
     for report in reports:
         assert report.passed, report.summary_line()
