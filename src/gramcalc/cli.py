@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import gdsl, permstat, verify
+from . import __version__, gdsl, permstat, verify
 from .grammar import BUILTIN_GRAMMAR_NAMES, Grammar, builtin_grammar, derive_n
 from .series import CLOSED_FORMS, EvalPoint, InadmissiblePointError, closed_form
 
@@ -21,13 +21,21 @@ class CliError(Exception):
     pass
 
 
+class _Done(Exception):
+    """``--help`` or ``--version`` printed its text; ``args[0]`` is the status."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exiting with status 2
         raise CliError(message)
 
+    def exit(self, status=0, message=None):  # --help/--version return from main
+        raise _Done(status)
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gramcalc", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"gramcalc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_derive = sub.add_parser("derive", help="print an iterated formal derivative")
@@ -209,6 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "series":
             return _cmd_series(args)
         return _cmd_verify(args)
+    except _Done as done:
+        return done.args[0]
     except (CliError, InadmissiblePointError, ValueError, OSError) as exc:
         print(f"gramcalc: error: {exc}", file=sys.stderr)
         return 1

@@ -22,8 +22,8 @@ All rejections carry the line number and the offending token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .grammar import Grammar
 from .laurent import LaurentPolynomial, monomial
@@ -38,8 +38,7 @@ class GrammarSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class GrammarSpec:
+class GrammarSpec(NamedTuple):
     """A parsed grammar document."""
 
     declared_vars: tuple[str, ...]
@@ -72,8 +71,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "int", "arrow", or the symbol itself
     text: str
     line: int

@@ -23,9 +23,8 @@ into one ``{monomial: int}`` map, and each derivative is normalised to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .laurent import LaurentPolynomial, Monomial, _mono_mul, _wrap, check_variable_name
 
@@ -37,35 +36,44 @@ MAX_N = 25
 BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")
 
 
-@dataclass(frozen=True, eq=True)
-class Grammar:
+class _GrammarFields(NamedTuple):
+    rules: Mapping[str, LaurentPolynomial]
+    inert: frozenset[str]
+    name: str | None
+    var_order: tuple[str, ...] | None
+
+
+class Grammar(_GrammarFields):
     """An immutable set of substitution rules, plus declared constants.
 
     ``var_order`` is an optional display hint (typically the declaration
     order); it never affects the derivative.
     """
 
-    rules: Mapping[str, LaurentPolynomial]
-    inert: frozenset[str] = frozenset()
-    name: str | None = None
-    var_order: tuple[str, ...] | None = None
-
+    __slots__ = ()
     __hash__ = None  # the rules are a dict of unhashable polynomials
 
-    def __post_init__(self):
-        for name in self.rules:
-            check_variable_name(name)
-        overlap = self.inert & set(self.rules)
+    def __new__(
+        cls,
+        rules: Mapping[str, LaurentPolynomial],
+        inert: frozenset[str] = frozenset(),
+        name: str | None = None,
+        var_order: tuple[str, ...] | None = None,
+    ):
+        for var in rules:
+            check_variable_name(var)
+        overlap = inert & set(rules)
         if overlap:
             raise ValueError(f"variables {sorted(overlap)} are both ruled and inert")
-        known = set(self.rules) | self.inert
-        for name, image in self.rules.items():
+        known = set(rules) | inert
+        for var, image in rules.items():
             stray = image.variables() - known
             if stray:
                 raise ValueError(
-                    f"rule for '{name}' uses undeclared variable "
+                    f"rule for '{var}' uses undeclared variable "
                     f"'{sorted(stray)[0]}' (add a rule or declare it inert)"
                 )
+        return super().__new__(cls, rules, inert, name, var_order)
 
     def display_order(self) -> tuple[str, ...]:
         if self.var_order is not None:
@@ -82,8 +90,7 @@ class Grammar:
         }
 
 
-@dataclass(frozen=True)
-class DerivativeSequence:
+class DerivativeSequence(NamedTuple):
     """``items[k]`` is the k-th derivative of ``start`` under ``grammar``."""
 
     start: LaurentPolynomial

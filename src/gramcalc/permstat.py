@@ -25,9 +25,8 @@ test oracle for the recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _transfer as _kernel
 from .grammar import MAX_N
@@ -50,8 +49,7 @@ _KIND_CODES = {
 TRIANGLES = ("T", "U", "R", "W")
 
 
-@dataclass(frozen=True)
-class StatProfile:
+class StatProfile(NamedTuple):
     exterior_peaks: int
     proper_double_descents: int
     peaks: int
@@ -60,8 +58,7 @@ class StatProfile:
     double_rises: int
 
 
-@dataclass(frozen=True)
-class StatTable:
+class StatTable(NamedTuple):
     """Counts of a statistic key over all of S_n (they sum to n!)."""
 
     n: int

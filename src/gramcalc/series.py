@@ -19,10 +19,9 @@ from exponentials of linear terms, sums, products and series inversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .grammar import Grammar, derive_n
 from .laurent import LaurentPolynomial, _mono_mul, exact_scalar
@@ -36,8 +35,7 @@ class InadmissiblePointError(ValueError):
     """A closed form was asked for at a point it cannot be evaluated at."""
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(NamedTuple):
     """The minimal contract a coefficient ring must provide.
 
     ``dot(xs, ys)`` is the sum of the products ``xs[i] * ys[i]``.
@@ -213,20 +211,26 @@ def gen_series(p: LaurentPolynomial, g: Grammar, order: int) -> TruncatedSeries:
     )
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class _EvalPointFields(NamedTuple):
+    assignment: Mapping[str, Fraction]
+    discriminant_root: Fraction | None
+
+
+class EvalPoint(_EvalPointFields):
     """A rational assignment, plus the exact square root a closed form needs."""
 
-    assignment: Mapping[str, Fraction]
-    discriminant_root: Fraction | None = None
+    __slots__ = ()
+    __hash__ = None  # the assignment is a dict
 
-    def __post_init__(self):
-        normalized = {name: exact_scalar(v) for name, v in self.assignment.items()}
-        object.__setattr__(self, "assignment", normalized)
-        if self.discriminant_root is not None:
-            object.__setattr__(
-                self, "discriminant_root", exact_scalar(self.discriminant_root)
-            )
+    def __new__(
+        cls,
+        assignment: Mapping[str, Fraction],
+        discriminant_root: Fraction | None = None,
+    ):
+        normalized = {name: exact_scalar(v) for name, v in assignment.items()}
+        if discriminant_root is not None:
+            discriminant_root = exact_scalar(discriminant_root)
+        return super().__new__(cls, normalized, discriminant_root)
 
     def value(self, name: str) -> Fraction:
         try:

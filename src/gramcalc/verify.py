@@ -8,11 +8,11 @@ are re-validated (root squared equals the discriminant) at import time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
-from .grammar import Grammar, builtin_grammar, derive, derive_n
+from .grammar import MAX_N, Grammar, builtin_grammar, derive, derive_n
 from .laurent import LaurentPolynomial, monomial
 from .permstat import (
     KIND_EXTERIOR_PDD,
@@ -30,8 +30,7 @@ _Z = LaurentPolynomial.variable("z")
 _W = LaurentPolynomial.variable("w")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     limit: int
     passed: bool
@@ -397,7 +396,16 @@ def run_checks(
     max_n: int = 8,
     order: int = 12,
 ) -> list[CheckReport]:
-    """Run the selected checks (all of them by default) and collect reports."""
+    """Run the selected checks (all of them by default) and collect reports.
+
+    The recurrence check derives to ``max_n + 1`` and ``closed_forms``
+    compares tables up to ``order``, so both are bounded by ``MAX_N`` and are
+    checked before any check runs.
+    """
+    if not 0 <= max_n < MAX_N:
+        raise ValueError(f"--max-n {max_n} is outside 0..{MAX_N - 1}")
+    if not 0 <= order <= MAX_N:
+        raise ValueError(f"--order {order} is outside 0..{MAX_N}")
     runners = {
         "joint_ep_pdd": lambda: check_joint_ep_pdd(max_n),
         "peak_dd": lambda: check_peak_dd(max_n),

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import gramcalc
 from gramcalc.cli import main
 from gramcalc.verify import CheckReport
 
@@ -226,6 +231,30 @@ def test_bad_flags_exit_1(capsys):
     assert "--cap" in err
 
 
+def test_version_flag(capsys):
+    code, out, err = run(capsys, "--version")
+    assert code == 0
+    assert out == f"gramcalc {gramcalc.__version__}\n" == "gramcalc 0.1.0\n"
+    assert err == ""
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # Every CLI request is a fresh process, so import cost is paid each time;
+    # these modules are slow to import and the CLI needs none of them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; before = set(sys.modules); import gramcalc.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "gramcalc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+
+
 def test_verify_negative_enum_limit_rejected(capsys):
     # --enum-limit no longer exists; argparse rejects it as an unknown flag.
     code, out, err = run(
@@ -235,6 +264,31 @@ def test_verify_negative_enum_limit_rejected(capsys):
     assert out == ""
     assert "enum" in err
     assert "--enum-limit" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, limit",
+    [
+        ("--max-n", "25", "24"),
+        ("--max-n", "-1", "24"),
+        ("--order", "26", "25"),
+        ("--order", "-1", "25"),
+    ],
+)
+def test_verify_bounds_checked_before_any_check(capsys, monkeypatch, flag, value, limit):
+    import gramcalc.verify as verify_module
+
+    ran = []
+    for check_id in verify_module.CHECK_IDS:
+        monkeypatch.setattr(
+            verify_module, f"check_{check_id}",
+            lambda *args, _id=check_id, **kwargs: ran.append(_id) or CheckReport(_id, 0, True),
+        )
+    code, out, err = run(capsys, "verify", flag, value)
+    assert code == 1
+    assert out == ""
+    assert flag in err and limit in err
+    assert ran == []
 
 
 def test_verify_single_check(capsys):

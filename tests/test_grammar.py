@@ -84,6 +84,8 @@ def test_grammar_validation():
     Grammar(rules={"x": X * LP.variable("t")}, inert=frozenset({"t"}))
     with pytest.raises(ValueError, match="both ruled and inert"):
         Grammar(rules={"x": X}, inert=frozenset({"x"}))
+    with pytest.raises(ValueError, match="invalid variable name '1x'"):
+        Grammar({"1x": X})
 
 
 def test_unruled_variables_are_constants():

@@ -132,6 +132,7 @@ def test_point_normalizes_to_fractions():
     pt = EvalPoint({"x": 4}, 3)
     assert pt.assignment["x"] == Fraction(4)
     assert pt.discriminant_root == Fraction(3)
+    assert type(pt.assignment["x"]) is type(pt.discriminant_root) is Fraction
 
 
 def test_point_rejects_floats():

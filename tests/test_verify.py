@@ -27,6 +27,13 @@ def test_default_suite_passes_at_small_caps():
         assert report.first_failure is None
 
 
+def test_run_checks_accepts_the_largest_bounds():
+    # One below and one past the rejected values (tests/test_cli.py).
+    reports = run_checks(("peak_dd", "closed_forms"), max_n=24, order=25)
+    assert all(r.passed for r in reports)
+    assert run_checks(("peak_dd",), max_n=0, order=0)[0].passed
+
+
 def test_selected_check_and_unknown_id():
     (report,) = run_checks(("invariants",))
     assert report.passed
