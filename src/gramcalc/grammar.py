@@ -14,19 +14,19 @@ which also handles negative exponents: the ``e_v`` factor reproduces
 ``D(v^-1) = -v^-2 * D(v)`` without special casing.
 
 ``derive`` and ``derive_n`` share one step that applies this rule in integer
-arithmetic: the start word and the rule images are scaled to integer
-coefficients over their common denominators, the partial terms are summed
-into one ``{monomial: int}`` map, and each derivative is normalised to
-``Fraction`` coefficients once, when it is handed out.
+arithmetic on dense exponent tuples: the start word and the rule images are
+taken as integer numerators over their common denominators, the partial
+terms are summed into one ``{exponents: int}`` map, and each derivative is
+handed out as a polynomial over the grown denominator.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from operator import add
 from typing import Mapping, NamedTuple
 
-from .laurent import LaurentPolynomial, Monomial, _mono_mul, _wrap, check_variable_name
+from .laurent import LaurentPolynomial, check_variable_name, dot
 
 #: Iterated derivatives grow factorially, so this is the largest derivative
 #: order, and the largest n a statistic table is built for: every derivative
@@ -101,45 +101,49 @@ class DerivativeSequence(NamedTuple):
         return len(self.items) - 1
 
 
-def _scaled(p: LaurentPolynomial) -> tuple[dict[Monomial, int], int]:
-    """``p`` as integer coefficients over a common denominator ``den``."""
-    den = math.lcm(*(c.denominator for _, c in p.items()))
-    return {m: c.numerator * (den // c.denominator) for m, c in p.items()}, den
-
-
 def _derive_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolynomial]:
     """``D^0(p) .. D^n(p)``, each step in integer arithmetic.
 
-    ``D^k(p)`` is kept as integer coefficients over ``den * rden^k``, where
-    ``den`` and ``rden`` are the common denominators of the start word and of
-    all rule images, and is normalised to ``Fraction`` once per coefficient.
+    Every polynomial is taken as integer numerators on exponent tuples over
+    one sorted variable tuple: the variables of ``p`` and of all rule images.
+    ``D^k(p)`` is kept over the denominator ``den * rden^k``, where ``den``
+    and ``rden`` are the common denominators of the start word and of all
+    rule images.  A rule for the variable at position ``i`` is stored as its
+    image's exponent vectors minus the unit vector ``i``, so the product
+    rule adds that shift to the term's vector and scales by the exponent.
     """
-    images = {name: _scaled(image) for name, image in g.rules.items()}
-    rden = math.lcm(*(d for _, d in images.values()))
-    rules = {
-        name: [(m, c * (rden // d)) for m, c in terms.items()]
-        for name, (terms, d) in images.items()
+    names = p.variables().union(*(image.variables() for image in g.rules.values()))
+    names = tuple(sorted(names))
+    images = {
+        names.index(var): image.dense(names)
+        for var, image in g.rules.items()
+        if var in names and not image.is_zero()
     }
-    terms, den = _scaled(p)
+    rden = math.lcm(*(d for _, d in images.values()))
+    rules = [
+        (i, [
+            (tuple([e - (j == i) for j, e in enumerate(key)]), c * (rden // d))
+            for key, c in terms.items()
+        ])
+        for i, (terms, d) in sorted(images.items())
+    ]
+    terms, den = p.dense(names)
     items = [p]
     for _ in range(n):
-        out: dict[Monomial, int] = {}
-        for mono, coeff in terms.items():
-            for i, (name, exp) in enumerate(mono):
-                image = rules.get(name)
-                if image is None:
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for key, coeff in terms.items():
+            for i, image in rules:
+                exp = key[i]
+                if not exp:
                     continue
-                if exp == 1:
-                    rest = mono[:i] + mono[i + 1:]
-                else:
-                    rest = mono[:i] + ((name, exp - 1),) + mono[i + 1:]
                 scale = coeff * exp
-                for m, c in image:
-                    m = _mono_mul(rest, m)
-                    out[m] = out.get(m, 0) + scale * c
-        terms = {m: c for m, c in out.items() if c}
+                for shift, c in image:
+                    k = tuple(map(add, key, shift))
+                    out[k] = get(k, 0) + scale * c
+        terms = {k: c for k, c in out.items() if c}
         den *= rden
-        items.append(_wrap({m: Fraction(c, den) for m, c in terms.items()}))
+        items.append(LaurentPolynomial.from_dense(names, terms, den))
     return items
 
 
@@ -167,11 +171,7 @@ def leibniz_check(
     direct = derive_n(u * v, g, n).items[n]
     du = derive_n(u, g, n).items
     dv = derive_n(v, g, n).items
-    expanded = LaurentPolynomial(
-        (m, math.comb(n, k) * c)
-        for k in range(n + 1)
-        for m, c in (du[k] * dv[n - k]).items()
-    )
+    expanded = dot([math.comb(n, k) * du[k] for k in range(n + 1)], dv[::-1])
     return direct == expanded
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _transfer as _kernel
 from .grammar import MAX_N
-from .laurent import LaurentPolynomial, monomial
+from .laurent import LaurentPolynomial
 
 #: There is no compiled table engine; benchmark environment stamps read this.
 KERNEL_IS_COMPILED = False
@@ -141,16 +141,13 @@ def table_to_poly(table: StatTable) -> LaurentPolynomial:
     * ``carlitz_quadruple`` (a, b, c, d):  x^a y^b z^c w^d.
     """
     n = table.n
-    terms = []
-    for key, count in table.counts.items():
-        if table.kind == KIND_EXTERIOR_PDD:
-            i, j = key
-            key = (i, j, i + 1, n - 2 * i - j)
-        elif table.kind == KIND_PEAK_DD:
-            i, j = key
-            key = (i, j, i, n + 1 - 2 * i - j)
-        terms.append((monomial(dict(zip("xyzw", key))), count))
-    return LaurentPolynomial(terms)
+    if table.kind == KIND_EXTERIOR_PDD:
+        terms = {(i, j, i + 1, n - 2 * i - j): c for (i, j), c in table.counts.items()}
+    elif table.kind == KIND_PEAK_DD:
+        terms = {(i, j, i, n + 1 - 2 * i - j): c for (i, j), c in table.counts.items()}
+    else:
+        terms = table.counts
+    return LaurentPolynomial.from_dense("xyzw", terms)
 
 
 _TRIANGLE_SOURCE = {
@@ -182,7 +179,7 @@ def triangle_poly(n: int, which: str) -> LaurentPolynomial:
     kind, _ = _TRIANGLE_SOURCE[which]
     rows = specialize_triangle(stat_table(n, kind), which)
     var = "x" if which in ("T", "R") else "y"
-    return LaurentPolynomial((monomial({var: k}), count) for k, count in rows)
+    return LaurentPolynomial.from_dense((var,), {(k,): count for k, count in rows})
 
 
 def triangle_csv(n: int, rows: Iterable[tuple[int, int]]) -> str:

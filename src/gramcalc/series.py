@@ -6,7 +6,10 @@ the rationals or Laurent polynomials; the ring supplies ``zero``, ``one``,
 ``invert`` and ``dot`` (a sum of products), everything else goes through the
 elements' own operators.  Products and reciprocals are one ``dot`` per output
 coefficient; over the rationals ``dot`` sums integer numerators over a common
-denominator and reduces once.  There is no floating point anywhere.
+denominator and reduces once, and over Laurent polynomials it is
+``laurent.dot``, which accumulates every term product as an integer in one
+dict.  There is no floating point anywhere: a float scalar, added to or
+multiplied into a series or passed to ``exp_series``, raises ``TypeError``.
 
 ``gen_series(p, g, order)`` is the exponential generating series of the
 iterated derivatives of ``p`` under the grammar ``g``: its n-th coefficient is
@@ -24,7 +27,7 @@ from math import factorial, lcm
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .grammar import Grammar, derive_n
-from .laurent import LaurentPolynomial, _mono_mul, exact_scalar
+from .laurent import LaurentPolynomial, exact_scalar, dot as _laurent_dot
 
 #: The largest order ``closed_form`` expands to; the work grows faster than
 #: cubically in the order.
@@ -59,17 +62,6 @@ def _rational_dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
     return Fraction(sum(n * (den // d) for n, d in products), den)
 
 
-def _laurent_dot(
-    xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial]
-) -> LaurentPolynomial:
-    return LaurentPolynomial(
-        (_mono_mul(ma, mb), ca * cb)
-        for x, y in zip(xs, ys)
-        for ma, ca in x.items()
-        for mb, cb in y.items()
-    )
-
-
 RATIONALS = Ring(
     name="rationals",
     zero=Fraction(0),
@@ -85,6 +77,13 @@ LAURENT = Ring(
     invert=lambda p: p ** -1,
     dot=_laurent_dot,
 )
+
+
+def _exact(value):
+    """``value``, if it is a polynomial or an exact scalar; floats raise ``TypeError``."""
+    if not isinstance(value, LaurentPolynomial):
+        exact_scalar(value)
+    return value
 
 
 class TruncatedSeries:
@@ -118,7 +117,7 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] + other
+            coeffs[0] = coeffs[0] + _exact(other)
             return TruncatedSeries(self.ring, coeffs)
         self._match(other)
         return TruncatedSeries(
@@ -133,7 +132,7 @@ class TruncatedSeries:
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] - other
+            coeffs[0] = coeffs[0] - _exact(other)
             return TruncatedSeries(self.ring, coeffs)
         return self + (-other)
 
@@ -142,6 +141,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
+            other = _exact(other)
             return TruncatedSeries(self.ring, [a * other for a in self.coeffs])
         self._match(other)
         a, b, dot = self.coeffs, other.coeffs, self.ring.dot
@@ -197,6 +197,7 @@ class TruncatedSeries:
 
 def exp_series(alpha, order: int, ring: Ring = RATIONALS) -> TruncatedSeries:
     """exp(alpha * t) truncated: the n-th coefficient is alpha^n / n!."""
+    alpha = _exact(alpha)
     coeffs = [ring.one]
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * alpha * Fraction(1, n))

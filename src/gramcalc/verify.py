@@ -13,8 +13,9 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .grammar import MAX_N, Grammar, builtin_grammar, derive, derive_n
-from .laurent import LaurentPolynomial, monomial
+from .laurent import LaurentPolynomial, dot
 from .permstat import (
+    KIND_CARLITZ,
     KIND_EXTERIOR_PDD,
     KIND_PEAK_DD,
     specialize_triangle,
@@ -28,6 +29,7 @@ _X = LaurentPolynomial.variable("x")
 _Y = LaurentPolynomial.variable("y")
 _Z = LaurentPolynomial.variable("z")
 _W = LaurentPolynomial.variable("w")
+_ONE = LaurentPolynomial.one()
 
 
 class CheckReport(NamedTuple):
@@ -58,12 +60,10 @@ def _report(check_id: str, limit: int, failure: str | None) -> CheckReport:
 
 def _convolution(head: LaurentPolynomial, left, right, n: int) -> LaurentPolynomial:
     """``head + sum_{k<n} C(n,k) left[k] right[n-k]``, built once from its terms."""
-    terms = dict(head.items())
-    for k in range(n):
-        b = comb(n, k)
-        for m, c in (left[k] * right[n - k]).items():
-            terms[m] = terms.get(m, 0) + b * c
-    return LaurentPolynomial(terms)
+    return dot(
+        [head] + [comb(n, k) * left[k] for k in range(n)],
+        [_ONE] + [right[n - k] for k in range(n)],
+    )
 
 
 # Shipped admissible points.  The three full assignments make the grammar
@@ -105,7 +105,10 @@ def check_joint_ep_pdd(max_n: int = 8, grammar: Grammar | None = None) -> CheckR
 
 
 def check_peak_dd(max_n: int = 8, grammar: Grammar | None = None) -> CheckReport:
-    """D^n(y) equals the counted (peak, double descent) polynomial."""
+    """D^n(y) equals the counted (peak, double descent) polynomial.
+
+    It also equals x*z times the counted carlitz_quadruple polynomial.
+    """
     g = grammar or builtin_grammar("paper_G")
     items = derive_n(_Y, g, max_n).items
     failure = None
@@ -113,6 +116,10 @@ def check_peak_dd(max_n: int = 8, grammar: Grammar | None = None) -> CheckReport
         expected = table_to_poly(stat_table(n, KIND_PEAK_DD))
         if items[n] != expected:
             failure = f"n={n}: expected {expected}, got {items[n]}"
+            break
+        expected = _X * _Z * table_to_poly(stat_table(n, KIND_CARLITZ))
+        if items[n] != expected:
+            failure = f"n={n}, x*z*carlitz_quadruple: expected {expected}, got {items[n]}"
             break
     return _report("peak_dd", max_n, failure)
 
@@ -197,7 +204,9 @@ def check_invariants(grammar: Grammar | None = None) -> CheckReport:
     return _report("invariants", 12, failure)
 
 
-def _check_point_forms(pt: EvalPoint, order: int, dz_items, dy_items) -> str | None:
+def _check_point_forms(
+    pt: EvalPoint, order: int, dz_items, dy_items, carlitz_items
+) -> str | None:
     a = dict(pt.assignment)
     keys = set(a)
     tag = "point (" + ", ".join(f"{k}={a[k]}" for k in sorted(a)) + ")"
@@ -212,6 +221,11 @@ def _check_point_forms(pt: EvalPoint, order: int, dz_items, dy_items) -> str | N
             if egf_y[n] != expected:
                 return f"{tag}, gen_y, n={n}: expected {expected}, got {egf_y[n]}"
         f_series = closed_form("carlitz_F", pt, order)
+        egf_f = f_series.egf_coefficients()
+        for n in range(order + 1):
+            expected = carlitz_items[n].eval(a)
+            if egf_f[n] != expected:
+                return f"{tag}, carlitz_F, n={n}: expected {expected}, got {egf_f[n]}"
         xz = a["x"] * a["z"]
         recombined = f_series * xz + a["y"]
         if recombined != closed_form("gen_y", pt, order):
@@ -241,8 +255,9 @@ def check_closed_forms(
 ) -> CheckReport:
     """Closed-form series against the derivative engine and the statistics oracle.
 
-    Full assignments are checked against evaluated D^n(z) and D^n(y) and the
-    series identity gen_y = y + xz * carlitz_F; x-only and y-only points
+    Full assignments are checked against evaluated D^n(z) and D^n(y), the
+    carlitz_F coefficients against the evaluated Carlitz table polynomials
+    (F_0 = 0), and the series identity gen_y = y + xz * carlitz_F; x-only and y-only points
     against the counted exterior-peak and proper-double-descent marginals.
     The point-free reciprocal series is checked against a specialization of
     D^n(z).  Every comparison runs for all n up to ``order``.
@@ -251,9 +266,12 @@ def check_closed_forms(
     pts = SHIPPED_POINTS if points is None else tuple(points)
     dz_items = derive_n(_Z, g, order).items
     dy_items = derive_n(_Y, g, order).items
+    carlitz_items = [LaurentPolynomial.zero()] + [
+        table_to_poly(stat_table(n, KIND_CARLITZ)) for n in range(1, order + 1)
+    ]
     failure = None
     for pt in pts:
-        failure = _check_point_forms(pt, order, dz_items, dy_items)
+        failure = _check_point_forms(pt, order, dz_items, dy_items, carlitz_items)
         if failure:
             break
     if failure is None:
@@ -352,8 +370,8 @@ def check_classical_grammars(
         gz_items = derive_n(_Z, g, max_n).items
         for n in range(max_n + 1):
             rows = specialize_triangle(stat_table(n, KIND_EXTERIOR_PDD), "T")
-            expected = LaurentPolynomial(
-                (monomial({"x": 2 * k + 1, "y": n - 2 * k}), count) for k, count in rows
+            expected = LaurentPolynomial.from_dense(
+                "xy", {(2 * k + 1, n - 2 * k): count for k, count in rows}
             )
             if ep_items[n] != expected:
                 failure = f"exterior-peak marginal, n={n}: expected {expected}, got {ep_items[n]}"

@@ -69,6 +69,34 @@ def test_bad_variable_name_rejected():
         LP.term(1, {"": 1})
 
 
+def test_constructor_canonicalises_monomials():
+    yx = LP({(("y", 1), ("x", 1)): 1})
+    assert yx == X * Y
+    assert (yx + X * Y).format() == "2*x*y"
+    xx = LP({(("x", 1), ("x", 1)): 1})
+    assert xx == X ** 2
+    assert xx.format() == "x^2"
+    x0 = LP({(("x", 0),): 1})
+    assert x0 == 1
+    assert x0.format() == "1"
+    assert LP({(("x", 1), ("x", -1)): 3}) == 3
+    with pytest.raises(ValueError, match="invalid variable name"):
+        LP({(("1x", 1),): 1})
+
+
+def test_constructor_rejects_floats():
+    with pytest.raises(TypeError, match="float"):
+        LP.constant(0.1)
+    with pytest.raises(TypeError, match="float"):
+        LP.term(0.1, {"x": 1})
+    with pytest.raises(TypeError, match="float"):
+        LP({(("x", 1),): 0.1})
+    with pytest.raises(TypeError):
+        X * 0.5
+    with pytest.raises(TypeError):
+        X + 0.5
+
+
 # -- products and powers ------------------------------------------------------
 
 def test_laurent_cancellation():

@@ -76,6 +76,23 @@ def test_scalar_operations():
     assert (5 - a).coeffs == (4, -2, -3)
 
 
+def test_series_rejects_float_scalars():
+    with pytest.raises(TypeError, match="float"):
+        exp_series(0.5, 3)
+    a = rational_series(1, 2, 3)
+    for apply in (
+        lambda: a + 0.5,
+        lambda: 0.5 + a,
+        lambda: a - 0.5,
+        lambda: 0.5 - a,
+        lambda: a * 0.5,
+        lambda: 0.5 * a,
+    ):
+        with pytest.raises(TypeError, match="float"):
+            apply()
+    assert (a + Fraction(1, 2)).coeffs == (Fraction(3, 2), 2, 3)
+
+
 def test_derivative_shifts():
     a = rational_series(5, 1, 7, -2)
     assert a.derivative().coeffs == (1, 14, -6)

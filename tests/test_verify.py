@@ -119,3 +119,24 @@ def test_closed_forms_rejects_inadmissible_points():
         check_closed_forms(4, points=(EvalPoint({"x": 4}, 2),))
     with pytest.raises(InadmissiblePointError, match="no closed form applies"):
         check_closed_forms(4, points=(EvalPoint({"x": 1, "z": 1}, 1),))
+
+
+def test_wrong_carlitz_table_fails_verify(monkeypatch, capsys):
+    import gramcalc.verify as verify_module
+    from gramcalc.cli import main
+
+    real = verify_module.stat_table
+
+    def swapped(n, kind):
+        table = real(n, kind)
+        if kind != "carlitz_quadruple" or n < 3:
+            return table
+        counts = dict(table.counts)
+        first, last = min(counts), max(counts)
+        counts[first], counts[last] = counts[last], counts[first]
+        return table._replace(counts=counts)
+
+    monkeypatch.setattr(verify_module, "stat_table", swapped)
+    for argv in (["verify"], ["verify", "--check", "peak_dd"], ["verify", "--check", "closed_forms"]):
+        assert main(argv) == 2, argv
+        assert "FAIL" in capsys.readouterr().out
