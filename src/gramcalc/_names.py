@@ -1,0 +1,36 @@
+"""The names and limits the command line offers, kept free of imports.
+
+Each leg re-exports its own constants from here under its public name
+(``grammar.MAX_N``, ``permstat.TABLE_KINDS``, ``series.CLOSED_FORMS``,
+``verify.CHECK_IDS`` and so on), so that ``cli`` can build its argument
+parser without importing any leg.
+"""
+
+#: Iterated derivatives grow factorially, so this is the largest derivative
+#: order, and the largest n a statistic table is built for: every derivative
+#: order has a table to check it.
+MAX_N = 25
+
+BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")
+
+TABLE_KINDS = ("exterior_pdd", "peak_dd", "carlitz_quadruple")
+
+TRIANGLES = ("T", "U", "R", "W")
+
+CLOSED_FORMS = (
+    "gen_z",
+    "gen_y",
+    "gessel_T",
+    "elizalde_noy_U",
+    "no_pdd_U0",
+    "carlitz_F",
+)
+
+CHECK_IDS = (
+    "joint_ep_pdd",
+    "peak_dd",
+    "recurrence",
+    "invariants",
+    "closed_forms",
+    "classical_grammars",
+)

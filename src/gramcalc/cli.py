@@ -7,14 +7,17 @@ stderr), 2 when a verification check fails.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, gdsl, permstat, verify
-from .grammar import BUILTIN_GRAMMAR_NAMES, Grammar, builtin_grammar, derive_n
-from .series import CLOSED_FORMS, EvalPoint, InadmissiblePointError, closed_form
+from . import __version__
+from ._names import BUILTIN_GRAMMAR_NAMES, CHECK_IDS, CLOSED_FORMS, TABLE_KINDS, TRIANGLES
+
+if TYPE_CHECKING:
+    from .gdsl import GrammarSpec
+    from .grammar import Grammar
+    from .series import EvalPoint
 
 
 class CliError(Exception):
@@ -48,10 +51,10 @@ def _build_parser() -> _Parser:
     p_derive.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="print a permutation statistic table")
-    p_table.add_argument("--kind", required=True, choices=permstat.TABLE_KINDS)
+    p_table.add_argument("--kind", required=True, choices=TABLE_KINDS)
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument(
-        "--triangle", choices=permstat.TRIANGLES,
+        "--triangle", choices=TRIANGLES,
         help="print this marginal triangle instead of the full table",
     )
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -68,7 +71,7 @@ def _build_parser() -> _Parser:
     p_series.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--check", choices=verify.CHECK_IDS, help="run one check only")
+    p_verify.add_argument("--check", choices=CHECK_IDS, help="run one check only")
     p_verify.add_argument("--max-n", type=int, default=8)
     p_verify.add_argument("--order", type=int, default=12)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -76,12 +79,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_grammar(source: str) -> tuple[Grammar, gdsl.GrammarSpec | None]:
+def _load_grammar(source: str) -> tuple[Grammar, GrammarSpec | None]:
     if source in BUILTIN_GRAMMAR_NAMES:
+        from .grammar import builtin_grammar
+
         return builtin_grammar(source), None
     if source.endswith(".gram") or os.path.exists(source):
+        from .gdsl import parse_grammar
+
         with open(source, encoding="utf-8") as handle:
-            spec = gdsl.parse_grammar(handle.read())
+            spec = parse_grammar(handle.read())
         return spec.to_grammar(name=os.path.basename(source)), spec
     raise CliError(
         f"unknown grammar '{source}': not a builtin "
@@ -89,11 +96,21 @@ def _load_grammar(source: str) -> tuple[Grammar, gdsl.GrammarSpec | None]:
     )
 
 
+def _print_json(payload) -> None:
+    import json  # only --format json needs it
+
+    print(json.dumps(payload))
+
+
 def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
     if text is None:
         if root is not None:
             raise CliError("--root given without --point")
         return None
+    from fractions import Fraction
+
+    from .series import EvalPoint
+
     assignment = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -117,10 +134,14 @@ def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
 
 
 def _cmd_derive(args) -> int:
+    from .grammar import derive_n
+
     grammar, spec = _load_grammar(args.grammar)
     if args.start is not None:
+        from .gdsl import parse_poly
+
         allowed = set(grammar.rules) | set(grammar.inert)
-        start = gdsl.parse_poly(args.start, allowed)
+        start = parse_poly(args.start, allowed)
     elif spec is not None and spec.start is not None:
         start = spec.start
     else:
@@ -139,13 +160,15 @@ def _cmd_derive(args) -> int:
             "n": n,
             "derivative": result.to_json_obj(),
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(result.format(order))
     return 0
 
 
 def _cmd_table(args) -> int:
+    from . import permstat
+
     table = permstat.stat_table(args.n, args.kind)
     if args.triangle:
         rows = permstat.specialize_triangle(table, args.triangle)
@@ -157,7 +180,7 @@ def _cmd_table(args) -> int:
                 "triangle": args.triangle,
                 "rows": [{"k": k, "count": c} for k, c in rows],
             }
-            print(json.dumps(payload))
+            _print_json(payload)
         else:
             for k, count in rows:
                 print(f"k={k}  count={count}")
@@ -170,7 +193,7 @@ def _cmd_table(args) -> int:
             "kind": table.kind,
             "counts": permstat.table_json_dict(table),
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for key, count in sorted(table.counts.items()):
             print(f"{key}  count={count}")
@@ -178,6 +201,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .series import closed_form
+
     point = _parse_point(args.point, args.root)
     series = closed_form(args.which, point, args.order)
     values = series.egf_coefficients() if args.egf else list(series.coeffs)
@@ -188,7 +213,7 @@ def _cmd_series(args) -> int:
             "egf": bool(args.egf),
             "coefficients": [str(v) for v in values],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for n, value in enumerate(values):
             print(f"t^{n}: {value}")
@@ -196,10 +221,12 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_checks
+
     ids = (args.check,) if args.check else None
-    reports = verify.run_checks(ids, max_n=args.max_n, order=args.order)
+    reports = run_checks(ids, max_n=args.max_n, order=args.order)
     if args.format == "json":
-        print(json.dumps([r.to_json_obj() for r in reports]))
+        _print_json([r.to_json_obj() for r in reports])
     else:
         for report in reports:
             print(report.summary_line())
@@ -219,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_verify(args)
     except _Done as done:
         return done.args[0]
-    except (CliError, InadmissiblePointError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # InadmissiblePointError is a ValueError
         print(f"gramcalc: error: {exc}", file=sys.stderr)
         return 1
 

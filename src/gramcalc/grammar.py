@@ -26,14 +26,8 @@ import math
 from operator import add
 from typing import Mapping, NamedTuple
 
+from ._names import BUILTIN_GRAMMAR_NAMES, MAX_N
 from .laurent import LaurentPolynomial, check_variable_name, dot
-
-#: Iterated derivatives grow factorially, so this is the largest derivative
-#: order, and the largest n a statistic table is built for: every derivative
-#: order has a table to check it.
-MAX_N = 25
-
-BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")
 
 
 class _GrammarFields(NamedTuple):

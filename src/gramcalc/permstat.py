@@ -10,7 +10,7 @@ Statistics of a permutation ``p = p_1 .. p_n`` of ``{1..n}``:
   up-down, valley down-up, double descent down-down, double rise up-up).
 
 ``stat_table`` counts one of three key shapes over the whole symmetric group
-S_n, for n up to ``grammar.MAX_N``, the largest derivative order, so that
+S_n, for n up to ``MAX_N``, the largest derivative order, so that
 every derivative has a table to check it:
 
 * ``"exterior_pdd"``: ``(exterior peaks, proper double descents)``,
@@ -26,27 +26,24 @@ test oracle for the recurrence.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _transfer as _kernel
-from .grammar import MAX_N
-from .laurent import LaurentPolynomial
+from ._names import MAX_N, TABLE_KINDS, TRIANGLES
+
+if TYPE_CHECKING:
+    from .laurent import LaurentPolynomial
 
 #: There is no compiled table engine; benchmark environment stamps read this.
 KERNEL_IS_COMPILED = False
 
-KIND_EXTERIOR_PDD = "exterior_pdd"
-KIND_PEAK_DD = "peak_dd"
-KIND_CARLITZ = "carlitz_quadruple"
-TABLE_KINDS = (KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ)
+KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ = TABLE_KINDS
 
 _KIND_CODES = {
     KIND_EXTERIOR_PDD: _kernel.KIND_EXTERIOR_PDD,
     KIND_PEAK_DD: _kernel.KIND_PEAK_DD,
     KIND_CARLITZ: _kernel.KIND_CARLITZ,
 }
-
-TRIANGLES = ("T", "U", "R", "W")
 
 
 class StatProfile(NamedTuple):
@@ -140,6 +137,8 @@ def table_to_poly(table: StatTable) -> LaurentPolynomial:
     * ``peak_dd`` key (i, j):       x^i y^j z^i w^(n+1-2i-j),
     * ``carlitz_quadruple`` (a, b, c, d):  x^a y^b z^c w^d.
     """
+    from .laurent import LaurentPolynomial
+
     n = table.n
     if table.kind == KIND_EXTERIOR_PDD:
         terms = {(i, j, i + 1, n - 2 * i - j): c for (i, j), c in table.counts.items()}
@@ -176,6 +175,8 @@ def specialize_triangle(table: StatTable, which: str) -> list[tuple[int, int]]:
 
 def triangle_poly(n: int, which: str) -> LaurentPolynomial:
     """The marginal as a univariate polynomial (in x for T and R, y for U and W)."""
+    from .laurent import LaurentPolynomial
+
     kind, _ = _TRIANGLE_SOURCE[which]
     rows = specialize_triangle(stat_table(n, kind), which)
     var = "x" if which in ("T", "R") else "y"

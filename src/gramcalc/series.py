@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from ._names import CLOSED_FORMS
 from .grammar import Grammar, derive_n
 from .laurent import LaurentPolynomial, exact_scalar, dot as _laurent_dot
 
@@ -253,16 +254,6 @@ class EvalPoint(_EvalPointFields):
                 f"root {s} squared is {s * s}, but {description} = {discriminant}"
             )
         return s
-
-
-CLOSED_FORMS = (
-    "gen_z",
-    "gen_y",
-    "gessel_T",
-    "elizalde_noy_U",
-    "no_pdd_U0",
-    "carlitz_F",
-)
 
 
 def _invert_denominator(denom: TruncatedSeries) -> TruncatedSeries:

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .grammar import MAX_N, Grammar, builtin_grammar, derive, derive_n
+from ._names import CHECK_IDS, MAX_N
+from .grammar import Grammar, builtin_grammar, derive, derive_n
 from .laurent import LaurentPolynomial, dot
 from .permstat import (
     KIND_CARLITZ,
@@ -91,10 +92,12 @@ def _validate_shipped_points() -> None:
 _validate_shipped_points()
 
 
-def check_joint_ep_pdd(max_n: int = 8, grammar: Grammar | None = None) -> CheckReport:
+def check_joint_ep_pdd(
+    max_n: int = 8, grammar: Grammar | None = None, *, _dz=None
+) -> CheckReport:
     """D^n(z) equals the counted (exterior peak, proper double descent) polynomial."""
     g = grammar or builtin_grammar("paper_G")
-    items = derive_n(_Z, g, max_n).items
+    items = _dz or derive_n(_Z, g, max_n).items
     failure = None
     for n in range(max_n + 1):
         expected = table_to_poly(stat_table(n, KIND_EXTERIOR_PDD))
@@ -104,13 +107,15 @@ def check_joint_ep_pdd(max_n: int = 8, grammar: Grammar | None = None) -> CheckR
     return _report("joint_ep_pdd", max_n, failure)
 
 
-def check_peak_dd(max_n: int = 8, grammar: Grammar | None = None) -> CheckReport:
+def check_peak_dd(
+    max_n: int = 8, grammar: Grammar | None = None, *, _dy=None
+) -> CheckReport:
     """D^n(y) equals the counted (peak, double descent) polynomial.
 
     It also equals x*z times the counted carlitz_quadruple polynomial.
     """
     g = grammar or builtin_grammar("paper_G")
-    items = derive_n(_Y, g, max_n).items
+    items = _dy or derive_n(_Y, g, max_n).items
     failure = None
     for n in range(1, max_n + 1):
         expected = table_to_poly(stat_table(n, KIND_PEAK_DD))
@@ -124,7 +129,9 @@ def check_peak_dd(max_n: int = 8, grammar: Grammar | None = None) -> CheckReport
     return _report("peak_dd", max_n, failure)
 
 
-def check_recurrence(max_n: int = 9, grammar: Grammar | None = None) -> CheckReport:
+def check_recurrence(
+    max_n: int = 9, grammar: Grammar | None = None, *, _dz=None, _dy=None
+) -> CheckReport:
     """The convolution recurrence, symbolically and on the four marginal triangles.
 
     Checks P(n+1) = w P(n) + sum_k C(n,k) P(k) Q(n-k) with Q taken both from
@@ -132,8 +139,8 @@ def check_recurrence(max_n: int = 9, grammar: Grammar | None = None) -> CheckRep
     check), then the same shape for the T/R and U/W marginals.
     """
     g = grammar or builtin_grammar("paper_G")
-    p_items = derive_n(_Z, g, max_n + 1).items
-    q_items = derive_n(_Y, g, max_n).items
+    p_items = _dz or derive_n(_Z, g, max_n + 1).items
+    q_items = _dy or derive_n(_Y, g, max_n).items
     q_oracle = {
         m: table_to_poly(stat_table(m, KIND_PEAK_DD)) for m in range(1, max_n + 1)
     }
@@ -170,11 +177,12 @@ def check_invariants(grammar: Grammar | None = None) -> CheckReport:
     delta = (_W + _Y) ** 2 - 4 * _X * _Z
     zx_inv = _Z * _X ** -1
     xz_inv = _X ** -1 * _Z ** -1
+    zx_items = derive_n(zx_inv, g, 10).items
     checks: list[tuple[str, LaurentPolynomial, LaurentPolynomial]] = [
         ("D(w - y)", derive(_W - _Y, g), zero),
         ("D((w+y)^2 - 4xz)", derive(delta, g), zero),
         ("D(x^-1)", derive(_X ** -1, g), -(_X ** -1 * _Y)),
-        ("D(z*x^-1)", derive(zx_inv, g), zx_inv * (_W - _Y)),
+        ("D(z*x^-1)", zx_items[1], zx_inv * (_W - _Y)),
     ]
     failure = None
     for label, got, expected in checks:
@@ -182,11 +190,10 @@ def check_invariants(grammar: Grammar | None = None) -> CheckReport:
             failure = f"{label}: expected {expected}, got {got}"
             break
     if failure is None:
-        items = derive_n(zx_inv, g, 10).items
         for n in range(11):
             expected = zx_inv * (_W - _Y) ** n
-            if items[n] != expected:
-                failure = f"D^{n}(z*x^-1): expected {expected}, got {items[n]}"
+            if zx_items[n] != expected:
+                failure = f"D^{n}(z*x^-1): expected {expected}, got {zx_items[n]}"
                 break
     if failure is None:
         items = derive_n(xz_inv, g, 12).items
@@ -252,6 +259,9 @@ def check_closed_forms(
     order: int = 12,
     points: tuple[EvalPoint, ...] | None = None,
     grammar: Grammar | None = None,
+    *,
+    _dz=None,
+    _dy=None,
 ) -> CheckReport:
     """Closed-form series against the derivative engine and the statistics oracle.
 
@@ -264,8 +274,8 @@ def check_closed_forms(
     """
     g = grammar or builtin_grammar("paper_G")
     pts = SHIPPED_POINTS if points is None else tuple(points)
-    dz_items = derive_n(_Z, g, order).items
-    dy_items = derive_n(_Y, g, order).items
+    dz_items = _dz or derive_n(_Z, g, order).items
+    dy_items = _dy or derive_n(_Y, g, order).items
     carlitz_items = [LaurentPolynomial.zero()] + [
         table_to_poly(stat_table(n, KIND_CARLITZ)) for n in range(1, order + 1)
     ]
@@ -322,6 +332,8 @@ _TO_EXTERIOR_NAME = {"z": "x", "x": "x", "w": "y", "y": "y"}
 def check_classical_grammars(
     max_n: int = 6,
     grammars: dict[str, Grammar] | None = None,
+    *,
+    _dz=None,
 ) -> CheckReport:
     """Sanity checks for the built-in grammar catalog.
 
@@ -367,7 +379,7 @@ def check_classical_grammars(
 
     if failure is None:
         ep_items = derive_n(_X, exterior, max_n).items
-        gz_items = derive_n(_Z, g, max_n).items
+        gz_items = _dz or derive_n(_Z, g, max_n).items
         for n in range(max_n + 1):
             rows = specialize_triangle(stat_table(n, KIND_EXTERIOR_PDD), "T")
             expected = LaurentPolynomial.from_dense(
@@ -399,16 +411,6 @@ def check_classical_grammars(
     return _report("classical_grammars", max_n, failure)
 
 
-CHECK_IDS = (
-    "joint_ep_pdd",
-    "peak_dd",
-    "recurrence",
-    "invariants",
-    "closed_forms",
-    "classical_grammars",
-)
-
-
 def run_checks(
     ids: tuple[str, ...] | None = None,
     max_n: int = 8,
@@ -418,24 +420,38 @@ def run_checks(
 
     The recurrence check derives to ``max_n + 1`` and ``closed_forms``
     compares tables up to ``order``, so both are bounded by ``MAX_N`` and are
-    checked before any check runs.
+    checked before any check runs.  ``D^n(z)`` and ``D^n(y)`` under
+    ``paper_G`` are derived once, to the largest order a selected check
+    reads, and handed to every check that reads them.
     """
     if not 0 <= max_n < MAX_N:
         raise ValueError(f"--max-n {max_n} is outside 0..{MAX_N - 1}")
     if not 0 <= order <= MAX_N:
         raise ValueError(f"--order {order} is outside 0..{MAX_N}")
-    runners = {
-        "joint_ep_pdd": lambda: check_joint_ep_pdd(max_n),
-        "peak_dd": lambda: check_peak_dd(max_n),
-        "recurrence": lambda: check_recurrence(max_n),
-        "invariants": check_invariants,
-        "closed_forms": lambda: check_closed_forms(order),
-        "classical_grammars": lambda: check_classical_grammars(min(max_n, 6)),
-    }
     selected = CHECK_IDS if ids is None else tuple(ids)
-    reports = []
     for check_id in selected:
-        if check_id not in runners:
+        if check_id not in CHECK_IDS:
             raise ValueError(f"unknown check '{check_id}' (choose from {CHECK_IDS})")
-        reports.append(runners[check_id]())
-    return reports
+    paper_g = builtin_grammar("paper_G")
+    classical_n = min(max_n, 6)
+
+    def derived(word: LaurentPolynomial, orders: dict[str, int]):
+        wanted = [orders[check_id] for check_id in selected if check_id in orders]
+        return derive_n(word, paper_g, max(wanted)).items if wanted else None
+
+    dz = derived(_Z, {
+        "joint_ep_pdd": max_n,
+        "recurrence": max_n + 1,
+        "closed_forms": order,
+        "classical_grammars": classical_n,
+    })
+    dy = derived(_Y, {"peak_dd": max_n, "recurrence": max_n, "closed_forms": order})
+    runners = {
+        "joint_ep_pdd": lambda: check_joint_ep_pdd(max_n, _dz=dz),
+        "peak_dd": lambda: check_peak_dd(max_n, _dy=dy),
+        "recurrence": lambda: check_recurrence(max_n, _dz=dz, _dy=dy),
+        "invariants": check_invariants,
+        "closed_forms": lambda: check_closed_forms(order, _dz=dz, _dy=dy),
+        "classical_grammars": lambda: check_classical_grammars(classical_n, _dz=dz),
+    }
+    return [runners[check_id]() for check_id in selected]

@@ -238,21 +238,60 @@ def test_version_flag(capsys):
     assert err == ""
 
 
-def test_cli_import_does_not_load_dataclasses():
-    # Every CLI request is a fresh process, so import cost is paid each time;
-    # these modules are slow to import and the CLI needs none of them.
-    src = Path(__file__).resolve().parents[1] / "src"
+def _modules_loaded(statement: str) -> set[str]:
+    """The modules a fresh interpreter loads while it runs ``statement``."""
     code = (
-        "import sys; before = set(sys.modules); import gramcalc.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        "import sys\nbefore = set(sys.modules)\n"
+        f"{statement}\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
     )
+    src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    loaded = set(result.stdout.split())
+    return set(result.stderr.split())
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # Every CLI request is a fresh process, so import cost is paid each time;
+    # these modules are slow to import and the CLI needs none of them.
+    loaded = _modules_loaded("import gramcalc.cli")
     assert "gramcalc.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_import_gramcalc_loads_no_leg():
+    loaded = _modules_loaded("import gramcalc")
+    assert "gramcalc" in loaded
+    assert not {name for name in loaded if name.startswith("gramcalc.")}
+
+
+_TABLE_SKIPS = {
+    "gramcalc.grammar", "gramcalc.laurent", "gramcalc.series", "gramcalc.verify",
+    "gramcalc.gdsl", "fractions",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (["table", "--kind", "peak_dd", "--n", "5"], _TABLE_SKIPS | {"json"}),
+        (["table", "--kind", "exterior_pdd", "--n", "6", "--triangle", "T",
+          "--format", "json"], _TABLE_SKIPS),
+        (["derive", "--grammar", "paper_G", "--start", "z", "--n", "4"],
+         {"gramcalc.permstat", "gramcalc.verify"}),
+        (["series", "--which", "gen_z", "--point", "x=4,y=2,z=1,w=3", "--root", "3",
+          "--order", "6"], {"gramcalc.permstat", "gramcalc.verify", "gramcalc.gdsl"}),
+    ],
+    ids=["table", "triangle_json", "derive", "series"],
+)
+def test_request_imports_only_its_legs(argv, skipped):
+    # A request pays for importing each leg it loads, so it loads only the
+    # legs its command runs.
+    loaded = _modules_loaded(f"from gramcalc.cli import main\nassert main({argv!r}) == 0")
+    assert "gramcalc.cli" in loaded
+    assert not loaded & skipped
 
 
 def test_verify_negative_enum_limit_rejected(capsys):
@@ -309,12 +348,12 @@ def test_verify_json(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import gramcalc.cli as cli_module
+    import gramcalc.verify as verify_module
 
     def fake_run_checks(ids, max_n, order):
         return [CheckReport("joint_ep_pdd", 4, False, "n=1: expected 0, got 1")]
 
-    monkeypatch.setattr(cli_module.verify, "run_checks", fake_run_checks)
+    monkeypatch.setattr(verify_module, "run_checks", fake_run_checks)
     code, out, _ = run(capsys, "verify")
     assert code == 2
     assert out.startswith("FAIL")

@@ -34,6 +34,30 @@ def test_run_checks_accepts_the_largest_bounds():
     assert run_checks(("peak_dd",), max_n=0, order=0)[0].passed
 
 
+def test_default_run_derives_each_word_once(monkeypatch):
+    import gramcalc.grammar as grammar_module
+
+    real = grammar_module._derive_steps
+    calls = []
+
+    def counted(p, g, n):
+        calls.append((str(p), g.name, n))
+        return real(p, g, n)
+
+    def orders(word):
+        return [n for p, name, n in calls if name == "paper_G" and p == word]
+
+    monkeypatch.setattr(grammar_module, "_derive_steps", counted)
+    # D^n(z) and D^n(y) under paper_G serve five checks between them; each
+    # is derived once, to the largest order any selected check reads.
+    assert all(r.passed for r in run_checks())
+    assert orders("z") == orders("y") == [12]
+    assert len(calls) == len({(p, name) for p, name, _ in calls}) == 11
+    calls.clear()
+    assert all(r.passed for r in run_checks(("peak_dd", "recurrence"), max_n=3))
+    assert orders("z") == [4] and orders("y") == [3]
+
+
 def test_selected_check_and_unknown_id():
     (report,) = run_checks(("invariants",))
     assert report.passed
