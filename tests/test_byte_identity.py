@@ -1,8 +1,10 @@
 """Stdout of a fixed set of requests, pinned by sha256.
 
 The digests were recorded from the CLI before the polynomial core was
-rewritten; any change of display order, coefficient text or JSON layout in
-``derive``, ``series`` or ``verify`` shows up here as a changed digest.
+rewritten, and those of the order-150 ``series`` requests before rational
+series moved to integer numerators; any change of display order,
+coefficient text or JSON layout in ``derive``, ``series`` or ``verify``
+shows up here as a changed digest.
 """
 
 import hashlib
@@ -56,6 +58,21 @@ REQUESTS = {
     ),
 }
 
+# Every closed form at a high order, as printed and as EGF JSON: the
+# rational series arithmetic is pinned at the orders the benchmark asks for.
+_FORM_POINTS = {
+    "gen_z": ("--point=x=3,y=3/2,z=17/54,w=5/3", "--root=5/2"),
+    "gen_y": ("--point=x=3,y=3/2,z=17/54,w=5/3", "--root=5/2"),
+    "carlitz_F": ("--point=x=3,y=3/2,z=17/54,w=5/3", "--root=5/2"),
+    "gessel_T": ("--point=x=48/49", "--root=1/7"),
+    "elizalde_noy_U": ("--point=y=13/4", "--root=15/4"),
+    "no_pdd_U0": (),
+}
+for _which, _point in _FORM_POINTS.items():
+    _argv = ("series", "--which", _which, *_point, "--order", "150")
+    REQUESTS[f"series_{_which}_150_text"] = _argv
+    REQUESTS[f"series_{_which}_150_egf_json"] = (*_argv, "--egf", "--format", "json")
+
 DIGESTS = {
     "derive_andre_json": "2e80624716d51483bf70a1429860a5e28319a8e7bc00acfc3a4a6389365ef392",
     "derive_andre_text": "ae6adc69bc1824e90f5bfc7d0e7e92762abd277cbe2aa25582afb7436f3168a3",
@@ -72,6 +89,18 @@ DIGESTS = {
     "series_gen_z": "d1c583519680fcf8ff9a600bd4f2656b2cbb7d59188c27e4a876ba1ce7accb19",
     "verify_json": "37b1b2bb9522285db2f3e33d41fafb66272a346ae5bec7e945992e3cd59ac06b",
     "verify_text": "1cd422a1e5f2dba7e04e60b87539738ddc3084ee545eea34074670d4c8c11785",
+    "series_gen_z_150_text": "8e7250aef3b61cc5944bb1a645be5b5155f76c74c242e2a386e382ee84d4aa6f",
+    "series_gen_z_150_egf_json": "ae7d288c9bf4723c78f2eb8ab73591218f293c82ed6d3bb36193c653ed5ab53a",
+    "series_gen_y_150_text": "e5f84c178d18f5c95f4df3f48b964ced384e7ce912d7964f8b5cf204400226cb",
+    "series_gen_y_150_egf_json": "4132744e05e08699ae2427a439f6205305b9f2c6bca6ba3bb80ccac0b8506bf1",
+    "series_carlitz_F_150_text": "dd0fda00c8b20c27fb6507f74c14e059431cef1a4be34c5d1668964e4bd11746",
+    "series_carlitz_F_150_egf_json": "9f61f786a76a31bd8430dff2069277c5604af92acb39ac6455bd94d1e80b0876",
+    "series_gessel_T_150_text": "ac1cfe871e53b02c76e9cd5ba0f30ce7e73e0c4c49ad1823af851896498c04cb",
+    "series_gessel_T_150_egf_json": "379361be827715aae9fbed259acff375151382b1d4f2eb0d509952c017935d1a",
+    "series_elizalde_noy_U_150_text": "b92095543f8579514cf36044b04e007a9cbb6b37bf91f757248059eb2f453754",
+    "series_elizalde_noy_U_150_egf_json": "7a5ee7ef5b77e1622a14a75318b6938b52a2dc2d47cc3c55797d5a9496de0c0d",
+    "series_no_pdd_U0_150_text": "55de3d2a76fcc5a20502ef05b7f757fab10db32769f30bb33280ce1918953ec7",
+    "series_no_pdd_U0_150_egf_json": "087cb05fc9f4b377a9997a46888b2cfc7cfc70bcc6edb284c5d450cdd06c52c1",
 }
 
 

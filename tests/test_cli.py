@@ -218,6 +218,21 @@ def test_series_no_pdd_rejects_point(capsys):
     assert "no_pdd_U0" in err and "no point" in err
 
 
+@pytest.mark.parametrize(
+    "form, unread",
+    [
+        (("gen_z", "--point=x=3,y=3/2,z=17/54,w=5/3,q=1", "--root=5/2"), "q"),
+        (("gessel_T", "--point=x=48/49,y=2", "--root=1/7"), "y"),
+        (("elizalde_noy_U", "--point=x=1,y=13/4", "--root=15/4"), "x"),
+    ],
+)
+def test_series_rejects_unread_point_variables(capsys, form, unread):
+    code, out, err = run(capsys, "series", "--which", *form, "--order", "3")
+    assert code == 1
+    assert out == ""
+    assert f"also assigns {unread}" in err
+
+
 def test_bad_flags_exit_1(capsys):
     code, _, err = run(capsys, "bogus-subcommand")
     assert code == 1

@@ -168,6 +168,22 @@ def test_point_root_validation():
         closed_form("gen_z", EvalPoint({"x": 4, "y": 2, "z": 1}, 3), 4)
 
 
+def test_point_with_unread_variables_rejected():
+    grammar_point = {"x": 3, "y": Fraction(3, 2), "z": Fraction(17, 54), "w": Fraction(5, 3)}
+    for which in ("gen_z", "gen_y", "carlitz_F"):
+        point = EvalPoint({**grammar_point, "q": 1}, Fraction(5, 2))
+        with pytest.raises(InadmissiblePointError, match="also assigns q"):
+            closed_form(which, point, 4)
+    with pytest.raises(InadmissiblePointError, match="also assigns y"):
+        closed_form("gessel_T", EvalPoint({"x": Fraction(48, 49), "y": 2}, Fraction(1, 7)), 4)
+    with pytest.raises(InadmissiblePointError, match="also assigns w, x"):
+        closed_form(
+            "elizalde_noy_U",
+            EvalPoint({"x": 1, "y": Fraction(13, 4), "w": 0}, Fraction(15, 4)),
+            4,
+        )
+
+
 def test_vanishing_denominator_rejected():
     # (w+y)^2 = 4xz makes the discriminant 0, so the denominator collapses.
     with pytest.raises(InadmissiblePointError, match="denominator"):
