@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -164,3 +165,255 @@ def test_wrong_carlitz_table_fails_verify(monkeypatch, capsys):
     for argv in (["verify"], ["verify", "--check", "peak_dd"], ["verify", "--check", "closed_forms"]):
         assert main(argv) == 2, argv
         assert "FAIL" in capsys.readouterr().out
+
+
+BUILTIN_NAMES = ["paper_G", "eulerian", "andre", "ramanujan", "exterior_peak"]
+
+
+def _mutant_first_failures():
+    """First failures of every check that reads each single-swap mutant."""
+    rows = []
+    for name in BUILTIN_NAMES:
+        for label, mutant in _single_swap_mutants(builtin_grammar(name)):
+            if name == "paper_G":
+                reports = [
+                    check_joint_ep_pdd(4, mutant),
+                    check_peak_dd(4, mutant),
+                    check_recurrence(4, mutant),
+                    check_invariants(mutant),
+                    check_closed_forms(6, grammar=mutant),
+                    check_classical_grammars(4, {"paper_G": mutant}),
+                ]
+            else:
+                reports = [check_classical_grammars(4, {name: mutant})]
+            rows.append([name, label] + [r.first_failure for r in reports])
+    return rows
+
+
+def test_mutant_first_failures_are_pinned():
+    # Characterisation: which comparison fails first, and its message, for
+    # all 50 mutants.  A change here is a change of behaviour.
+    rows = _mutant_first_failures()
+    assert len(rows) == 50
+    assert all(None not in row for row in rows if row[0] == "paper_G")
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == (
+        "354300f74e298f1641588b17107c5be4"
+        "6ac2c8cc247387628f190f8a088d4d66"
+    )
+
+
+_x, _y, _z = LP.variable("x"), LP.variable("y"), LP.variable("z")
+
+
+def _paper_items(word, n):
+    from gramcalc.grammar import derive_n
+
+    return derive_n(word, builtin_grammar("paper_G"), n).items
+
+
+def _tamper(items, n, extra):
+    return items[:n] + (items[n] + extra,) + items[n + 1:]
+
+
+def _patch_derive(monkeypatch, word, n, extra):
+    import gramcalc.verify as verify_module
+
+    real = verify_module.derive_n
+
+    def tampered(p, g, order):
+        seq = real(p, g, order)
+        return seq._replace(items=_tamper(seq.items, n, extra)) if p == word else seq
+
+    monkeypatch.setattr(verify_module, "derive_n", tampered)
+
+
+def _patch_triangle(monkeypatch, which, n):
+    import gramcalc.verify as verify_module
+
+    real = verify_module.triangle_poly
+
+    def tampered(m, w):
+        poly = real(m, w)
+        return poly + LP.variable("x" if w == "T" else "y") ** 7 if (m, w) == (n, which) else poly
+
+    monkeypatch.setattr(verify_module, "triangle_poly", tampered)
+
+
+def _case_gen_y_recombination(monkeypatch):
+    import gramcalc.verify as verify_module
+    from gramcalc.series import TruncatedSeries
+
+    class Unequal(TruncatedSeries):
+        __slots__ = ()
+        __hash__ = None
+
+        def __eq__(self, other):
+            return False
+
+        def __ne__(self, other):
+            return True
+
+    real = verify_module.closed_form
+
+    def unequal_gen_y(which, point, order):
+        series = real(which, point, order)
+        if which == "gen_y":
+            series.__class__ = Unequal
+        return series
+
+    monkeypatch.setattr(verify_module, "closed_form", unequal_gen_y)
+    return check_closed_forms(2)
+
+
+def _case_relabeled_dz(monkeypatch):
+    dz = _paper_items(_z, 3)
+    return check_classical_grammars(3, _dz=_tamper(dz, 2, _x * _y))
+
+
+def _case_andre_golden(monkeypatch):
+    import gramcalc.verify as verify_module
+
+    golden = list(verify_module._ANDRE_GOLDEN)
+    golden[3] = "x*y^3 + 5*x^2*y"
+    monkeypatch.setattr(verify_module, "_ANDRE_GOLDEN", tuple(golden))
+    return check_classical_grammars(6)
+
+
+def _case_carlitz_branch(monkeypatch):
+    import gramcalc.verify as verify_module
+
+    real = verify_module.table_to_poly
+
+    def tampered(table):
+        poly = real(table)
+        return poly + _y ** 9 if (table.kind, table.n) == ("carlitz_quadruple", 2) else poly
+
+    monkeypatch.setattr(verify_module, "table_to_poly", tampered)
+    return check_peak_dd(3)
+
+
+def _case_oracle_q(monkeypatch):
+    import gramcalc.verify as verify_module
+
+    real = verify_module.table_to_poly
+
+    def tampered(table):
+        poly = real(table)
+        return poly + _y ** 9 if (table.kind, table.n) == ("peak_dd", 2) else poly
+
+    monkeypatch.setattr(verify_module, "table_to_poly", tampered)
+    return check_recurrence(3)
+
+
+def _case_t_marginal(monkeypatch):
+    _patch_triangle(monkeypatch, "T", 2)
+    return check_recurrence(3)
+
+
+def _case_u_marginal(monkeypatch):
+    _patch_triangle(monkeypatch, "U", 3)
+    return check_recurrence(3)
+
+
+def _case_gessel(monkeypatch):
+    _patch_triangle(monkeypatch, "T", 2)
+    return check_closed_forms(3, points=(GESSEL_POINT,))
+
+
+def _case_elizalde_noy(monkeypatch):
+    _patch_triangle(monkeypatch, "U", 3)
+    return check_closed_forms(3, points=(ELIZALDE_NOY_POINT,))
+
+
+def _case_carlitz_f(monkeypatch):
+    import gramcalc.verify as verify_module
+
+    real = verify_module.table_to_poly
+
+    def tampered(table):
+        poly = real(table)
+        return poly + _y if (table.kind, table.n) == ("carlitz_quadruple", 2) else poly
+
+    monkeypatch.setattr(verify_module, "table_to_poly", tampered)
+    return check_closed_forms(3)
+
+
+def _case_gen_z_third_point(monkeypatch):
+    dz = _tamper(_paper_items(_z, 3), 1, _y)
+    return check_closed_forms(3, points=GRAMMAR_POINTS[2:], _dz=dz)
+
+
+def _case_no_pdd_u0(monkeypatch):
+    dz = _tamper(_paper_items(_z, 3), 2, _x)
+    return check_closed_forms(3, points=(), _dz=dz)
+
+
+def _case_zx_inverse(monkeypatch):
+    _patch_derive(monkeypatch, _z * _x ** -1, 2, _y)
+    return check_invariants()
+
+
+def _case_xz_inverse(monkeypatch):
+    _patch_derive(monkeypatch, _x ** -1 * _z ** -1, 2, _y)
+    return check_invariants()
+
+
+def _case_exterior_marginal(monkeypatch):
+    import gramcalc.verify as verify_module
+
+    real = verify_module.specialize_triangle
+
+    def tampered(table, which):
+        rows = real(table, which)
+        return rows + [(5, 1)] if table.n == 2 else rows
+
+    monkeypatch.setattr(verify_module, "specialize_triangle", tampered)
+    return check_classical_grammars(3)
+
+
+def _case_eulerian_row_sum(monkeypatch):
+    _patch_derive(monkeypatch, _x, 2, _x)
+    return check_classical_grammars(3)
+
+
+FAILURE_MESSAGES = [
+    (_case_gen_y_recombination,
+     "point (w=3, x=4, y=2, z=1): gen_y differs from y + xz * carlitz_F"),
+    (_case_relabeled_dz, "relabeled D^2(z) differs from the exterior-peak derivative"),
+    (_case_andre_golden, "andre D^3(x): expected 'x*y^3 + 5*x^2*y', got 'x*y^3 + 4*x^2*y'"),
+    (_case_carlitz_branch,
+     "n=2, x*z*carlitz_quadruple: expected x*y^9*z + w*x*z + x*y*z, got w*x*z + x*y*z"),
+    (_case_oracle_q,
+     "n=2 (Q from oracle): expected w^3*z + 4*w*x*z^2 + x*y*z^2, "
+     "got y^9*z + w^3*z + 4*w*x*z^2 + x*y*z^2"),
+    (_case_t_marginal, "T marginal, n=1: expected x^7 + x + 1, got x + 1"),
+    (_case_u_marginal, "U marginal, n=2: expected y^7 + y + 5, got y + 5"),
+    (_case_gessel, "point (x=3/4), gessel_T, n=2: expected 30859/16384, got 7/4"),
+    (_case_elizalde_noy,
+     "point (y=13/4), elizalde_noy_U, n=3: expected 62883685/16384, got 33/4"),
+    (_case_carlitz_f, "point (w=3, x=4, y=2, z=1), carlitz_F, n=2: expected 7, got 5"),
+    (_case_gen_z_third_point,
+     "point (w=1/2, x=0, y=5/2, z=1), gen_z, n=1: expected 3, got 1/2"),
+    (_case_no_pdd_u0, "no_pdd_U0, n=2: expected 3, got 2"),
+    (_case_zx_inverse,
+     "D^2(z*x^-1): expected w^2*x^-1*z - 2*w*x^-1*y*z + x^-1*y^2*z, "
+     "got w^2*x^-1*z - 2*w*x^-1*y*z + x^-1*y^2*z + y"),
+    (_case_xz_inverse,
+     "D^2(x^-1*z^-1): expected w^2*x^-1*z^-1 + 2*w*x^-1*y*z^-1 - 2 + x^-1*y^2*z^-1, "
+     "got y + w^2*x^-1*z^-1 + 2*w*x^-1*y*z^-1 - 2 + x^-1*y^2*z^-1"),
+    (_case_exterior_marginal,
+     "exterior-peak marginal, n=2: expected x^11*y^-8 + x^3 + x*y^2, got x^3 + x*y^2"),
+    (_case_eulerian_row_sum, "eulerian row sum, n=2: expected 2, got 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, message", FAILURE_MESSAGES, ids=[c.__name__[6:] for c, _ in FAILURE_MESSAGES]
+)
+def test_failure_message_is_pinned(monkeypatch, case, message):
+    # Characterisation: each kind of comparison names its first failure in
+    # exactly this form.
+    report = case(monkeypatch)
+    assert not report.passed
+    assert report.first_failure == message
