@@ -12,20 +12,17 @@ step into p_1 an up step.  This is the state space of the Seidel-Entringer
 (boustrophedon) triangle; the counts of one (direction, key) pair are kept as
 a list over j, so one step is a prefix sum.
 
-Kind codes: 0 joint (exterior peaks, proper double descents), which never
-classifies p_n; 1 joint (peaks, double descents) and 2 quadruple (peaks - 1,
-double descents, valleys, double rises), which classify p_n with the down
-step into the right pad 0.  Valleys and double rises are not tracked: with
-both pads, peaks = valleys + 1 and the four classes add up to n.
+The kinds are named as in ``_names.TABLE_KINDS``: ``exterior_pdd`` (exterior
+peaks, proper double descents) never classifies p_n; ``peak_dd`` (peaks,
+double descents) and ``carlitz_quadruple`` (peaks - 1, double descents,
+valleys, double rises) classify p_n with the down step into the right pad 0.
+Valleys and double rises are not tracked: with both pads, peaks = valleys + 1
+and the four classes add up to n.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-
-KIND_EXTERIOR_PDD = 0
-KIND_PEAK_DD = 1
-KIND_CARLITZ = 2
 
 
 def _merge(groups: dict, key: tuple, counts: list[int]) -> None:
@@ -33,12 +30,11 @@ def _merge(groups: dict, key: tuple, counts: list[int]) -> None:
     groups[key] = counts if have is None else [a + b for a, b in zip(have, counts)]
 
 
-def count_table(n: int, kind: int) -> dict[tuple[int, ...], int]:
-    """Count the statistic key of every permutation of {1..n}, n >= 1."""
-    if n < 1:
-        raise ValueError("kernel requires n >= 1")
-    if kind not in (KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ):
-        raise ValueError(f"unknown statistic kind code {kind}")
+def count_table(n: int, kind: str) -> dict[tuple[int, ...], int]:
+    """Count the statistic key of every permutation of {1..n}, n >= 1.
+
+    ``permstat.stat_table`` is the caller; it checks ``n`` and ``kind``.
+    """
     # (step into the last letter is up, peaks, double descents) -> counts by
     # the 0-based rank of the last letter among the letters so far
     groups: dict[tuple[bool, int, int], list[int]] = {(True, 0, 0): [1]}
@@ -54,10 +50,10 @@ def count_table(n: int, kind: int) -> dict[tuple[int, ...], int]:
         groups = grown
     counts: dict[tuple[int, ...], int] = {}
     for (up, peaks, dds), by_rank in groups.items():
-        if kind != KIND_EXTERIOR_PDD:
+        if kind != "exterior_pdd":
             # the down step into the right pad 0 classifies p_n
             peaks, dds = (peaks + 1, dds) if up else (peaks, dds + 1)
-        if kind == KIND_CARLITZ:
+        if kind == "carlitz_quadruple":
             key: tuple[int, ...] = (peaks - 1, dds, peaks - 1, n + 1 - 2 * peaks - dds)
         else:
             key = (peaks, dds)

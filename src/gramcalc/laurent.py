@@ -139,13 +139,18 @@ class LaurentPolynomial:
         """``sum(c * prod(v^e)) / denominator`` over ``int`` numerators ``c``.
 
         ``numerators`` maps exponent tuples over the distinct ``variables``,
-        in the order given, to integers; zero numerators are dropped.
+        one entry per variable in the order given, to integers; zero
+        numerators are dropped.
         """
         variables = tuple(variables)
         for name in variables:
             check_variable_name(name)
         if len(set(variables)) != len(variables):
             raise ValueError(f"variables {variables!r} are not distinct")
+        if not {len(variables)}.issuperset(map(len, numerators)):
+            raise ValueError(
+                f"an exponent tuple does not have one entry per variable of {variables!r}"
+            )
         if index(denominator) <= 0:
             raise ValueError("the denominator must be positive")
         ordered = tuple(sorted(variables))

@@ -39,12 +39,6 @@ KERNEL_IS_COMPILED = False
 
 KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ = TABLE_KINDS
 
-_KIND_CODES = {
-    KIND_EXTERIOR_PDD: _kernel.KIND_EXTERIOR_PDD,
-    KIND_PEAK_DD: _kernel.KIND_PEAK_DD,
-    KIND_CARLITZ: _kernel.KIND_CARLITZ,
-}
-
 
 class StatProfile(NamedTuple):
     exterior_peaks: int
@@ -105,7 +99,7 @@ def stat_profile(values: Sequence[int]) -> StatProfile:
 
 @lru_cache(maxsize=None)
 def _counts(n: int, kind: str) -> dict[tuple[int, ...], int]:
-    return _kernel.count_table(n, _KIND_CODES[kind])
+    return _kernel.count_table(n, kind)
 
 
 def stat_table(n: int, kind: str) -> StatTable:
@@ -115,7 +109,7 @@ def stat_table(n: int, kind: str) -> StatTable:
     permutation contributes the single key (0, 0); the peak-based tables start
     at n = 1.
     """
-    if kind not in _KIND_CODES:
+    if kind not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r} (choose from {TABLE_KINDS})")
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -157,11 +151,15 @@ _TRIANGLE_SOURCE = {
 }
 
 
-def specialize_triangle(table: StatTable, which: str) -> list[tuple[int, int]]:
-    """Marginal counts by one statistic: rows (k, count), k ascending."""
+def _triangle_source(which: str) -> tuple[str, int]:
     if which not in _TRIANGLE_SOURCE:
         raise ValueError(f"unknown triangle {which!r} (choose from {TRIANGLES})")
-    kind, axis = _TRIANGLE_SOURCE[which]
+    return _TRIANGLE_SOURCE[which]
+
+
+def specialize_triangle(table: StatTable, which: str) -> list[tuple[int, int]]:
+    """Marginal counts by one statistic: rows (k, count), k ascending."""
+    kind, axis = _triangle_source(which)
     if table.kind != kind:
         raise ValueError(
             f"triangle {which} needs a {kind} table, got {table.kind}"
@@ -177,7 +175,7 @@ def triangle_poly(n: int, which: str) -> LaurentPolynomial:
     """The marginal as a univariate polynomial (in x for T and R, y for U and W)."""
     from .laurent import LaurentPolynomial
 
-    kind, _ = _TRIANGLE_SOURCE[which]
+    kind, _ = _triangle_source(which)
     rows = specialize_triangle(stat_table(n, kind), which)
     var = "x" if which in ("T", "R") else "y"
     return LaurentPolynomial.from_dense((var,), {(k,): count for k, count in rows})

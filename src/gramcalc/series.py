@@ -89,6 +89,11 @@ def _exact(value):
     return value
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+
+
 def _pascal_rows(order: int):
     """The rows ``C(n, 0..n)`` for n = 0 .. order."""
     row = [1]
@@ -143,6 +148,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, order: int, ring: Ring = RATIONALS) -> "TruncatedSeries":
+        _check_order(order)
         return cls(ring, [value] + [ring.zero] * order)
 
     # -- arithmetic ----------------------------------------------------------
@@ -286,6 +292,7 @@ class TruncatedSeries:
 
 def exp_series(alpha, order: int, ring: Ring = RATIONALS) -> TruncatedSeries:
     """exp(alpha * t) truncated: the n-th coefficient is alpha^n / n!."""
+    _check_order(order)
     if ring is RATIONALS:
         alpha = exact_scalar(alpha)
         powers = accumulate(repeat(alpha.numerator, order), mul, initial=1)
@@ -381,8 +388,7 @@ def closed_form(
     ``no_pdd_U0`` the reciprocal series counting permutations with no proper
     double descent (it needs no point).
     """
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
+    _check_order(order)
     if order > MAX_ORDER:
         raise ValueError(f"series order {order} exceeds the limit {MAX_ORDER}")
     if which == "no_pdd_U0":

@@ -97,6 +97,18 @@ def test_constructor_rejects_floats():
         X + 0.5
 
 
+
+def test_from_dense_reads_exponents_in_the_given_order():
+    assert LP.from_dense("yx", {(2, 1): 3}, 2) == Fraction(3, 2) * X * Y ** 2
+
+
+@pytest.mark.parametrize(
+    "variables, key", [(("x", "y"), (1,)), (("x",), (1, 2, 3)), (("y", "x"), (1,)), ((), (1,))]
+)
+def test_from_dense_rejects_exponent_tuples_of_the_wrong_length(variables, key):
+    with pytest.raises(ValueError, match="exponent tuple"):
+        LP.from_dense(variables, {(0,) * len(variables): 1, key: 1})
+
 # -- products and powers ------------------------------------------------------
 
 def test_laurent_cancellation():

@@ -190,6 +190,11 @@ def test_triangle_kind_mismatch():
         specialize_triangle(table, "Q")
 
 
+
+def test_triangle_poly_rejects_unknown_triangle():
+    with pytest.raises(ValueError, match="unknown triangle 'Q'"):
+        triangle_poly(5, "Q")
+
 def test_triangle_poly():
     from fractions import Fraction
 

@@ -63,6 +63,22 @@ def test_inverse_requires_invertible_constant():
         TruncatedSeries(LAURENT, [X + Y, X]).inverse()
 
 
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: exp_series(2, -1),
+        lambda: exp_series(X, -1, LAURENT),
+        lambda: TruncatedSeries.constant(1, -1),
+        lambda: TruncatedSeries.constant(X, -1, LAURENT),
+        lambda: closed_form("no_pdd_U0", None, -1),
+    ],
+    ids=["exp_series", "laurent_exp_series", "constant", "laurent_constant", "closed_form"],
+)
+def test_negative_series_order_rejected(make):
+    with pytest.raises(ValueError, match="^series order must be nonnegative$"):
+        make()
+
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError, match="orders differ"):
         rational_series(1, 2) * rational_series(1, 2, 3)
