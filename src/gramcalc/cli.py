@@ -20,6 +20,10 @@ if TYPE_CHECKING:
     from .series import EvalPoint
 
 
+#: The largest ``.gram`` file ``derive --grammar`` reads, in bytes.
+MAX_GRAMMAR_BYTES = 1 << 20
+
+
 class CliError(Exception):
     pass
 
@@ -87,8 +91,13 @@ def _load_grammar(source: str) -> tuple[Grammar, GrammarSpec | None]:
     if source.endswith(".gram") or os.path.exists(source):
         from .gdsl import parse_grammar
 
-        with open(source, encoding="utf-8") as handle:
-            spec = parse_grammar(handle.read())
+        with open(source, "rb") as handle:
+            data = handle.read(MAX_GRAMMAR_BYTES + 1)
+        if len(data) > MAX_GRAMMAR_BYTES:
+            raise CliError(
+                f"grammar file '{source}' exceeds the limit of {MAX_GRAMMAR_BYTES} bytes"
+            )
+        spec = parse_grammar(data.decode("utf-8"))
         return spec.to_grammar(name=os.path.basename(source)), spec
     raise CliError(
         f"unknown grammar '{source}': not a builtin "
@@ -102,13 +111,23 @@ def _print_json(payload) -> None:
     print(json.dumps(payload))
 
 
+def _rational(text: str, flag: str):
+    """``text`` as a Fraction: ``p``, ``p/q`` or a plain decimal, no exponent part."""
+    from fractions import Fraction
+
+    try:
+        if "e" in text.lower():  # 1e9999999 would build a huge integer
+            raise ValueError("exponent notation is not accepted")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"bad rational {text!r} in {flag}: {exc}") from None
+
+
 def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
     if text is None:
         if root is not None:
             raise CliError("--root given without --point")
         return None
-    from fractions import Fraction
-
     from .series import EvalPoint
 
     assignment = {}
@@ -120,16 +139,8 @@ def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
         name = name.strip()
         if name in assignment:
             raise CliError(f"variable '{name}' is assigned twice in --point")
-        try:
-            assignment[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad rational {value!r} in --point: {exc}") from None
-    root_value = None
-    if root is not None:
-        try:
-            root_value = Fraction(root)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad rational {root!r} in --root: {exc}") from None
+        assignment[name] = _rational(value, "--point")
+    root_value = None if root is None else _rational(root, "--root")
     return EvalPoint(assignment, root_value)
 
 

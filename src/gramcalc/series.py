@@ -1,32 +1,43 @@
-"""Truncated series arithmetic over an exact coefficient ring.
+"""Truncated exponential generating series over an exact coefficient ring.
 
 A ``TruncatedSeries`` holds the coefficients of ``t^0 .. t^order`` of a formal
-power series in ``t``.  Coefficients live in an exact ring, either the
-rationals or Laurent polynomials.  A ``Ring`` supplies ``zero``, ``one``,
-``invert`` and ``dot`` (a sum of products); over any ring but ``RATIONALS``
-a product or reciprocal is one ``dot`` per output coefficient, and over
-``LAURENT`` that ``dot`` is ``laurent.dot``, which accumulates every term
-product as an integer in one dict.
+power series in ``t``, over one of two exact rings: the rationals
+(``RATIONALS``) or Laurent polynomials (``LAURENT``).  Every series is kept in
+one form: EGF numerators ``b[n]`` and two positive integer scales ``E`` and
+``Q``, with the n-th coefficient equal to ``b[n] / (E * n! * Q^n)``.  The
+numerators are ``int``s over ``RATIONALS`` and ``LaurentPolynomial``s over
+``LAURENT``.
 
-A series over ``RATIONALS`` is kept as integers: numerators ``b[n]`` and
-two positive scales ``E`` and ``Q``, with the n-th coefficient equal to
-``b[n] / (E * n! * Q^n)``.  ``exp(p/q * t)`` is ``b[n] = p^n`` with ``Q = q``;
-sums rescale both operands to the lcm of their scales; a product is the
-integer binomial convolution ``sum C(n,k) a[k] b[n-k]``; a reciprocal folds
-its constant term into ``E`` and ``Q`` and stays integer.  Nothing is reduced
-until the coefficients are read: ``coeffs``, ``egf_coefficients()``, ``==``
-and ``repr`` give ``Fraction``s.  There is no floating point anywhere: a
-float scalar, added to or multiplied into a series or passed to
-``exp_series``, raises ``TypeError``.
+Each operation has one algorithm for both rings.  ``exp(p/q * t)`` is
+``b[n] = p^n`` with ``Q = q``; sums rescale both operands to the lcm of their
+scales; a product is the binomial convolution ``sum C(n,k) a[k] b[n-k]``, one
+``Ring.dot`` per coefficient; a reciprocal runs Knuth's recurrence on the
+numerators; ``derivative()`` drops ``b[0]`` and multiplies ``E`` by ``Q``, and
+``truncate()`` is a slice.  Only these points depend on the ring:
+
+* the numerator type (``Ring.one``) and ``Ring.dot``: an integer ``sum`` of
+  products over ``RATIONALS``, ``laurent.dot`` over ``LAURENT``;
+* the reciprocal's last step: over the integers it folds ``|b[0]|`` into
+  ``E`` and ``Q``; over polynomials it multiplies by powers of ``b[0]**-1``,
+  so the constant term must be a single term;
+* how a coefficient is read: a ``Fraction`` or a polynomial;
+* scalar operands, which may be polynomials only over ``LAURENT``.
+
+Nothing is reduced until the coefficients are read: ``coeffs``,
+``egf_coefficients()``, ``==`` and ``repr`` give ``Fraction``s over
+``RATIONALS`` and polynomials over ``LAURENT``.  There is no floating point
+anywhere: a float coefficient or scalar, added to or multiplied into a series
+or passed to ``exp_series``, raises ``TypeError``.
 
 ``gen_series(p, g, order)`` is the exponential generating series of the
-iterated derivatives of ``p`` under the grammar ``g``: its n-th coefficient is
-the polynomial ``D^n(p) / n!``.  The named closed forms in ``closed_form``
-produce the same kind of data as exact rational series, evaluated at a point
-where every square root in the formula is itself rational (an "admissible"
-point, supplied together with that root).  A point assigns exactly the
-variables its form reads.  Closed forms are assembled purely from
-exponentials of linear terms, sums, products and series inversion.
+iterated derivatives of ``p`` under the grammar ``g``: its EGF numerators are
+the polynomials ``D^n(p)``, with ``E = Q = 1``.  The named closed forms in
+``closed_form`` produce the same kind of data as exact rational series,
+evaluated at a point where every square root in the formula is itself
+rational (an "admissible" point, supplied together with that root).  A point
+assigns exactly the variables its form reads.  Closed forms are assembled
+purely from exponentials of linear terms, sums, products and series
+inversion.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import factorial, lcm
 from operator import add, mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._names import CLOSED_FORMS
 from .grammar import Grammar, derive_n
@@ -53,40 +64,31 @@ class InadmissiblePointError(ValueError):
 
 
 class Ring(NamedTuple):
-    """The minimal contract a coefficient ring must provide.
+    """The numerators of a series: ``RATIONALS`` or ``LAURENT``.
 
-    ``dot(xs, ys)`` is the sum of the products ``xs[i] * ys[i]``.
+    ``one`` is the numerator 1, and ``dot(xs, ys)`` is the sum of the
+    products ``xs[i] * ys[i]`` of two iterables of numerators.
     """
 
     name: str
-    zero: object
     one: object
-    invert: Callable[[object], object]
-    dot: Callable[[Sequence, Sequence], object]
+    dot: Callable[[Iterable, Iterable], object]
 
 
-RATIONALS = Ring(
-    name="rationals",
-    zero=Fraction(0),
-    one=Fraction(1),
-    invert=lambda c: Fraction(1) / c,
-    dot=lambda xs, ys: sum(map(mul, xs, ys), Fraction(0)),
-)
+RATIONALS = Ring(name="rationals", one=1, dot=lambda xs, ys: sum(map(mul, xs, ys)))
 
-LAURENT = Ring(
-    name="laurent",
-    zero=LaurentPolynomial.zero(),
-    one=LaurentPolynomial.one(),
-    invert=lambda p: p ** -1,
-    dot=_laurent_dot,
-)
+LAURENT = Ring(name="laurent", one=LaurentPolynomial.one(), dot=_laurent_dot)
 
 
-def _exact(value):
-    """``value``, if it is a polynomial or an exact scalar; floats raise ``TypeError``."""
-    if not isinstance(value, LaurentPolynomial):
-        exact_scalar(value)
-    return value
+def _scalar(ring: Ring, value) -> tuple:
+    """``value`` as a numerator of ``ring`` over a positive integer denominator.
+
+    Only a ``LAURENT`` series takes polynomial scalars; floats raise ``TypeError``.
+    """
+    if ring is LAURENT and isinstance(value, LaurentPolynomial):
+        return value, 1
+    c = exact_scalar(value)
+    return ring.one * c.numerator, c.denominator
 
 
 def _check_order(order: int) -> None:
@@ -105,51 +107,50 @@ def _pascal_rows(order: int):
 class TruncatedSeries:
     """Coefficients of t^0 .. t^order; arithmetic never looks past order.
 
-    Over ``RATIONALS`` the series lives in ``_nums``, ``_e`` and ``_q`` (see
-    the module docstring) and ``coeffs`` is computed from them when first
-    read; over any other ring ``_nums`` is ``None``.
+    The series lives in ``_nums``, ``_e`` and ``_q`` (see the module
+    docstring); ``coeffs`` is computed from them when first read.
     """
 
-    __slots__ = ("ring", "_coeffs", "_nums", "_e", "_q")
+    __slots__ = ("ring", "_nums", "_e", "_q", "_coeffs")
 
     def __init__(self, ring: Ring, coeffs: Sequence):
-        self.ring = ring
-        self._coeffs = tuple(coeffs)
-        self._nums = None
-        if not self._coeffs:
+        scalars = [_scalar(ring, c) for c in coeffs]
+        if not scalars:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
-        if ring is RATIONALS:
-            scaled = [exact_scalar(c) * factorial(n) for n, c in enumerate(self._coeffs)]
-            self._e = lcm(*(c.denominator for c in scaled))
-            self._q = 1
-            self._nums = [c.numerator * (self._e // c.denominator) for c in scaled]
+        e = lcm(*(den for _, den in scalars))
+        nums = [num * (factorial(n) * e // den) for n, (num, den) in enumerate(scalars)]
+        self.ring, self._nums, self._e, self._q, self._coeffs = ring, nums, e, 1, None
 
     @classmethod
-    def _integral(cls, nums: list, e: int, q: int) -> "TruncatedSeries":
-        """The rational series with n-th coefficient ``nums[n] / (e * n! * q^n)``."""
+    def _of(cls, ring: Ring, nums: list, e: int, q: int) -> "TruncatedSeries":
+        """The series with n-th coefficient ``nums[n] / (e * n! * q^n)``."""
         self = cls.__new__(cls)
-        self.ring, self._coeffs, self._nums, self._e, self._q = RATIONALS, None, nums, e, q
+        self.ring, self._nums, self._e, self._q, self._coeffs = ring, nums, e, q, None
         return self
+
+    def _values(self, steps: Iterable[int]) -> list:
+        """``nums[n] / (e * steps[0] * ... * steps[n-1])``, reduced, for each n."""
+        dens = accumulate(steps, mul, initial=self._e)
+        if self.ring is RATIONALS:
+            return list(map(Fraction, self._nums, dens))
+        return [b * Fraction(1, d) for b, d in zip(self._nums, dens)]
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients of t^0 .. t^order; rational ones are reduced when first read."""
+        """The coefficients of t^0 .. t^order, reduced when first read."""
         if self._coeffs is None:
-            den, coeffs = self._e, []
-            for n, b in enumerate(self._nums, 1):
-                coeffs.append(Fraction(b, den))
-                den *= n * self._q
-            self._coeffs = tuple(coeffs)
+            steps = (n * self._q for n in range(1, self.order + 1))
+            self._coeffs = tuple(self._values(steps))
         return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs if self._nums is None else self._nums) - 1
+        return len(self._nums) - 1
 
     @classmethod
     def constant(cls, value, order: int, ring: Ring = RATIONALS) -> "TruncatedSeries":
         _check_order(order)
-        return cls(ring, [value] + [ring.zero] * order)
+        return cls(ring, [value] + [0] * order)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -169,36 +170,30 @@ class TruncatedSeries:
             return [b * k for b in self._nums]
         return list(map(mul, self._nums, accumulate(repeat(m, self.order), mul, initial=k)))
 
+    def _plus(self, num, den: int) -> "TruncatedSeries":
+        """This series plus the scalar ``num / den``."""
+        e = lcm(self._e, den)
+        nums = self._rescaled(e, self._q)
+        nums[0] += num * (e // den)
+        return TruncatedSeries._of(self.ring, nums, e, self._q)
+
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            if self._nums is None:
-                coeffs = list(self.coeffs)
-                coeffs[0] = coeffs[0] + _exact(other)
-                return TruncatedSeries(self.ring, coeffs)
-            c = exact_scalar(other)
-            e = lcm(self._e, c.denominator)
-            nums = self._rescaled(e, self._q)
-            nums[0] += c.numerator * (e // c.denominator)
-            return TruncatedSeries._integral(nums, e, self._q)
+            return self._plus(*_scalar(self.ring, other))
         self._match(other)
-        if self._nums is None:
-            return TruncatedSeries(
-                self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-            )
         e, q = lcm(self._e, other._e), lcm(self._q, other._q)
         nums = list(map(add, self._rescaled(e, q), other._rescaled(e, q)))
-        return TruncatedSeries._integral(nums, e, q)
+        return TruncatedSeries._of(self.ring, nums, e, q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._nums is None:
-            return TruncatedSeries(self.ring, [-a for a in self.coeffs])
-        return TruncatedSeries._integral([-b for b in self._nums], self._e, self._q)
+        return TruncatedSeries._of(self.ring, [-b for b in self._nums], self._e, self._q)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self + (-_exact(other))
+            num, den = _scalar(self.ring, other)
+            return self._plus(-num, den)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -206,76 +201,54 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            if self._nums is None:
-                other = _exact(other)
-                return TruncatedSeries(self.ring, [a * other for a in self.coeffs])
-            c = exact_scalar(other)
-            nums = [b * c.numerator for b in self._nums]
-            return TruncatedSeries._integral(nums, self._e * c.denominator, self._q)
+            num, den = _scalar(self.ring, other)
+            nums = [b * num for b in self._nums]
+            return TruncatedSeries._of(self.ring, nums, self._e * den, self._q)
         self._match(other)
-        if self._nums is None:
-            a, b, dot = self.coeffs, other.coeffs, self.ring.dot
-            return TruncatedSeries(
-                self.ring, [dot(a[: k + 1], b[k::-1]) for k in range(self.order + 1)]
-            )
-        q = lcm(self._q, other._q)
+        q, dot = lcm(self._q, other._q), self.ring.dot
         a, b = self._rescaled(self._e, q), other._rescaled(other._e, q)
-        nums = [
-            sum(map(mul, map(mul, row, a), b[n::-1]))
-            for n, row in enumerate(_pascal_rows(self.order))
-        ]
-        return TruncatedSeries._integral(nums, self._e * other._e, q)
+        nums = [dot(map(mul, row, a), b[n::-1]) for n, row in enumerate(_pascal_rows(self.order))]
+        return TruncatedSeries._of(self.ring, nums, self._e * other._e, q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
         """The reciprocal series; the constant term must be invertible."""
-        if self._nums is None:
-            try:
-                head = self.ring.invert(self.coeffs[0])
-            except ZeroDivisionError:
-                raise ValueError(
-                    "series constant term vanishes; reciprocal does not exist"
-                ) from None
-            c, dot = self.coeffs, self.ring.dot
-            out = [head]
-            for n in range(1, self.order + 1):
-                out.append(-head * dot(c[1 : n + 1], out[n - 1 :: -1]))
-            return TruncatedSeries(self.ring, out)
-        # With beta = b[0], the EGF numerators g[n] = gamma[n] / beta^(n+1) of
-        # 1 / sum(b[n] u^n / n!) satisfy gamma[0] = 1 and
-        # gamma[n] = -sum_{k>=1} C(n,k) * b[k] * beta^(k-1) * gamma[n-k].
-        beta = self._nums[0]
+        # With beta = b[0] and h = 1 / beta, the EGF numerators of
+        # 1 / sum(b[n] u^n / n!) are gamma[n] * h^(n+1), where gamma[0] = 1 and
+        # gamma[n] = -sum_{k>=1} C(n,k) * b[k] * beta^(k-1) * gamma[n-k].  An
+        # integer beta's |beta| folds into the scales, leaving h its sign; a
+        # polynomial beta must be one term, or beta**-1 raises ValueError.
+        beta, dot = self._nums[0], self.ring.dot
         if beta == 0:
             raise ValueError("series constant term vanishes; reciprocal does not exist")
+        if self.ring is RATIONALS:
+            h, e, q = (1 if beta > 0 else -1), abs(beta), self._q * abs(beta)
+        else:
+            h, e, q = beta ** -1, 1, self._q
         powers = accumulate(repeat(beta, self.order - 1), mul, initial=1)
         scaled = list(map(mul, self._nums[1:], powers))
-        gamma = [1]
+        gamma = [self.ring.one]
         for row in islice(_pascal_rows(self.order), 1, None):
-            gamma.append(-sum(map(mul, map(mul, row[1:], scaled), reversed(gamma))))
-        sign = 1 if beta > 0 else -1
-        nums = [self._e * g * sign ** (n + 1) for n, g in enumerate(gamma)]
-        return TruncatedSeries._integral(nums, abs(beta), self._q * abs(beta))
+            gamma.append(-dot(map(mul, row[1:], scaled), reversed(gamma)))
+        heads = accumulate(repeat(h, self.order), mul, initial=h * self._e)
+        return TruncatedSeries._of(self.ring, list(map(mul, gamma, heads)), e, q)
 
     def derivative(self) -> "TruncatedSeries":
         """d/dt, one order lower."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(
-            self.ring, [(n + 1) * self.coeffs[n + 1] for n in range(self.order)]
-        )
+        return TruncatedSeries._of(self.ring, self._nums[1:], self._e * self._q, self._q)
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        _check_order(order)
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
+        return TruncatedSeries._of(self.ring, self._nums[: order + 1], self._e, self._q)
 
     def egf_coefficients(self) -> list:
         """The underlying EGF data: n! times the n-th coefficient."""
-        if self._nums is None:
-            return [factorial(n) * c for n, c in enumerate(self.coeffs)]
-        scales = accumulate(repeat(self._q, self.order), mul, initial=self._e)
-        return list(map(Fraction, self._nums, scales))
+        return self._values(repeat(self._q, self.order))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -293,23 +266,14 @@ class TruncatedSeries:
 def exp_series(alpha, order: int, ring: Ring = RATIONALS) -> TruncatedSeries:
     """exp(alpha * t) truncated: the n-th coefficient is alpha^n / n!."""
     _check_order(order)
-    if ring is RATIONALS:
-        alpha = exact_scalar(alpha)
-        powers = accumulate(repeat(alpha.numerator, order), mul, initial=1)
-        return TruncatedSeries._integral(list(powers), 1, alpha.denominator)
-    alpha = _exact(alpha)
-    coeffs = [ring.one]
-    for n in range(1, order + 1):
-        coeffs.append(coeffs[-1] * alpha * Fraction(1, n))
-    return TruncatedSeries(ring, coeffs)
+    num, den = _scalar(ring, alpha)
+    powers = accumulate(repeat(num, order), mul, initial=ring.one)
+    return TruncatedSeries._of(ring, list(powers), 1, den)
 
 
 def gen_series(p: LaurentPolynomial, g: Grammar, order: int) -> TruncatedSeries:
     """The generating series of p under g, with polynomial coefficients."""
-    items = derive_n(p, g, order).items
-    return TruncatedSeries(
-        LAURENT, [items[n] * Fraction(1, factorial(n)) for n in range(order + 1)]
-    )
+    return TruncatedSeries._of(LAURENT, list(derive_n(p, g, order).items), 1, 1)
 
 
 class _EvalPointFields(NamedTuple):
@@ -396,7 +360,7 @@ def closed_form(
             raise InadmissiblePointError("closed form 'no_pdd_U0' takes no point")
         # 1 / sum over n = 0, 1 mod 3 of (-1)^n t^n / n!
         nums = [(1, -1, 0)[n % 3] for n in range(order + 1)]
-        return TruncatedSeries._integral(nums, 1, 1).inverse()
+        return TruncatedSeries._of(RATIONALS, nums, 1, 1).inverse()
 
     if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r} (choose from {CLOSED_FORMS})")

@@ -1,11 +1,15 @@
-"""The Fraction-coefficient rational series, kept as a test reference.
+"""The coefficient-tuple series, kept as a test reference.
 
-This is the representation ``gramcalc.series`` used for rational series
-before it moved to integer EGF numerators: a tuple of ``Fraction``
-coefficients, products and reciprocals one ``_rational_dot`` per output
-coefficient.  ``TruncatedSeries``, ``exp_series`` and ``closed_form`` are
-copied unchanged; ``test_series_differential`` compares the package against
-them.  It is not imported by the package.
+This is the representation ``gramcalc.series`` used before every series
+moved to EGF numerators over integer scales: a tuple of coefficients, with
+products and reciprocals one ``Ring.dot`` per output coefficient.  Over
+``RATIONALS`` the coefficients are ``Fraction``s and ``dot`` is
+``_rational_dot``; over ``LAURENT`` they are polynomials, ``dot`` is
+``laurent.dot`` and the reciprocal inverts the constant term with
+``p ** -1``.  ``TruncatedSeries``, ``exp_series``, ``gen_series``,
+``closed_form`` and both rings are copied unchanged;
+``test_series_differential`` compares the package against them.  It is not
+imported by the package.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from math import factorial, lcm
 from typing import Callable, NamedTuple, Sequence
 
 from gramcalc._names import CLOSED_FORMS
-from gramcalc.laurent import LaurentPolynomial, exact_scalar
+from gramcalc.grammar import Grammar, derive_n
+from gramcalc.laurent import LaurentPolynomial, exact_scalar, dot as _laurent_dot
 from gramcalc.series import EvalPoint, InadmissiblePointError
 
 #: The largest order ``closed_form`` expands to; the work grows faster than
@@ -53,6 +58,14 @@ RATIONALS = Ring(
     one=Fraction(1),
     invert=lambda c: Fraction(1) / c,
     dot=_rational_dot,
+)
+
+LAURENT = Ring(
+    name="laurent",
+    zero=LaurentPolynomial.zero(),
+    one=LaurentPolynomial.one(),
+    invert=lambda p: p ** -1,
+    dot=_laurent_dot,
 )
 
 
@@ -179,6 +192,14 @@ def exp_series(alpha, order: int, ring: Ring = RATIONALS) -> TruncatedSeries:
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * alpha * Fraction(1, n))
     return TruncatedSeries(ring, coeffs)
+
+
+def gen_series(p: LaurentPolynomial, g: Grammar, order: int) -> TruncatedSeries:
+    """The generating series of p under g, with polynomial coefficients."""
+    items = derive_n(p, g, order).items
+    return TruncatedSeries(
+        LAURENT, [items[n] * Fraction(1, factorial(n)) for n in range(order + 1)]
+    )
 
 
 def _invert_denominator(denom: TruncatedSeries) -> TruncatedSeries:

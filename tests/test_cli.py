@@ -97,6 +97,23 @@ def test_gram_file_syntax_error_is_diagnosed(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_gram_file_over_the_size_limit_is_rejected(tmp_path, capsys):
+    limit = 1 << 20
+    padding = "# a comment line\n" * (limit // 17 + 1)
+    path = tmp_path / "big.gram"
+    path.write_text(padding[: limit + 1])
+    assert path.stat().st_size == limit + 1
+    code, out, err = run(capsys, "derive", "--grammar", str(path), "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "exceeds the limit of 1048576 bytes" in err
+    path.write_text(MAIN_GRAMMAR_TEXT + padding[: limit - len(MAIN_GRAMMAR_TEXT)])
+    assert path.stat().st_size == limit
+    code, out, _ = run(capsys, "derive", "--grammar", str(path), "--n", "1")
+    assert code == 0
+    assert out.strip() == "z*w"
+
+
 def test_table_csv_single_row(capsys):
     code, out, _ = run(
         capsys, "table", "--kind", "exterior_pdd", "--n", "1", "--format", "csv"
@@ -172,6 +189,30 @@ def test_series_bad_point_syntax(capsys):
     code, _, err = run(capsys, "series", "--which", "gen_z", "--point", "x=4,zap")
     assert code == 1
     assert "bad point component" in err
+
+
+@pytest.mark.parametrize(
+    "point, root, bad",
+    [
+        ("x=75e-2", "1/2", "'75e-2' in --point"),
+        ("x=3/4", "5E-1", "'5E-1' in --root"),
+        ("x=0.75", "1e0", "'1e0' in --root"),
+    ],
+)
+def test_series_rejects_exponent_notation(capsys, point, root, bad):
+    code, out, err = run(capsys, "series", "--which", "gessel_T", "--point", point, "--root", root)
+    assert code == 1
+    assert out == ""
+    assert f"bad rational {bad}: exponent notation is not accepted" in err
+
+
+def test_series_accepts_plain_decimals(capsys):
+    argv = ("series", "--which", "gessel_T", "--order", "4")
+    code, decimal, _ = run(capsys, *argv, "--point", "x= 0.75", "--root", "0.5")
+    assert code == 0
+    code, fraction, _ = run(capsys, *argv, "--point", "x=3/4", "--root", "1/2")
+    assert code == 0
+    assert decimal == fraction
 
 
 @pytest.mark.parametrize(

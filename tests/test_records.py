@@ -78,10 +78,11 @@ def test_derivative_sequence_fields():
 
 
 def test_ring_and_token_fields():
-    ring = Ring("r", 0, 1, RATIONALS.invert, RATIONALS.dot)
-    assert ring.invert is RATIONALS.invert
-    assert ring.invert(Fraction(2)) == Fraction(1, 2)
-    assert ring == Ring(name="r", zero=0, one=1, invert=RATIONALS.invert, dot=RATIONALS.dot)
+    ring = Ring("r", 1, RATIONALS.dot)
+    assert ring.dot is RATIONALS.dot
+    assert ring.dot([2, 3], [5, 7]) == 31
+    assert ring == Ring(name="r", one=1, dot=RATIONALS.dot)
+    assert Ring._fields == ("name", "one", "dot")
     token = _Token("ident", "x", 1, 5)
     assert token == _Token(kind="ident", text="x", line=1, column=5)
     assert token.column == 5

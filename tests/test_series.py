@@ -72,8 +72,13 @@ def test_inverse_requires_invertible_constant():
         lambda: TruncatedSeries.constant(1, -1),
         lambda: TruncatedSeries.constant(X, -1, LAURENT),
         lambda: closed_form("no_pdd_U0", None, -1),
+        lambda: exp_series(2, 5).truncate(-3),
+        lambda: exp_series(X, 5, LAURENT).truncate(-1),
     ],
-    ids=["exp_series", "laurent_exp_series", "constant", "laurent_constant", "closed_form"],
+    ids=[
+        "exp_series", "laurent_exp_series", "constant", "laurent_constant", "closed_form",
+        "truncate", "laurent_truncate",
+    ],
 )
 def test_negative_series_order_rejected(make):
     with pytest.raises(ValueError, match="^series order must be nonnegative$"):

@@ -1,11 +1,13 @@
-"""The package's rational series against the Fraction-coefficient reference.
+"""The package's series against the coefficient-tuple reference.
 
-``_series_reference`` keeps the earlier representation, one ``Fraction`` per
-coefficient.  Every operation here runs on both, from the same Fractions,
+``_series_reference`` keeps the earlier representation, one coefficient per
+power of ``t``: a ``Fraction`` over ``RATIONALS`` and a polynomial over
+``LAURENT``.  Every operation here runs on both, from the same coefficients,
 and the results must agree through ``coeffs``, ``egf_coefficients()``,
-``==`` and ``repr``; errors must agree in type and message.  Operands are
-built from plain coefficients and from exponentials, reciprocals and scalar
-multiples, so that sums and products meet numerators over different scales.
+``==`` and ``repr``; errors must agree in type, and in message except where
+a test says otherwise.  Operands are built from plain coefficients and from
+exponentials, reciprocals and scalar multiples, so that sums and products
+meet numerators over different scales.
 """
 
 from fractions import Fraction
@@ -15,13 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _series_reference as ref
+from gramcalc._names import BUILTIN_GRAMMAR_NAMES
+from gramcalc.grammar import builtin_grammar
+from gramcalc.laurent import LaurentPolynomial as LP
 from gramcalc.series import (
+    LAURENT,
     RATIONALS,
     EvalPoint,
     InadmissiblePointError,
     TruncatedSeries,
     closed_form,
     exp_series,
+    gen_series,
 )
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=9)
@@ -207,3 +214,152 @@ def test_vanishing_denominators_match_reference():
         with pytest.raises(InadmissiblePointError, match="denominator"):
             closed_form(which, EvalPoint(assignment, root), 5)
         assert_closed_forms_agree(which, assignment, root, 5)
+
+
+# -- Laurent polynomial series ---------------------------------------------------------
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+nonzero_small = small_rationals.filter(bool)
+laurent_exponents = st.dictionaries(st.sampled_from("xyzw"), st.integers(-2, 2), max_size=2)
+monomials = laurent_exponents.map(lambda exps: tuple(exps.items()))
+single_terms = st.builds(LP.term, nonzero_small, laurent_exponents)
+polys = st.lists(st.tuples(monomials, small_rationals), max_size=3).map(LP)
+laurent_scalars = st.one_of(st.integers(-5, 5), small_rationals, polys)
+
+
+def assert_same_laurent(new, old):
+    assert isinstance(new, TruncatedSeries)
+    assert new.ring is LAURENT
+    assert new.order == old.order
+    assert new.coeffs == old.coeffs
+    egf = new.egf_coefficients()
+    assert egf == old.egf_coefficients()
+    assert all(type(c) is LP for c in new.coeffs + tuple(egf))
+    assert repr(new) == repr(old)
+    assert new == TruncatedSeries(LAURENT, old.coeffs)
+
+
+def assert_same_laurent_outcome(compute_new, compute_old):
+    new, old = outcome(compute_new), outcome(compute_old)
+    assert new[0] == old[0]
+    if new[0] == "ok":
+        assert_same_laurent(new[1], old[1])
+    else:
+        assert new[1] == old[1]
+
+
+@st.composite
+def laurent_operands(draw, order):
+    """The same polynomial series in both representations, with varied scales."""
+    kind = draw(st.sampled_from(("plain", "exp", "inverse", "scaled", "derivative")))
+    if kind == "exp":
+        alpha = draw(laurent_scalars)
+        return exp_series(alpha, order, LAURENT), ref.exp_series(alpha, order, ref.LAURENT)
+    # Scalar coefficients give numerators over a scale E > 1; the reference
+    # takes them as constant polynomials.
+    entries = st.one_of(polys, small_rationals)
+    values = draw(st.lists(entries, min_size=order + 2, max_size=order + 2))
+    if kind == "inverse":
+        values[0] = draw(st.one_of(single_terms, nonzero_small))
+    new = TruncatedSeries(LAURENT, values)
+    old = ref.TruncatedSeries(ref.LAURENT, [LP.one() * v for v in values])
+    if kind == "inverse":
+        new, old = new.inverse(), old.inverse()
+    elif kind == "scaled":
+        c, alpha = draw(laurent_scalars), draw(small_rationals)
+        new = new * c + exp_series(alpha, order + 1, LAURENT)
+        old = old * c + ref.exp_series(alpha, order + 1, ref.LAURENT)
+    elif kind == "derivative":
+        return new.derivative(), old.derivative()
+    return new.truncate(order), old.truncate(order)
+
+
+@st.composite
+def laurent_pairs(draw):
+    order = draw(st.integers(0, 5))
+    return draw(laurent_operands(order)), draw(laurent_operands(order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_pairs(), laurent_scalars)
+def test_laurent_operations_match_reference(pair, c):
+    (a, a_ref), (b, b_ref) = pair
+    assert_same_laurent(a, a_ref)
+    assert_same_laurent(a + b, a_ref + b_ref)
+    assert_same_laurent(a - b, a_ref - b_ref)
+    assert_same_laurent(-a, -a_ref)
+    assert_same_laurent(a * b, a_ref * b_ref)
+    assert (a == b) == (a_ref == b_ref)
+    assert_same_laurent(a + c, a_ref + c)
+    assert_same_laurent(c + a, c + a_ref)
+    assert_same_laurent(a - c, a_ref - c)
+    assert_same_laurent(c - a, c - a_ref)
+    assert_same_laurent(a * c, a_ref * c)
+    assert_same_laurent(c * a, c * a_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5).flatmap(laurent_operands), st.data())
+def test_laurent_derivative_and_truncate_match_reference(pair, data):
+    a, a_ref = pair
+    assert_same_laurent_outcome(a.derivative, a_ref.derivative)
+    k = data.draw(st.integers(0, a.order))
+    assert_same_laurent(a.truncate(k), a_ref.truncate(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5).flatmap(laurent_operands), single_terms, polys)
+def test_laurent_inverse_matches_reference(pair, head, multi):
+    a, a_ref = pair
+    for c in (head, multi):
+        # Replace the constant term; a multi-term or zero one has no reciprocal.
+        b, b_ref = a + (c - a.coeffs[0]), a_ref + (c - a_ref.coeffs[0])
+        new, old = outcome(b.inverse), outcome(b_ref.inverse)
+        assert new[0] == old[0]
+        if c == 0:
+            assert new == ("ValueError", "series constant term vanishes; reciprocal does not exist")
+            assert old == (
+                "ValueError",
+                "negative power of a polynomial with 0 terms (only single terms are invertible)",
+            )
+        elif new[0] == "ok":
+            assert_same_laurent(new[1], old[1])
+            assert b * new[1] == TruncatedSeries.constant(1, a.order, LAURENT)
+        else:
+            assert new == old
+            assert len(c) > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_scalars, st.integers(0, 8))
+def test_laurent_exp_series_matches_reference(alpha, order):
+    new, old = exp_series(alpha, order, LAURENT), ref.exp_series(alpha, order, ref.LAURENT)
+    assert_same_laurent(new, old)
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRAMMAR_NAMES)
+@settings(max_examples=10, deadline=None)
+@given(
+    words=st.lists(
+        st.tuples(st.dictionaries(st.sampled_from("xy"), st.integers(-1, 2)), small_rationals),
+        max_size=3,
+    ),
+    order=st.integers(0, 6),
+)
+def test_gen_series_matches_reference(name, words, order):
+    g = builtin_grammar(name)
+    p = sum((LP.term(c, exps) for exps, c in words), LP.zero())
+    new, old = gen_series(p, g, order), ref.gen_series(p, g, order)
+    assert_same_laurent(new, old)
+    assert_same_laurent_outcome(new.derivative, old.derivative)
+
+
+def test_laurent_coefficients_are_polynomials():
+    x = LP.variable("x")
+    a = TruncatedSeries(LAURENT, [1, Fraction(-1, 2), x])
+    assert a.coeffs == (1, Fraction(-1, 2), x)
+    assert all(type(c) is LP for c in a.coeffs + tuple(a.egf_coefficients()))
+    assert repr(a) == "TruncatedSeries([1, -1/2, x], order=2)"
+    assert TruncatedSeries.constant(3, 2, LAURENT).coeffs == (3, 0, 0)
+    with pytest.raises(TypeError, match="float"):
+        TruncatedSeries(LAURENT, [x, 0.5])
