@@ -23,6 +23,11 @@ if TYPE_CHECKING:
 #: The largest ``.gram`` file ``derive --grammar`` reads, in bytes.
 MAX_GRAMMAR_BYTES = 1 << 20
 
+#: The most digits in the numerator or the denominator of a ``--point`` or
+#: ``--root`` value, once reduced.  Closed-form work grows with these digits
+#: times the order; at this bound every form prints at ``series.MAX_ORDER``.
+MAX_POINT_DIGITS = 10
+
 
 class CliError(Exception):
     pass
@@ -105,20 +110,26 @@ def _load_grammar(source: str) -> tuple[Grammar, GrammarSpec | None]:
     )
 
 
-def _print_json(payload) -> None:
+def _json(payload) -> str:
     import json  # only --format json needs it
 
-    print(json.dumps(payload))
+    return json.dumps(payload)
 
 
 def _rational(text: str, flag: str):
-    """``text`` as a Fraction: ``p``, ``p/q`` or a plain decimal, no exponent part."""
+    """``text`` as a Fraction: ``p``, ``p/q`` or a plain decimal, no exponent part.
+
+    The reduced numerator and denominator have at most ``MAX_POINT_DIGITS`` digits.
+    """
     from fractions import Fraction
 
     try:
         if "e" in text.lower():  # 1e9999999 would build a huge integer
             raise ValueError("exponent notation is not accepted")
-        return Fraction(text)
+        value = Fraction(text)
+        if max(abs(value.numerator), value.denominator) >= 10**MAX_POINT_DIGITS:
+            raise ValueError(f"more than {MAX_POINT_DIGITS} digits (cli.MAX_POINT_DIGITS)")
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad rational {text!r} in {flag}: {exc}") from None
 
@@ -144,7 +155,11 @@ def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
     return EvalPoint(assignment, root_value)
 
 
-def _cmd_derive(args) -> int:
+# Each command returns its exit status and its stdout lines, and ``main`` writes
+# them only then: a request that exits 1 writes nothing to stdout.
+
+
+def _cmd_derive(args) -> tuple[int, list[str]]:
     from .grammar import derive_n
 
     grammar, spec = _load_grammar(args.grammar)
@@ -171,47 +186,39 @@ def _cmd_derive(args) -> int:
             "n": n,
             "derivative": result.to_json_obj(),
         }
-        _print_json(payload)
-    else:
-        print(result.format(order))
-    return 0
+        return 0, [_json(payload)]
+    return 0, [result.format(order)]
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[int, list[str]]:
     from . import permstat
 
     table = permstat.stat_table(args.n, args.kind)
     if args.triangle:
         rows = permstat.specialize_triangle(table, args.triangle)
         if args.format == "csv":
-            print(permstat.triangle_csv(args.n, rows))
-        elif args.format == "json":
+            return 0, [permstat.triangle_csv(args.n, rows)]
+        if args.format == "json":
             payload = {
                 "n": args.n,
                 "triangle": args.triangle,
                 "rows": [{"k": k, "count": c} for k, c in rows],
             }
-            _print_json(payload)
-        else:
-            for k, count in rows:
-                print(f"k={k}  count={count}")
-        return 0
+            return 0, [_json(payload)]
+        return 0, [f"k={k}  count={count}" for k, count in rows]
     if args.format == "csv":
-        print(permstat.table_csv(table))
-    elif args.format == "json":
+        return 0, [permstat.table_csv(table)]
+    if args.format == "json":
         payload = {
             "n": table.n,
             "kind": table.kind,
             "counts": permstat.table_json_dict(table),
         }
-        _print_json(payload)
-    else:
-        for key, count in sorted(table.counts.items()):
-            print(f"{key}  count={count}")
-    return 0
+        return 0, [_json(payload)]
+    return 0, [f"{key}  count={count}" for key, count in sorted(table.counts.items())]
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple[int, list[str]]:
     from .series import closed_form
 
     point = _parse_point(args.point, args.root)
@@ -224,37 +231,31 @@ def _cmd_series(args) -> int:
             "egf": bool(args.egf),
             "coefficients": [str(v) for v in values],
         }
-        _print_json(payload)
-    else:
-        for n, value in enumerate(values):
-            print(f"t^{n}: {value}")
-    return 0
+        return 0, [_json(payload)]
+    return 0, [f"t^{n}: {value}" for n, value in enumerate(values)]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, list[str]]:
     from .verify import run_checks
 
     ids = (args.check,) if args.check else None
     reports = run_checks(ids, max_n=args.max_n, order=args.order)
+    status = 0 if all(r.passed for r in reports) else 2
     if args.format == "json":
-        _print_json([r.to_json_obj() for r in reports])
-    else:
-        for report in reports:
-            print(report.summary_line())
-    return 0 if all(r.passed for r in reports) else 2
+        return status, [_json([r.to_json_obj() for r in reports])]
+    return status, [report.summary_line() for report in reports]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    commands = {
+        "derive": _cmd_derive, "table": _cmd_table, "series": _cmd_series, "verify": _cmd_verify,
+    }
     try:
         args = parser.parse_args(argv)
-        if args.command == "derive":
-            return _cmd_derive(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        return _cmd_verify(args)
+        status, lines = commands[args.command](args)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return status
     except _Done as done:
         return done.args[0]
     except (CliError, ValueError, OSError) as exc:  # InadmissiblePointError is a ValueError

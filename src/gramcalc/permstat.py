@@ -18,24 +18,30 @@ every derivative has a table to check it:
 * ``"carlitz_quadruple"``: ``(peaks - 1, double descents, valleys, double rises)``.
 
 The tables come from a transfer recurrence over the relative rank of the last
-letter (``gramcalc._transfer``), in time polynomial in n.  ``stat_profile``
-is the one definition of the statistics; brute force over S_n with it is the
-test oracle for the recurrence.
+letter (``gramcalc._transfer``), in time polynomial in n.  One pass of it is
+grown per process, up to the largest n asked for (at most ``MAX_N``), and
+keeps the state totals of every level it passed; a table only classifies the
+totals of its level, so no table is cached here, and every call returns a new
+``counts`` dict that the caller may change.  ``stat_profile`` is the one
+definition of the statistics; brute force over S_n with it is the test oracle
+for the recurrence.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from . import _transfer as _kernel
+from . import _transfer
 from ._names import MAX_N, TABLE_KINDS, TRIANGLES
 
 if TYPE_CHECKING:
     from .laurent import LaurentPolynomial
 
-#: There is no compiled table engine; benchmark environment stamps read this.
+#: Kept only for ``perfbench``, whose environment stamp and tracer read these two
+#: names: there is no compiled table engine, and ``_kernel.count_table`` is the
+#: transfer pass's entry point.
 KERNEL_IS_COMPILED = False
+_kernel = _transfer
 
 KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ = TABLE_KINDS
 
@@ -97,11 +103,6 @@ def stat_profile(values: Sequence[int]) -> StatProfile:
     )
 
 
-@lru_cache(maxsize=None)
-def _counts(n: int, kind: str) -> dict[tuple[int, ...], int]:
-    return _kernel.count_table(n, kind)
-
-
 def stat_table(n: int, kind: str) -> StatTable:
     """Count the statistic key of every permutation of {1..n}.
 
@@ -119,7 +120,7 @@ def stat_table(n: int, kind: str) -> StatTable:
         if kind != KIND_EXTERIOR_PDD:
             raise ValueError(f"{kind} tables start at n = 1")
         return StatTable(n=0, kind=kind, counts={(0, 0): 1})
-    return StatTable(n=n, kind=kind, counts=dict(_counts(n, kind)))
+    return StatTable(n=n, kind=kind, counts=_transfer.count_table(n, kind))
 
 
 def table_to_poly(table: StatTable) -> LaurentPolynomial:

@@ -250,6 +250,68 @@ def test_series_duplicate_point_coordinate(capsys):
     assert "'x'" in err
 
 
+@pytest.mark.parametrize(
+    "point, root, bad",
+    [
+        ("x=-12345678901/2", "1/2", "'-12345678901/2' in --point"),
+        ("x=3/40000000000", "1/2", "'3/40000000000' in --point"),
+        ("x=0.00000000001", "1/2", "'0.00000000001' in --point"),
+        ("x=3/4", "12345678901/2", "'12345678901/2' in --root"),
+    ],
+)
+def test_series_point_digits_bounded(capsys, point, root, bad):
+    code, out, err = run(capsys, "series", "--which", "gessel_T", "--point", point, "--root", root)
+    assert code == 1
+    assert out == ""
+    assert f"bad rational {bad}: more than 10 digits (cli.MAX_POINT_DIGITS)" in err
+
+
+def test_series_point_digits_at_the_bound(capsys):
+    # r = 99991/99989: x = 1 - r^2 = -399960/9997800121 has a 10-digit denominator
+    code, out, err = run(
+        capsys, "series", "--which", "gessel_T",
+        "--point", "x=-399960/9997800121", "--root", "99991/99989", "--order", "3",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["t^0: 1", "t^1: 1"]
+
+
+def _format_fails(original, good):
+    """A method that works ``good`` times and then raises as Python's
+    4300-digit int-to-string limit does."""
+    calls = iter(range(good))
+
+    def method(self):
+        if next(calls, None) is None:
+            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+        return original(self)
+
+    return method
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--which", "no_pdd_U0", "--order", "12"),
+        ("series", "--which", "no_pdd_U0", "--order", "12", "--egf", "--format", "json"),
+    ],
+)
+def test_series_failing_partway_writes_no_stdout(monkeypatch, capsys, argv):
+    from fractions import Fraction
+
+    monkeypatch.setattr(Fraction, "__str__", _format_fails(Fraction.__str__, 5))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "4300 digits" in err
+
+
+def test_verify_failing_partway_writes_no_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(CheckReport, "summary_line", _format_fails(CheckReport.summary_line, 2))
+    code, out, err = run(capsys, "verify")
+    assert (code, out) == (1, "")
+    assert "4300 digits" in err
+
+
 def test_series_no_pdd_rejects_point(capsys):
     code, out, err = run(
         capsys, "series", "--which", "no_pdd_U0", "--point", "x=1", "--order", "3"

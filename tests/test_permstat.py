@@ -122,6 +122,19 @@ def test_table_n0_conventions():
         stat_table(0, KIND_CARLITZ)
 
 
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_table_counts_are_the_callers_own(n):
+    kinds = (KIND_EXTERIOR_PDD,) if n == 0 else TABLE_KINDS
+    for kind in kinds:
+        before = dict(stat_table(n, kind).counts)
+        mutated = stat_table(n, kind).counts
+        mutated[next(iter(mutated))] += 1
+        mutated[(99, 99)] = 7
+        assert stat_table(n, kind).counts == before, kind
+        mutated.clear()
+        assert stat_table(n, kind).counts == before, kind
+
+
 def test_table_cap():
     for kind in TABLE_KINDS:
         with pytest.raises(ValueError, match="exceeds the limit 25"):
