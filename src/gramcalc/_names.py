@@ -11,6 +11,14 @@ parser without importing any leg.
 #: order has a table to check it.
 MAX_N = 25
 
+#: The most work the derivatives of one request may take.  Before each step,
+#: the term products it may form (terms times the image terms of their ruled
+#: variables) are charged one unit per variable plus 8, as a product's
+#: coefficient and dict update cost about as much as 8 exponents.  At this
+#: limit the slowest request found took about 3 s (2-vCPU VM, Python 3.11),
+#: whatever the number of variables; the builtins use under 1 % of it.
+MAX_DERIVE_WORK = 30_000_000
+
 BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")
 
 TABLE_KINDS = ("exterior_pdd", "peak_dd", "carlitz_quadruple")

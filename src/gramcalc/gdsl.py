@@ -113,16 +113,10 @@ class _TokenStream:
         return token
 
     def expect(self, kind: str) -> _Token:
-        token = self.next()
-        if token is None:
-            raise GrammarSyntaxError(
-                f"expected {kind!r} but the line ended", self.line_no,
-                self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1,
-            )
-        if token.kind != kind:
-            raise GrammarSyntaxError(
-                f"expected {kind!r}, found {token.text!r}", token.line, token.column
-            )
+        token = self.peek()
+        if token is None or token.kind != kind:
+            raise self.fail(f"expected {kind!r}")
+        self.pos += 1
         return token
 
     def fail(self, message: str) -> GrammarSyntaxError:
@@ -183,6 +177,7 @@ def _parse_term(stream: _TokenStream, allowed: set[str] | None) -> tuple[Fractio
 
 
 def _parse_poly(stream: _TokenStream, allowed: set[str] | None) -> LaurentPolynomial:
+    """A polynomial that runs to the end of the line."""
     if stream.peek() is None:
         raise stream.fail("expected a polynomial")
     terms = []
@@ -205,14 +200,7 @@ def _parse_poly(stream: _TokenStream, allowed: set[str] | None) -> LaurentPolyno
 
 def parse_poly(text: str, allowed: set[str] | None = None, line_no: int = 1) -> LaurentPolynomial:
     """Parse a standalone polynomial written in the DSL term syntax."""
-    stream = _TokenStream(_tokenize(text, line_no), line_no)
-    poly = _parse_poly(stream, allowed)
-    token = stream.peek()
-    if token is not None:
-        raise GrammarSyntaxError(
-            f"trailing input {token.text!r}", token.line, token.column
-        )
-    return poly
+    return _parse_poly(_TokenStream(_tokenize(text, line_no), line_no), allowed)
 
 
 def parse_grammar(text: str) -> GrammarSpec:

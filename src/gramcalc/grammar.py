@@ -1,4 +1,4 @@
-"""The formal derivative attached to a substitution grammar.
+"""Substitution grammars and the formal derivative they define.
 
 A grammar here is a finite map sending each variable to a Laurent polynomial
 (its substitution image).  The derivative ``D`` is the unique linear operator
@@ -6,28 +6,20 @@ on Laurent polynomials that satisfies the product rule and agrees with the
 grammar on variables.  Variables carried by the grammar's ``inert`` set, and
 any variable with no rule at all, behave as constants (``D(v) = 0``).
 
-On a single term the derivative is computed directly from the product rule,
-
-    D(c * prod v^e_v) = c * sum_v e_v * v^(e_v - 1) * rule(v) * prod_{u != v} u^e_u,
-
-which also handles negative exponents: the ``e_v`` factor reproduces
-``D(v^-1) = -v^-2 * D(v)`` without special casing.
-
-``derive`` and ``derive_n`` share one step that applies this rule in integer
-arithmetic on dense exponent tuples: the start word and the rule images are
-taken as integer numerators over their common denominators, the partial
-terms are summed into one ``{exponents: int}`` map, and each derivative is
-handed out as a polynomial over the grown denominator.
+This module holds the grammar's semantics: the rule record, the builtin
+grammars, and the bounds on a request.  The product-rule step itself is ring
+arithmetic and lives in ``laurent.derivatives``; ``derive``, ``derive_n`` and
+every other caller take their steps from ``_derive_steps``, which refuses a
+request past ``MAX_N`` orders or ``MAX_DERIVE_WORK``.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add
 from typing import Mapping, NamedTuple
 
-from ._names import BUILTIN_GRAMMAR_NAMES, MAX_N
-from .laurent import LaurentPolynomial, check_variable_name, dot
+from ._names import BUILTIN_GRAMMAR_NAMES, MAX_DERIVE_WORK, MAX_N
+from .laurent import LaurentPolynomial, check_variable_name, derivatives, dot
 
 
 class _GrammarFields(NamedTuple):
@@ -96,48 +88,26 @@ class DerivativeSequence(NamedTuple):
 
 
 def _derive_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolynomial]:
-    """``D^0(p) .. D^n(p)``, each step in integer arithmetic.
-
-    Every polynomial is taken as integer numerators on exponent tuples over
-    one sorted variable tuple: the variables of ``p`` and of all rule images.
-    ``D^k(p)`` is kept over the denominator ``den * rden^k``, where ``den``
-    and ``rden`` are the common denominators of the start word and of all
-    rule images.  A rule for the variable at position ``i`` is stored as its
-    image's exponent vectors minus the unit vector ``i``, so the product
-    rule adds that shift to the term's vector and scales by the exponent.
-    """
-    names = p.variables().union(*(image.variables() for image in g.rules.values()))
-    names = tuple(sorted(names))
-    images = {
-        names.index(var): image.dense(names)
-        for var, image in g.rules.items()
-        if var in names and not image.is_zero()
-    }
-    rden = math.lcm(*(d for _, d in images.values()))
-    rules = [
-        (i, [
-            (tuple([e - (j == i) for j, e in enumerate(key)]), c * (rden // d))
-            for key, c in terms.items()
-        ])
-        for i, (terms, d) in sorted(images.items())
-    ]
-    terms, den = p.dense(names)
-    items = [p]
-    for _ in range(n):
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for key, coeff in terms.items():
-            for i, image in rules:
-                exp = key[i]
-                if not exp:
-                    continue
-                scale = coeff * exp
-                for shift, c in image:
-                    k = tuple(map(add, key, shift))
-                    out[k] = get(k, 0) + scale * c
-        terms = {k: c for k, c in out.items() if c}
-        den *= rden
-        items.append(LaurentPolynomial.from_dense(names, terms, den))
+    """``D^0(p) .. D^n(p)``, refused before the step whose work, added to that
+    of the steps before it, passes ``MAX_DERIVE_WORK`` (see ``_names``)."""
+    if n < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if n > MAX_N:
+        raise ValueError(f"derivative order {n} exceeds the limit {MAX_N}")
+    width = len(p.variables().union(*(image.variables() for image in g.rules.values())))
+    steps = derivatives(p, g.rules)
+    items = [next(steps)]
+    work = 0
+    for order in range(1, n + 1):
+        last = items[-1]
+        products = len(last) * sum(len(g.rules.get(v, ())) for v in last.variables())
+        work += products * (width + 8)
+        if work > MAX_DERIVE_WORK:
+            raise ValueError(
+                f"derivative order {order} needs up to {work} units of work, "
+                f"over the limit {MAX_DERIVE_WORK} (grammar.MAX_DERIVE_WORK)"
+            )
+        items.append(next(steps))
     return items
 
 
@@ -148,10 +118,6 @@ def derive(p: LaurentPolynomial, g: Grammar) -> LaurentPolynomial:
 
 def derive_n(p: LaurentPolynomial, g: Grammar, n: int) -> DerivativeSequence:
     """Compute ``D^0(p) .. D^n(p)`` by iterated single derivatives, n <= MAX_N."""
-    if n < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if n > MAX_N:
-        raise ValueError(f"derivative order {n} exceeds the limit {MAX_N}")
     return DerivativeSequence(start=p, items=tuple(_derive_steps(p, g, n)), grammar=g)
 
 

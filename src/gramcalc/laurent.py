@@ -14,9 +14,12 @@ zero, every listed variable has a nonzero exponent in some term, and the
 numerators and the denominator are coprime.  Equality is therefore plain
 field equality.  Operations on polynomials over different variables first
 re-embed both into the union of their variables; products, powers, sums,
-evaluation and substitution run in integer arithmetic.  Callers that work on
-integer terms themselves use ``LaurentPolynomial.from_dense`` and
-``LaurentPolynomial.dense``, and ``dot`` sums many products into one dict.
+evaluation and substitution run in integer arithmetic.  ``dot`` sums many
+products into one dict, and ``derivatives`` iterates a derivation of the
+ring (the formal derivative of a grammar) on the same integer terms, so no
+other module reads a polynomial's exponent tuples.
+``LaurentPolynomial.from_dense`` is the one constructor that takes integer
+terms from outside.
 
 ``Fraction`` appears only at the edge.  ``items()`` and ``coefficient()``
 give ``Fraction`` coefficients on monomials, where a monomial is a tuple of
@@ -172,18 +175,6 @@ class LaurentPolynomial:
 
     def variables(self) -> frozenset[str]:
         return frozenset(self._vars)
-
-    def dense(self, variables: tuple[str, ...]) -> tuple[dict[Exponents, int], int]:
-        """Integer numerators on exponent tuples over ``variables``, and the denominator.
-
-        ``variables`` must be sorted and include every variable of ``self``.
-        The dict may be shared with ``self``: do not modify it.
-        """
-        if variables != self._vars and (
-            not set(self._vars) <= set(variables) or list(variables) != sorted(variables)
-        ):
-            raise ValueError(f"cannot embed {self._vars!r} into {variables!r}")
-        return _embed(self, variables), self._den
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         """The coefficient of the given monomial (0 if absent)."""
@@ -419,6 +410,50 @@ def dot(
                 k = tuple(map(add, ka, kb))
                 num[k] = get(k, 0) + ca * cb
     return _make(names, {k: c for k, c in num.items() if c}, den)
+
+
+def derivatives(
+    p: LaurentPolynomial, rules: Mapping[str, LaurentPolynomial]
+) -> Iterator[LaurentPolynomial]:
+    """``D^0(p), D^1(p), ...`` for the derivation ``D`` with ``D(v) = rules[v]``.
+
+    ``D`` is linear, obeys the product rule and sends a variable without a
+    rule to 0.  On one term, with no special case for negative exponents,
+
+        D(c * prod v^e_v) = c * sum_v e_v * v^(e_v - 1) * rules[v] * prod_{u != v} u^e_u.
+
+    The image of the variable at position ``i`` is kept as its exponent
+    vectors minus the unit vector ``i``, over the images' common denominator
+    ``rden``: a step adds that shift to a term's vector and scales by the
+    exponent, and ``D^k(p)`` is held over ``p``'s denominator times ``rden^k``.
+    """
+    yield p
+    names = _union([p, *rules.values()])
+    images = sorted((names.index(v), r) for v, r in rules.items() if v in names and r._num)
+    rden = lcm(*(image._den for _, image in images))
+    shifted = [
+        (i, [
+            (tuple([e - (j == i) for j, e in enumerate(key)]), c * (rden // image._den))
+            for key, c in _embed(image, names).items()
+        ])
+        for i, image in images
+    ]
+    num, den = _embed(p, names), p._den
+    while True:
+        out: dict[Exponents, int] = {}
+        get = out.get
+        for key, coeff in num.items():
+            for i, image in shifted:
+                exp = key[i]
+                if not exp:
+                    continue
+                scale = coeff * exp
+                for shift, c in image:
+                    k = tuple(map(add, key, shift))
+                    out[k] = get(k, 0) + scale * c
+        num = {k: c for k, c in out.items() if c}
+        den *= rden
+        yield _make(names, num, den)
 
 
 def _union(polys: Iterable[LaurentPolynomial]) -> tuple[str, ...]:

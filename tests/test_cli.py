@@ -75,6 +75,36 @@ def test_derive_missing_start(capsys):
     assert "start" in err
 
 
+def test_derive_missing_order(tmp_path, capsys):
+    path = tmp_path / "no_n.gram"
+    path.write_text(MAIN_GRAMMAR_TEXT.replace("n: 4\n", ""), encoding="utf-8")
+    code, out, err = run(capsys, "derive", "--grammar", str(path))
+    assert (code, out) == (1, "")
+    assert err == "gramcalc: error: no order: pass --n or add 'n:' to the .gram file\n"
+
+
+# Every rule is v -> v*(a + ... + h), so D^n(a) holds each of the
+# C(n + 8, 7) monomials of degree n + 1: about three times the work every
+# two orders, while every n up to MAX_N = 25 passes the order check.
+WIDE_GRAMMAR_TEXT = "vars: a b c d e f g h\n" + "".join(
+    f"rule {v} -> " + " + ".join(f"{v}*{u}" for u in "abcdefgh") + "\n" for v in "abcdefgh"
+)
+
+
+def test_derive_work_is_bounded(tmp_path, capsys):
+    path = tmp_path / "wide.gram"
+    path.write_text(WIDE_GRAMMAR_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, "derive", "--grammar", str(path), "--start", "a", "--n", "25")
+    assert (code, out) == (1, "")
+    assert err == (
+        "gramcalc: error: derivative order 11 needs up to 44807296 units of work, "
+        "over the limit 30000000 (grammar.MAX_DERIVE_WORK)\n"
+    )
+    code, out, _ = run(capsys, "derive", "--grammar", str(path), "--start", "a", "--n", "6")
+    assert code == 0
+    assert len(out.split(" + ")) == 1716
+
+
 def test_derive_undeclared_start_variable(capsys):
     code, _, err = run(
         capsys, "derive", "--grammar", "paper_G", "--start", "q", "--n", "1"
@@ -183,6 +213,12 @@ def test_series_inadmissible_point(capsys):
     )
     assert code == 1
     assert "squared" in err
+
+
+def test_series_root_without_point(capsys):
+    code, out, err = run(capsys, "series", "--which", "gessel_T", "--root", "1/2")
+    assert (code, out) == (1, "")
+    assert err == "gramcalc: error: --root given without --point\n"
 
 
 def test_series_bad_point_syntax(capsys):

@@ -81,6 +81,52 @@ def test_syntax_error_carries_location():
     assert exc.value.column == 15
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("vars x\n", "expected ':', found 'x'", 1, 6),
+        ("vars: x\nrule x -> x*\n", "expected 'ident' at end of line", 2, 13),
+        ("vars: x\nrule x ->\n", "expected a polynomial at end of line", 2, 10),
+        ("vars: x\nrule x -> x y\n", "expected '+' or '-' between terms, found 'y'", 2, 13),
+        ("vars: x\nrule x -> x\nn: 4 5\n", "trailing input '5'", 3, 6),
+        ("vars: x\nrule x -> x\nstart: x\nstart: x\n", "duplicate 'start:' line", 4, 1),
+        ("vars: x\nrule x -> x\nn: 2\n  n: 3\n", "duplicate 'n:' line", 4, 3),
+        (
+            "vars: x\nrules x -> x\n",
+            "expected 'vars:', 'inert:', 'rule', 'start:' or 'n:', found 'rules'",
+            2,
+            1,
+        ),
+    ],
+    ids=[
+        "expected_token", "token_at_end", "poly_at_end", "between_terms", "trailing",
+        "duplicate_start", "duplicate_n", "unknown_line",
+    ],
+)
+def test_grammar_rejections_carry_message_and_location(text, message, line, column):
+    with pytest.raises(GrammarSyntaxError) as exc:
+        parse_grammar(text)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("", "expected a polynomial at end of line", 1),
+        ("x +", "expected 'ident' at end of line", 4),
+        ("x y", "expected '+' or '-' between terms, found 'y'", 3),
+        ("x ^ y", "expected 'int', found 'y'", 5),
+    ],
+    ids=["poly_at_end", "token_at_end", "between_terms", "expected_token"],
+)
+def test_poly_rejections_carry_message_and_location(text, message, column):
+    with pytest.raises(GrammarSyntaxError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == f"line 1, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
 def test_juxtaposition_rejected():
     with pytest.raises(GrammarSyntaxError):
         parse_poly("2x")

@@ -63,6 +63,27 @@ def test_derive_order_limits():
     assert derive_n(Z, G, 25).order() == 25
 
 
+def test_derive_work_limit_is_exact(monkeypatch):
+    import gramcalc.grammar as grammar_module
+
+    # eulerian rules each have one term, and each request runs over x and y,
+    # so a step from D^k(x) is charged len(D^k(x)) * |vars of D^k(x)| * (2 + 8).
+    g = builtin_grammar("eulerian")
+    items = derive_n(X, g, 5).items
+    work = sum(len(p) * len(p.variables()) * 10 for p in items[:5])
+    monkeypatch.setattr(grammar_module, "MAX_DERIVE_WORK", work)
+    assert derive_n(X, g, 5).items == items
+    monkeypatch.setattr(grammar_module, "MAX_DERIVE_WORK", work - 1)
+    with pytest.raises(ValueError) as exc:
+        derive_n(X, g, 5)
+    assert str(exc.value) == (
+        f"derivative order 5 needs up to {work} units of work, "
+        f"over the limit {work - 1} (grammar.MAX_DERIVE_WORK)"
+    )
+    assert derive_n(X, g, 4).items == items[:5]
+    assert derive(X, g) == items[1]
+
+
 def test_builtin_rules():
     assert G.rules["w"] == X * Z
     assert G.rules["x"] == X * Y

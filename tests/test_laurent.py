@@ -109,6 +109,21 @@ def test_from_dense_rejects_exponent_tuples_of_the_wrong_length(variables, key):
     with pytest.raises(ValueError, match="exponent tuple"):
         LP.from_dense(variables, {(0,) * len(variables): 1, key: 1})
 
+
+@pytest.mark.parametrize(
+    "variables, denominator, message",
+    [
+        (("x", "x"), 1, "variables ('x', 'x') are not distinct"),
+        (("x", "y"), 0, "the denominator must be positive"),
+        (("x", "y"), -2, "the denominator must be positive"),
+    ],
+    ids=["repeated_variable", "zero_denominator", "negative_denominator"],
+)
+def test_from_dense_rejects_bad_variables_and_denominators(variables, denominator, message):
+    with pytest.raises(ValueError) as exc:
+        LP.from_dense(variables, {(1, 0): 1}, denominator)
+    assert str(exc.value) == message
+
 # -- products and powers ------------------------------------------------------
 
 def test_laurent_cancellation():

@@ -139,6 +139,8 @@ def test_table_cap():
     for kind in TABLE_KINDS:
         with pytest.raises(ValueError, match="exceeds the limit 25"):
             stat_table(26, kind)
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            stat_table(-1, kind)
         assert sum(stat_table(25, kind).counts.values()) == factorial(25)
 
 

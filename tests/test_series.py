@@ -84,6 +84,22 @@ def test_negative_series_order_rejected(make):
     with pytest.raises(ValueError, match="^series order must be nonnegative$"):
         make()
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TruncatedSeries(RATIONALS, []), "a truncated series needs at least the t^0 coefficient"),
+        (lambda: TruncatedSeries(LAURENT, ()), "a truncated series needs at least the t^0 coefficient"),
+        (lambda: exp_series(2, 3) * exp_series(X, 3, LAURENT), "series rings differ (rationals vs laurent)"),
+        (lambda: exp_series(2, 3).truncate(5), "cannot extend order 3 to 5"),
+    ],
+    ids=["empty", "laurent_empty", "rings_differ", "extend"],
+)
+def test_malformed_series_requests_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError, match="orders differ"):
         rational_series(1, 2) * rational_series(1, 2, 3)
