@@ -2,8 +2,8 @@
 
 Each leg re-exports its own constants from here under its public name
 (``grammar.MAX_N``, ``permstat.TABLE_KINDS``, ``series.CLOSED_FORMS``,
-``verify.CHECK_IDS`` and so on), so that ``cli`` can build its argument
-parser without importing any leg.
+``verify.CHECK_IDS``, ``gdsl.MAX_VARIABLES`` and so on), so that ``cli`` can
+list its options and their choices without importing any leg.
 """
 
 #: Iterated derivatives grow factorially, so this is the largest derivative
@@ -18,6 +18,13 @@ MAX_N = 25
 #: limit the slowest request found took about 3 s (2-vCPU VM, Python 3.11),
 #: whatever the number of variables; the builtins use under 1 % of it.
 MAX_DERIVE_WORK = 30_000_000
+
+#: The most variables a ``.gram`` document declares or a polynomial written
+#: in its term syntax uses.  Every term stores one exponent per variable of
+#: its polynomial, so a word of N one-variable terms costs N^2 integers; at
+#: this limit such a word parses and derives once in about 5 ms (2-vCPU VM,
+#: Python 3.11), and the builtins use at most 4.
+MAX_VARIABLES = 64
 
 BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")
 

@@ -6,9 +6,9 @@ stderr), 2 when a verification check fails.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -33,59 +33,157 @@ class CliError(Exception):
     pass
 
 
-class _Done(Exception):
-    """``--help`` or ``--version`` printed its text; ``args[0]`` is the status."""
+#: Each command's help and options.  An option maps to its type (``str``,
+#: ``int``, ``bool`` for a flag, or the tuple of values it accepts), its
+#: default, whether it is required, and its help.
+_COMMANDS = {
+    "derive": ("print an iterated formal derivative", {
+        "--grammar": (str, None, True, f"{', '.join(BUILTIN_GRAMMAR_NAMES)} or a .gram file"),
+        "--start": (str, None, False, "start word (DSL term syntax)"),
+        "--n": (int, None, False, "derivative order"),
+        "--format": (("text", "json"), "text", False, "output format"),
+    }),
+    "table": ("print a permutation statistic table", {
+        "--kind": (TABLE_KINDS, None, True, "the statistics the table counts"),
+        "--n": (int, None, True, "permutations of 1..n"),
+        "--triangle": (TRIANGLES, None, False, "print this marginal triangle, not the table"),
+        "--format": (("text", "json", "csv"), "text", False, "output format"),
+    }),
+    "series": ("expand a closed-form series exactly", {
+        "--which": (CLOSED_FORMS, None, True, "the closed form"),
+        "--point": (str, None, False, "comma list of var=rational, e.g. x=4,y=2,z=1,w=3"),
+        "--root": (str, None, False, "exact square root of the discriminant"),
+        "--order": (int, 12, False, "the last power of t"),
+        "--egf": (bool, False, False, "print n! times the coefficients, not the coefficients"),
+        "--format": (("text", "json"), "text", False, "output format"),
+    }),
+    "verify": ("run the verification suite", {
+        "--check": (CHECK_IDS, None, False, "run one check only"),
+        "--max-n": (int, 8, False, "the largest n the derivative checks compare"),
+        "--order": (int, 12, False, "the largest order the closed forms are compared to"),
+        "--format": (("text", "json"), "text", False, "output format"),
+    }),
+}
+
+_HELP = ("-h", "--help")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep argparse from sys.exiting with status 2
-        raise CliError(message)
+def _read(arg: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """None if ``arg`` is a value, else the option of ``names`` it names (None
+    if none) and the text after its ``=``.  An option may be shortened to a
+    unique prefix; a value may begin with ``-`` only if it is a negative
+    number or holds a space."""
+    if arg[:1] != "-" or len(arg) == 1:
+        return None
+    head, eq, tail = arg.partition("=")
+    if arg in names or eq and head in names:
+        return head, tail if eq else None
+    if arg[1] == "-":
+        found = [(name, tail if eq else None) for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise CliError(f"ambiguous option: {arg} could match {', '.join(n for n, _ in found)}")
+        if found:
+            return found[0]
+    elif arg[1] == "h":  # -hh is -h -h
+        return "-h", arg[2:]
+    # argparse's ^-\d+$|^-\d*\.\d+$, where $ also matches before a last newline
+    whole, dot, part = arg[1:].removesuffix("\n").partition(".")
+    if (whole.isdecimal() or dot and not whole) and (part.isdecimal() or not dot) or " " in arg:
+        return None
+    return None, None
 
-    def exit(self, status=0, message=None):  # --help/--version return from main
-        raise _Done(status)
+
+def _scan(args: list[str], names: tuple[str, ...]) -> list:
+    """``_read`` of every argument before any is acted on; after ``--``, every
+    argument is a value, and ``--`` itself is neither a value nor an option."""
+    cut = args.index("--") if "--" in args else len(args)
+    reads = [_read(arg, names) for arg in args[:cut]]
+    return reads + [("--", None)] * (cut < len(args)) + [None] * (len(args) - cut - 1)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gramcalc", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"gramcalc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _flag(name: str, explicit: str | None) -> None:
+    if explicit is not None and not (name == "-h" and explicit and not explicit.strip("h")):
+        raise CliError(f"argument {name}: ignored explicit argument {explicit!r}")
 
-    p_derive = sub.add_parser("derive", help="print an iterated formal derivative")
-    p_derive.add_argument(
-        "--grammar", required=True,
-        help=f"builtin name ({', '.join(BUILTIN_GRAMMAR_NAMES)}) or a .gram file",
-    )
-    p_derive.add_argument("--start", help="start word (DSL term syntax)")
-    p_derive.add_argument("--n", type=int, help="derivative order")
-    p_derive.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_table = sub.add_parser("table", help="print a permutation statistic table")
-    p_table.add_argument("--kind", required=True, choices=TABLE_KINDS)
-    p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument(
-        "--triangle", choices=TRIANGLES,
-        help="print this marginal triangle instead of the full table",
-    )
-    p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _value(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise CliError(f"argument {name}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise CliError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    return text
 
-    p_series = sub.add_parser("series", help="expand a closed-form series exactly")
-    p_series.add_argument("--which", required=True, choices=CLOSED_FORMS)
-    p_series.add_argument("--point", help="comma list of var=rational, e.g. x=4,y=2,z=1,w=3")
-    p_series.add_argument("--root", help="exact square root of the discriminant")
-    p_series.add_argument("--order", type=int, default=12)
-    p_series.add_argument(
-        "--egf", action="store_true",
-        help="print n! times the coefficients instead of the raw coefficients",
-    )
-    p_series.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--check", choices=CHECK_IDS, help="run one check only")
-    p_verify.add_argument("--max-n", type=int, default=8)
-    p_verify.add_argument("--order", type=int, default=12)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The command and its option values, or the text ``--help`` or ``--version``
+    asks for.  Each option acts where it stands, so an error before ``--help``
+    wins over it; the last value given for an option wins."""
+    extras, reads = [], _scan(argv, (*_HELP, "--version"))
+    for at, (arg, read) in enumerate(zip(argv, reads)):
+        if read is None or read[0] == "--":
+            break
+        if read[0] is None:
+            extras.append(arg)
+            continue
+        _flag(*read)
+        return _help(None) if read[0] in _HELP else f"gramcalc {__version__}"
+    else:
+        raise CliError("the following arguments are required: command")
+    command, args = argv[at], argv[at + 1:]
+    if command not in _COMMANDS:
+        choices = ", ".join(_COMMANDS)
+        raise CliError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    options = _COMMANDS[command][1]
+    values = {name[2:].replace("-", "_"): spec[1] for name, spec in options.items()}
+    given, reads, at = set(), _scan(args, (*_HELP, *options)), 0
+    while at < len(args):
+        name, explicit = reads[at] or (None, None)
+        at += 1
+        if name in _HELP:
+            _flag(name, explicit)
+            return _help(command)
+        if name not in options:  # a value, "--" or an unknown option
+            extras.append(args[at - 1])
+            continue
+        kind = options[name][0]
+        if kind is bool:
+            _flag(name, explicit)
+        elif explicit is None:
+            if at == len(args) or reads[at] is not None:
+                raise CliError(f"argument {name}: expected one argument")
+            explicit, at = args[at], at + 1
+        values[name[2:].replace("-", "_")] = True if kind is bool else _value(name, kind, explicit)
+        given.add(name)
+    missing = [name for name, spec in options.items() if spec[2] and name not in given]
+    if missing:
+        raise CliError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise CliError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **values)
 
-    return parser
+
+def _help(command: str | None) -> str:
+    """The ``--help`` text of ``command``, or of ``gramcalc`` itself."""
+    rows = [("-h, --help", "show this help text and exit")]
+    if command is None:
+        about, heading = (__doc__ or "").strip(), "commands and options"
+        rows[:0] = [(name, text) for name, (text, _) in _COMMANDS.items()]
+        rows.append(("--version", "print the version and exit"))
+    else:
+        (about, options), heading = _COMMANDS[command], "options"
+        metavars = {bool: "", int: " N", str: " TEXT"}
+        for name, (kind, default, required, text) in options.items():
+            metavar = f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else metavars[kind]
+            note = " (required)" if required else f" (default: {default})" if default else ""
+            rows.append((name + metavar, text + note))
+    lines = [f"usage: gramcalc {command or 'COMMAND'} [OPTION ...]", "", about, "", f"{heading}:"]
+    for flag, text in rows:
+        lines += [f"  {flag}", f"      {text}"]
+    return "\n".join(lines)
 
 
 def _load_grammar(source: str) -> tuple[Grammar, GrammarSpec | None]:
@@ -247,17 +345,14 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     commands = {
         "derive": _cmd_derive, "table": _cmd_table, "series": _cmd_series, "verify": _cmd_verify,
     }
     try:
-        args = parser.parse_args(argv)
-        status, lines = commands[args.command](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        status, lines = (0, [args]) if isinstance(args, str) else commands[args.command](args)
         sys.stdout.write("".join(f"{line}\n" for line in lines))
         return status
-    except _Done as done:
-        return done.args[0]
     except (CliError, ValueError, OSError) as exc:  # InadmissiblePointError is a ValueError
         print(f"gramcalc: error: {exc}", file=sys.stderr)
         return 1

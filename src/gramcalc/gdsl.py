@@ -14,7 +14,9 @@ Polynomials are sums of terms.  A term is an optional rational coefficient
 the exponent is a possibly negative integer.  Multiplication is always
 explicit and there are no parentheses, so ``-2/3*x^-1*y^2 + z`` parses while
 ``2x`` and ``(x+y)^2`` do not.  Every variable used in a rule image or in the
-start word must be declared under ``vars:`` or ``inert:``.
+start word must be declared under ``vars:`` or ``inert:``.  A document declares,
+and a polynomial uses, at most ``MAX_VARIABLES`` (64) variables: every term
+stores one exponent per variable of its polynomial.
 
 All rejections carry the line number and the offending token.
 """
@@ -25,6 +27,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._names import MAX_VARIABLES
 from .grammar import Grammar
 from .laurent import LaurentPolynomial, monomial
 
@@ -138,8 +141,13 @@ def _parse_integer(stream: _TokenStream) -> int:
     return -value if negative else value
 
 
-def _parse_term(stream: _TokenStream, allowed: set[str] | None) -> tuple[Fraction, dict[str, int]]:
-    """One signless term: an optional coefficient and its variable factors."""
+def _parse_term(
+    stream: _TokenStream, allowed: set[str] | None, seen: set[str]
+) -> tuple[Fraction, dict[str, int]]:
+    """One signless term: an optional coefficient and its variable factors.
+
+    ``seen`` collects the variables of the polynomial so far.
+    """
     coeff = Fraction(1)
     exponents: dict[str, int] = {}
     token = stream.peek()
@@ -165,6 +173,9 @@ def _parse_term(stream: _TokenStream, allowed: set[str] | None) -> tuple[Fractio
             raise GrammarSyntaxError(
                 f"undeclared variable '{token.text}'", token.line, token.column
             )
+        seen.add(token.text)
+        if len(seen) > MAX_VARIABLES:
+            raise _too_many_variables(token)
         exp = 1
         if stream.peek() is not None and stream.peek().kind == "^":
             stream.next()
@@ -176,18 +187,25 @@ def _parse_term(stream: _TokenStream, allowed: set[str] | None) -> tuple[Fractio
         return coeff, exponents
 
 
+def _too_many_variables(token: _Token) -> GrammarSyntaxError:
+    return GrammarSyntaxError(
+        f"more than {MAX_VARIABLES} variables (gdsl.MAX_VARIABLES)", token.line, token.column
+    )
+
+
 def _parse_poly(stream: _TokenStream, allowed: set[str] | None) -> LaurentPolynomial:
     """A polynomial that runs to the end of the line."""
     if stream.peek() is None:
         raise stream.fail("expected a polynomial")
     terms = []
+    seen: set[str] = set()
     sign = 1
     token = stream.peek()
     if token.kind in ("+", "-"):
         stream.next()
         sign = -1 if token.kind == "-" else 1
     while True:
-        coeff, exponents = _parse_term(stream, allowed)
+        coeff, exponents = _parse_term(stream, allowed, seen)
         terms.append((monomial(exponents), sign * coeff))
         token = stream.peek()
         if token is None:
@@ -221,6 +239,8 @@ def parse_grammar(text: str) -> GrammarSpec:
                 raise GrammarSyntaxError(
                     f"variable '{token.text}' declared twice", token.line, token.column
                 )
+            if len(declared) + len(inert) == MAX_VARIABLES:
+                raise _too_many_variables(token)
             into.append(token.text)
             declared_lines[token.text] = token.line
 

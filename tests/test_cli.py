@@ -105,6 +105,40 @@ def test_derive_work_is_bounded(tmp_path, capsys):
     assert len(out.split(" + ")) == 1716
 
 
+def _no_polynomials(monkeypatch):
+    """Make building any LaurentPolynomial fail the test."""
+    from gramcalc.laurent import LaurentPolynomial
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(LaurentPolynomial, "__init__", refuse)
+
+
+def test_derive_variable_count_is_bounded(tmp_path, capsys, monkeypatch):
+    # Every term stores one exponent per variable of its polynomial, so a
+    # start word of N one-variable terms costs N^2 integers, and inert
+    # variables need no rule line.  At N = 2000 this took 0.6 s and 48 MiB.
+    inert = " ".join(f"v{i}" for i in range(2000))
+    path = tmp_path / "inert.gram"
+    start = inert.replace(" ", " + ")
+    path.write_text(f"vars: x\ninert: {inert}\nrule x -> x\nstart: x + {start}\n")
+    _no_polynomials(monkeypatch)
+    code, out, err = run(capsys, "derive", "--grammar", str(path), "--n", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("gramcalc: error: line 2, column ")
+    assert err.endswith(": more than 64 variables (gdsl.MAX_VARIABLES)\n")
+
+
+def test_derive_variable_count_at_the_bound(tmp_path, capsys):
+    inert = [f"v{i}" for i in range(63)]
+    path = tmp_path / "inert.gram"
+    path.write_text(f"vars: x\ninert: {' '.join(inert)}\nrule x -> x\nstart: x*{'*'.join(inert)}\n")
+    code, out, err = run(capsys, "derive", "--grammar", str(path), "--n", "2")
+    assert (code, err) == (0, "")
+    assert out == f"x*{'*'.join(inert)}\n"
+
+
 def test_derive_undeclared_start_variable(capsys):
     code, _, err = run(
         capsys, "derive", "--grammar", "paper_G", "--start", "q", "--n", "1"
@@ -407,12 +441,17 @@ def _modules_loaded(statement: str) -> set[str]:
     return set(result.stderr.split())
 
 
+# The command line reads its own option table: building an argparse parser
+# took longer than a small table request computes.
+_PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def test_cli_import_does_not_load_dataclasses():
     # Every CLI request is a fresh process, so import cost is paid each time;
     # these modules are slow to import and the CLI needs none of them.
     loaded = _modules_loaded("import gramcalc.cli")
     assert "gramcalc.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", *_PARSER_MODULES}
 
 
 def test_import_gramcalc_loads_no_leg():
@@ -437,19 +476,20 @@ _TABLE_SKIPS = {
          {"gramcalc.permstat", "gramcalc.verify"}),
         (["series", "--which", "gen_z", "--point", "x=4,y=2,z=1,w=3", "--root", "3",
           "--order", "6"], {"gramcalc.permstat", "gramcalc.verify", "gramcalc.gdsl"}),
+        (["verify", "--check", "invariants", "--max-n", "3", "--order", "3"], {"gramcalc.gdsl"}),
     ],
-    ids=["table", "triangle_json", "derive", "series"],
+    ids=["table", "triangle_json", "derive", "series", "verify"],
 )
 def test_request_imports_only_its_legs(argv, skipped):
     # A request pays for importing each leg it loads, so it loads only the
-    # legs its command runs.
+    # legs its command runs, and no argument parser library.
     loaded = _modules_loaded(f"from gramcalc.cli import main\nassert main({argv!r}) == 0")
     assert "gramcalc.cli" in loaded
-    assert not loaded & skipped
+    assert not loaded & (skipped | _PARSER_MODULES)
 
 
 def test_verify_negative_enum_limit_rejected(capsys):
-    # --enum-limit no longer exists; argparse rejects it as an unknown flag.
+    # --enum-limit no longer exists; it is rejected as an unknown flag.
     code, out, err = run(
         capsys, "verify", "--check", "closed_forms", "--order", "4", "--enum-limit", "-5"
     )

@@ -32,6 +32,25 @@ def test_parse_main_grammar():
     assert spec.default_n == 8
 
 
+@pytest.mark.parametrize("join", [" + ", "*", " - 2*"])
+def test_parse_poly_variable_count_is_bounded(join):
+    names = [f"v{i}" for i in range(65)]
+    assert len(parse_poly(join.join(names[:64])).variables()) == 64
+    limit = r"more than 64 variables \(gdsl.MAX_VARIABLES\)"
+    with pytest.raises(GrammarSyntaxError, match=limit) as exc:
+        parse_poly(join.join(names))
+    assert exc.value.column == len(join.join(names[:64]) + join) + 1
+
+
+def test_grammar_variable_count_is_bounded():
+    names = " ".join(f"v{i}" for i in range(64))
+    assert len(parse_grammar(f"inert: {names}\n").inert_vars) == 64
+    with pytest.raises(GrammarSyntaxError, match="more than 64 variables") as exc:
+        parse_grammar(f"vars: x\ninert: {names}\nrule x -> x\n")
+    # x and v0..v62 make 64, so v63 is one too many
+    assert (exc.value.line, exc.value.column) == (2, f"inert: {names}".index("v63") + 1)
+
+
 def test_self_rule_is_valid():
     spec = parse_grammar("vars: x\nrule x -> x\n")
     assert spec.rules == (("x", LP.variable("x")),)
