@@ -19,8 +19,10 @@ asked for so far (at most ``MAX_N``, which ``permstat.stat_table`` checks).
 It keeps two things: for every level m reached, the number of permutations
 of {1..m} in each (direction, key) state, summed over j; and the by-j counts
 of the last level only, from which the next level grows.  ``count_table``
-classifies the stored totals of level n for its kind.  The pass is a cache
-of a fixed function, so sharing it between callers changes no result.
+classifies the stored totals of level n for its kind.  One lock is held while
+the pass grows, and a level is stored whole before it is read, so the pass is
+a cache of a fixed function: sharing it between callers, threads included,
+changes no result.
 
 The kinds are named as in ``_names.TABLE_KINDS``: ``exterior_pdd`` (exterior
 peaks, proper double descents) never classifies p_n; ``peak_dd`` (peaks,
@@ -32,6 +34,7 @@ and the four classes add up to n.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from itertools import accumulate
 
 # State: (step into the last letter is up, peaks, double descents).
@@ -40,6 +43,7 @@ from itertools import accumulate
 _totals: list[dict[tuple[bool, int, int], int]] = [{}, {(True, 0, 0): 1}]
 # The states of the last level reached -> counts by the 0-based rank of the last letter.
 _front: dict[tuple[bool, int, int], list[int]] = {(True, 0, 0): [1]}
+_growing = allocate_lock()
 
 
 def _merge(groups: dict, key: tuple, counts: list[int]) -> None:
@@ -50,17 +54,18 @@ def _merge(groups: dict, key: tuple, counts: list[int]) -> None:
 def _grow(n: int) -> None:
     """Extend the pass one letter at a time until it has reached level n."""
     global _front
-    while len(_totals) <= n:
-        grown: dict[tuple[bool, int, int], list[int]] = {}
-        for (up, peaks, dds), by_rank in _front.items():
-            # a new letter at 0-based rank r steps up from every j < r, down from j >= r
-            below = list(accumulate(by_rank, initial=0))
-            total = below[-1]
-            _merge(grown, (True, peaks, dds), below)
-            fall = (False, peaks + 1, dds) if up else (False, peaks, dds + 1)
-            _merge(grown, fall, [total - b for b in below])
-        _front = grown
-        _totals.append({state: sum(by_rank) for state, by_rank in grown.items()})
+    with _growing:
+        while len(_totals) <= n:
+            grown: dict[tuple[bool, int, int], list[int]] = {}
+            for (up, peaks, dds), by_rank in _front.items():
+                # a new letter at 0-based rank r steps up from every j < r, down from j >= r
+                below = list(accumulate(by_rank, initial=0))
+                total = below[-1]
+                _merge(grown, (True, peaks, dds), below)
+                fall = (False, peaks + 1, dds) if up else (False, peaks, dds + 1)
+                _merge(grown, fall, [total - b for b in below])
+            _front = grown
+            _totals.append({state: sum(by_rank) for state, by_rank in grown.items()})
 
 
 def count_table(n: int, kind: str) -> dict[tuple[int, ...], int]:

@@ -9,14 +9,14 @@ any variable with no rule at all, behave as constants (``D(v) = 0``).
 This module holds the grammar's semantics: the rule record, the builtin
 grammars, and the bounds on a request.  The product-rule step itself is ring
 arithmetic and lives in ``laurent.derivatives``; ``derive``, ``derive_n`` and
-every other caller take their steps from ``_derive_steps``, which refuses a
+every other caller take their steps from ``iter_derive``, which refuses a
 request past ``MAX_N`` orders or ``MAX_DERIVE_WORK``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from ._names import BUILTIN_GRAMMAR_NAMES, MAX_DERIVE_WORK, MAX_N
 from .laurent import LaurentPolynomial, check_variable_name, derivatives, dot
@@ -87,19 +87,22 @@ class DerivativeSequence(NamedTuple):
         return len(self.items) - 1
 
 
-def _derive_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolynomial]:
-    """``D^0(p) .. D^n(p)``, refused before the step whose work, added to that
-    of the steps before it, passes ``MAX_DERIVE_WORK`` (see ``_names``)."""
+def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[LaurentPolynomial]:
+    """Yield ``D^0(p) .. D^n(p)``, n <= MAX_N, each step taken when it is read.
+
+    A step is refused before it runs if its work, added to that of the steps
+    before it, passes ``MAX_DERIVE_WORK`` (see ``_names``).
+    """
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n > MAX_N:
         raise ValueError(f"derivative order {n} exceeds the limit {MAX_N}")
     width = len(p.variables().union(*(image.variables() for image in g.rules.values())))
     steps = derivatives(p, g.rules)
-    items = [next(steps)]
+    last = next(steps)
+    yield last
     work = 0
     for order in range(1, n + 1):
-        last = items[-1]
         products = len(last) * sum(len(g.rules.get(v, ())) for v in last.variables())
         work += products * (width + 8)
         if work > MAX_DERIVE_WORK:
@@ -107,18 +110,19 @@ def _derive_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolyn
                 f"derivative order {order} needs up to {work} units of work, "
                 f"over the limit {MAX_DERIVE_WORK} (grammar.MAX_DERIVE_WORK)"
             )
-        items.append(next(steps))
-    return items
+        last = next(steps)
+        yield last
 
 
 def derive(p: LaurentPolynomial, g: Grammar) -> LaurentPolynomial:
     """Apply the formal derivative once, returning a canonical polynomial."""
-    return _derive_steps(p, g, 1)[1]
+    _, first = iter_derive(p, g, 1)
+    return first
 
 
 def derive_n(p: LaurentPolynomial, g: Grammar, n: int) -> DerivativeSequence:
     """Compute ``D^0(p) .. D^n(p)`` by iterated single derivatives, n <= MAX_N."""
-    return DerivativeSequence(start=p, items=tuple(_derive_steps(p, g, n)), grammar=g)
+    return DerivativeSequence(start=p, items=tuple(iter_derive(p, g, n)), grammar=g)
 
 
 def leibniz_check(

@@ -2,8 +2,9 @@
 
 Every check computes its two sides through disjoint code paths (symbolic
 derivative vs. permutation statistic tables vs. closed-form series), reports the
-smallest failing index, and is deterministic.  The shipped admissible points
-are re-validated (root squared equals the discriminant) at import time.
+smallest failing index, and is deterministic.  A check that compares D^n(z) or
+D^n(y) takes them as ``Derivatives``, which derive each order when it is first
+read, so ``run_checks`` derives each word once for every check it runs.
 
 Each check is one stream of ``(label, got, expected)`` comparisons, yielded
 lazily and in order.  The first difference wins: the check fails with
@@ -14,11 +15,12 @@ message), and nothing after that comparison is computed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from ._names import CHECK_IDS, MAX_N
-from .grammar import Grammar, builtin_grammar, derive, derive_n
+from .grammar import Grammar, builtin_grammar, derive, derive_n, iter_derive
 from .laurent import LaurentPolynomial, dot
 from .permstat import (
     KIND_CARLITZ,
@@ -85,6 +87,24 @@ class _Lazy(dict):
         return self[n]
 
 
+class Derivatives(list):
+    """``self[n]`` is ``D^n(word)`` under ``grammar``, derived when first read.
+
+    The list holds ``D^0 .. D^m`` for the largest m read so far.
+    """
+
+    __slots__ = ("_steps",)
+
+    def __init__(self, word: LaurentPolynomial, grammar: Grammar) -> None:
+        super().__init__()
+        self._steps = iter_derive(word, grammar)
+
+    def __getitem__(self, n: int) -> LaurentPolynomial:
+        if n >= len(self):
+            self.extend(islice(self._steps, n + 1 - len(self)))
+        return super().__getitem__(n)
+
+
 def _convolution(head: LaurentPolynomial, left, right, n: int) -> LaurentPolynomial:
     """``head + sum_{k<n} C(n,k) left[k] right[n-k]``, built once from its terms."""
     return dot(
@@ -106,69 +126,43 @@ ELIZALDE_NOY_POINT = EvalPoint({"y": Fraction(13, 4)}, Fraction(15, 4))
 SHIPPED_POINTS = GRAMMAR_POINTS + (GESSEL_POINT, ELIZALDE_NOY_POINT)
 
 
-def _validate_shipped_points() -> None:
-    for pt in GRAMMAR_POINTS:
-        a = pt.assignment
-        pt.root_for((a["w"] + a["y"]) ** 2 - 4 * a["x"] * a["z"], "(w+y)^2 - 4xz")
-    GESSEL_POINT.root_for(1 - GESSEL_POINT.assignment["x"], "1 - x")
-    y = ELIZALDE_NOY_POINT.assignment["y"]
-    ELIZALDE_NOY_POINT.root_for((y - 1) * (y + 3), "(y-1)(y+3)")
-
-
-_validate_shipped_points()
-
-
-def check_joint_ep_pdd(
-    max_n: int = 8, grammar: Grammar | None = None, *, _dz=None
-) -> CheckReport:
+def check_joint_ep_pdd(max_n: int, dz) -> CheckReport:
     """D^n(z) equals the counted (exterior peak, proper double descent) polynomial."""
-    g = grammar or builtin_grammar("paper_G")
-    items = _dz or derive_n(_Z, g, max_n).items
     return _report("joint_ep_pdd", max_n, (
-        (f"n={n}", items[n], table_to_poly(stat_table(n, KIND_EXTERIOR_PDD)))
+        (f"n={n}", dz[n], table_to_poly(stat_table(n, KIND_EXTERIOR_PDD)))
         for n in range(max_n + 1)
     ))
 
 
-def check_peak_dd(
-    max_n: int = 8, grammar: Grammar | None = None, *, _dy=None
-) -> CheckReport:
+def check_peak_dd(max_n: int, dy) -> CheckReport:
     """D^n(y) equals the counted (peak, double descent) polynomial.
 
     It also equals x*z times the counted carlitz_quadruple polynomial.
     """
-    g = grammar or builtin_grammar("paper_G")
-    items = _dy or derive_n(_Y, g, max_n).items
-
     def cases():
         for n in range(1, max_n + 1):
-            yield f"n={n}", items[n], table_to_poly(stat_table(n, KIND_PEAK_DD))
+            yield f"n={n}", dy[n], table_to_poly(stat_table(n, KIND_PEAK_DD))
             carlitz = table_to_poly(stat_table(n, KIND_CARLITZ))
-            yield f"n={n}, x*z*carlitz_quadruple", items[n], _X * _Z * carlitz
+            yield f"n={n}, x*z*carlitz_quadruple", dy[n], _X * _Z * carlitz
 
     return _report("peak_dd", max_n, cases())
 
 
-def check_recurrence(
-    max_n: int = 9, grammar: Grammar | None = None, *, _dz=None, _dy=None
-) -> CheckReport:
+def check_recurrence(max_n: int, dz, dy) -> CheckReport:
     """The convolution recurrence, symbolically and on the four marginal triangles.
 
     Checks P(n+1) = w P(n) + sum_k C(n,k) P(k) Q(n-k) with Q taken both from
     the derivative engine (self-consistency) and from the statistic tables (cross
     check), then the same shape for the T/R and U/W marginals.
     """
-    g = grammar or builtin_grammar("paper_G")
-    p_items = _dz or derive_n(_Z, g, max_n + 1).items
-    q_items = _dy or derive_n(_Y, g, max_n).items
     q_oracle = _Lazy(lambda m: table_to_poly(stat_table(m, KIND_PEAK_DD)))
     t, r, u, w = (_Lazy(lambda m, which=which: triangle_poly(m, which)) for which in "TRUW")
 
     def cases():
         for n in range(max_n + 1):
-            for label, q in (("engine", q_items), ("oracle", q_oracle)):
-                rhs = _convolution(_W * p_items[n], p_items, q, n)
-                yield f"n={n} (Q from {label})", rhs, p_items[n + 1]
+            for label, q in (("engine", dy), ("oracle", q_oracle)):
+                rhs = _convolution(_W * dz[n], dz, q, n)
+                yield f"n={n} (Q from {label})", rhs, dz[n + 1]
         for n in range(max_n + 1):
             for name, left, right in (("T", t, r), ("U", u, w)):
                 yield f"{name} marginal, n={n}", _convolution(left[n], left, right, n), left[n + 1]
@@ -201,7 +195,7 @@ def check_invariants(grammar: Grammar | None = None) -> CheckReport:
     return _report("invariants", 12, cases())
 
 
-def _check_point_forms(pt: EvalPoint, order: int, dz_items, dy_items, carlitz_items):
+def _check_point_forms(pt: EvalPoint, order: int, dz, dy, carlitz_items):
     a = dict(pt.assignment)
     tag = "point (" + ", ".join(f"{k}={a[k]}" for k in sorted(a)) + ")"
     if {"x", "y", "z", "w"} <= set(a):
@@ -209,8 +203,8 @@ def _check_point_forms(pt: EvalPoint, order: int, dz_items, dy_items, carlitz_it
         gen_y = closed_form("gen_y", pt, order)
         egf_y = gen_y.egf_coefficients()
         for n in range(order + 1):
-            yield f"{tag}, gen_z, n={n}", egf_z[n], dz_items[n].eval(a)
-            yield f"{tag}, gen_y, n={n}", egf_y[n], dy_items[n].eval(a)
+            yield f"{tag}, gen_z, n={n}", egf_z[n], dz[n].eval(a)
+            yield f"{tag}, gen_y, n={n}", egf_y[n], dy[n].eval(a)
         f_series = closed_form("carlitz_F", pt, order)
         egf_f = f_series.egf_coefficients()
         for n in range(order + 1):
@@ -227,12 +221,7 @@ def _check_point_forms(pt: EvalPoint, order: int, dz_items, dy_items, carlitz_it
 
 
 def check_closed_forms(
-    order: int = 12,
-    points: tuple[EvalPoint, ...] | None = None,
-    grammar: Grammar | None = None,
-    *,
-    _dz=None,
-    _dy=None,
+    order: int, dz, dy, points: tuple[EvalPoint, ...] | None = None
 ) -> CheckReport:
     """Closed-form series against the derivative engine and the statistics oracle.
 
@@ -243,19 +232,16 @@ def check_closed_forms(
     The point-free reciprocal series is checked against a specialization of
     D^n(z).  Every comparison runs for all n up to ``order``.
     """
-    g = grammar or builtin_grammar("paper_G")
-    dz_items = _dz or derive_n(_Z, g, order).items
-    dy_items = _dy or derive_n(_Y, g, order).items
     carlitz_items = _Lazy(lambda n: table_to_poly(stat_table(n, KIND_CARLITZ)))
     carlitz_items[0] = LaurentPolynomial.zero()
 
     def cases():
         for pt in SHIPPED_POINTS if points is None else points:
-            yield from _check_point_forms(pt, order, dz_items, dy_items, carlitz_items)
+            yield from _check_point_forms(pt, order, dz, dy, carlitz_items)
         u0 = closed_form("no_pdd_U0", None, order).egf_coefficients()
         no_pdd_point = {"x": 1, "y": 0, "z": 1, "w": 1}
         for n in range(order + 1):
-            yield f"no_pdd_U0, n={n}", u0[n], dz_items[n].eval(no_pdd_point)
+            yield f"no_pdd_U0, n={n}", u0[n], dz[n].eval(no_pdd_point)
 
     return _report("closed_forms", order, cases())
 
@@ -293,10 +279,7 @@ def _relabel(p: LaurentPolynomial, names: dict[str, str]) -> LaurentPolynomial:
 
 
 def check_classical_grammars(
-    max_n: int = 6,
-    grammars: dict[str, Grammar] | None = None,
-    *,
-    _dz=None,
+    max_n: int, dz, grammars: dict[str, Grammar] | None = None
 ) -> CheckReport:
     """Sanity checks for the built-in grammar catalog.
 
@@ -321,7 +304,6 @@ def check_classical_grammars(
             expected = exterior.rules[_TO_EXTERIOR[name]]
             yield f"relabeled (exterior) rule for '{name}'", _relabel(image, _TO_EXTERIOR), expected
         ep_items = derive_n(_X, exterior, max_n).items
-        gz_items = _dz or derive_n(_Z, g, max_n).items
         for n in range(max_n + 1):
             rows = specialize_triangle(stat_table(n, KIND_EXTERIOR_PDD), "T")
             expected = LaurentPolynomial.from_dense(
@@ -329,7 +311,7 @@ def check_classical_grammars(
             )
             yield f"exterior-peak marginal, n={n}", ep_items[n], expected
             label = _Bare(f"relabeled D^{n}(z) differs from the exterior-peak derivative")
-            yield label, _relabel(gz_items[n], _TO_EXTERIOR), ep_items[n]
+            yield label, _relabel(dz[n], _TO_EXTERIOR), ep_items[n]
         for name, golden in (("andre", _ANDRE_GOLDEN), ("ramanujan", _RAMANUJAN_GOLDEN)):
             seq = derive_n(_X, get(name), min(max_n, len(golden) - 1)).items
             for n, poly in enumerate(seq):
@@ -348,8 +330,8 @@ def run_checks(
     The recurrence check derives to ``max_n + 1`` and ``closed_forms``
     compares tables up to ``order``, so both are bounded by ``MAX_N`` and are
     checked before any check runs.  ``D^n(z)`` and ``D^n(y)`` under
-    ``paper_G`` are derived once, to the largest order a selected check
-    reads, and handed to every check that reads them.
+    ``paper_G`` are derived once, as far as the selected checks read them,
+    and shared by every check that reads them.
     """
     if not 0 <= max_n < MAX_N:
         raise ValueError(f"--max-n {max_n} is outside 0..{MAX_N - 1}")
@@ -360,25 +342,13 @@ def run_checks(
         if check_id not in CHECK_IDS:
             raise ValueError(f"unknown check '{check_id}' (choose from {CHECK_IDS})")
     paper_g = builtin_grammar("paper_G")
-    classical_n = min(max_n, 6)
-
-    def derived(word: LaurentPolynomial, orders: dict[str, int]):
-        wanted = [orders[check_id] for check_id in selected if check_id in orders]
-        return derive_n(word, paper_g, max(wanted)).items if wanted else None
-
-    dz = derived(_Z, {
-        "joint_ep_pdd": max_n,
-        "recurrence": max_n + 1,
-        "closed_forms": order,
-        "classical_grammars": classical_n,
-    })
-    dy = derived(_Y, {"peak_dd": max_n, "recurrence": max_n, "closed_forms": order})
+    dz, dy = Derivatives(_Z, paper_g), Derivatives(_Y, paper_g)
     runners = {
-        "joint_ep_pdd": lambda: check_joint_ep_pdd(max_n, _dz=dz),
-        "peak_dd": lambda: check_peak_dd(max_n, _dy=dy),
-        "recurrence": lambda: check_recurrence(max_n, _dz=dz, _dy=dy),
+        "joint_ep_pdd": lambda: check_joint_ep_pdd(max_n, dz),
+        "peak_dd": lambda: check_peak_dd(max_n, dy),
+        "recurrence": lambda: check_recurrence(max_n, dz, dy),
         "invariants": check_invariants,
-        "closed_forms": lambda: check_closed_forms(order, _dz=dz, _dy=dy),
-        "classical_grammars": lambda: check_classical_grammars(classical_n, _dz=dz),
+        "closed_forms": lambda: check_closed_forms(order, dz, dy),
+        "classical_grammars": lambda: check_classical_grammars(min(max_n, 6), dz),
     }
     return [runners[check_id]() for check_id in selected]

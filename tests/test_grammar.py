@@ -82,6 +82,15 @@ def test_derive_work_limit_is_exact(monkeypatch):
     )
     assert derive_n(X, g, 4).items == items[:5]
     assert derive(X, g) == items[1]
+    # The lazy sequence ``verify`` reads charges the same work, step by step:
+    # it serves every order below the refused one and refuses that one alike.
+    from gramcalc.verify import Derivatives
+
+    lazy = Derivatives(X, g)
+    assert [lazy[k] for k in range(5)] == list(items[:5])
+    with pytest.raises(ValueError) as lazy_exc:
+        lazy[5]
+    assert str(lazy_exc.value) == str(exc.value)
 
 
 def test_builtin_rules():

@@ -50,3 +50,51 @@ def test_one_pass_matches_reference_in_a_fresh_process(order):
         check=True,
     )
     assert json.loads(result.stdout) == {"checked": MAX_N * len(TABLE_KINDS), "wrong": []}
+
+
+_THREADS = """
+import importlib, json, sys, threading
+import _transfer_reference as ref
+from gramcalc import _transfer
+from gramcalc.permstat import stat_table
+
+sys.setswitchinterval(1e-6)
+sizes = json.loads(sys.argv[1])
+wrong = []
+for trial in range(8):
+    importlib.reload(_transfer)  # a pass that starts again from one letter
+    start = threading.Barrier(len(sizes))
+    got = {}
+
+    def ask(i, n):
+        start.wait()
+        got[i] = stat_table(n, "peak_dd").counts
+
+    threads = [threading.Thread(target=ask, args=(i, n)) for i, n in enumerate(sizes)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    # the threads' own tables, then the tables the shared pass serves afterwards
+    later = {n: stat_table(n, "exterior_pdd").counts for n in sizes}
+    for i, n in enumerate(sizes):
+        if got[i] != ref.count_table(n, "peak_dd"):
+            wrong.append([trial, "thread", n])
+        if later[n] != ref.count_table(n, "exterior_pdd"):
+            wrong.append([trial, "later", n])
+print(json.dumps(wrong))
+"""
+
+
+def test_concurrent_tables_share_one_correct_pass():
+    # Four threads grow the shared pass at once, with the interpreter switching
+    # threads as often as it can; every table, and every later one, must match.
+    path = os.pathsep.join([str(_TESTS.parent / "src"), str(_TESTS)])
+    result = subprocess.run(
+        [sys.executable, "-c", _THREADS, json.dumps([12, 18, 25, 25])],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == []

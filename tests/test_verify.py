@@ -10,6 +10,7 @@ from gramcalc.verify import (
     ELIZALDE_NOY_POINT,
     GESSEL_POINT,
     GRAMMAR_POINTS,
+    Derivatives,
     check_classical_grammars,
     check_closed_forms,
     check_invariants,
@@ -18,6 +19,13 @@ from gramcalc.verify import (
     check_recurrence,
     run_checks,
 )
+
+
+_x, _y, _z = LP.variable("x"), LP.variable("y"), LP.variable("z")
+
+
+def _paper(word):
+    return Derivatives(word, builtin_grammar("paper_G"))
 
 
 def test_default_suite_passes_at_small_caps():
@@ -37,18 +45,23 @@ def test_run_checks_accepts_the_largest_bounds():
 
 def test_default_run_derives_each_word_once(monkeypatch):
     import gramcalc.grammar as grammar_module
+    import gramcalc.verify as verify_module
 
-    real = grammar_module._derive_steps
+    real = grammar_module.iter_derive
     calls = []
 
-    def counted(p, g, n):
-        calls.append((str(p), g.name, n))
-        return real(p, g, n)
+    def counted(p, g, n=grammar_module.MAX_N):
+        # [word, grammar, the highest order stepped to]
+        call = [str(p), g.name, None]
+        calls.append(call)
+        for call[2], item in enumerate(real(p, g, n)):
+            yield item
 
     def orders(word):
         return [n for p, name, n in calls if name == "paper_G" and p == word]
 
-    monkeypatch.setattr(grammar_module, "_derive_steps", counted)
+    monkeypatch.setattr(grammar_module, "iter_derive", counted)
+    monkeypatch.setattr(verify_module, "iter_derive", counted)
     # D^n(z) and D^n(y) under paper_G serve five checks between them; each
     # is derived once, to the largest order any selected check reads.
     assert all(r.passed for r in run_checks())
@@ -89,9 +102,15 @@ def test_broken_grammar_reports_smallest_failure():
     rules = dict(builtin_grammar("paper_G").rules)
     rules["z"] = LP.variable("z") * LP.variable("x")  # should be z*w
     mutant = Grammar(rules=rules, name="mutant")
-    report = check_joint_ep_pdd(3, mutant)
+    report = check_joint_ep_pdd(3, Derivatives(_z, mutant))
     assert not report.passed
     assert report.first_failure.startswith("n=1")
+    # The first failing comparison is the last one made: nothing past D^1(z)
+    # is derived, though the check would read up to D^24(z).
+    dz = Derivatives(_z, mutant)
+    report = check_joint_ep_pdd(24, dz)
+    assert report.first_failure.startswith("n=1:")
+    assert list(dz) == [_z, _z * _x]
 
 
 def _single_swap_mutants(g: Grammar):
@@ -117,14 +136,15 @@ def _single_swap_mutants(g: Grammar):
 
 def _quick_reports(name: str, mutant: Grammar):
     if name == "paper_G":
+        dz, dy = Derivatives(_z, mutant), Derivatives(_y, mutant)
         return [
-            check_joint_ep_pdd(4, mutant),
-            check_peak_dd(4, mutant),
+            check_joint_ep_pdd(4, dz),
+            check_peak_dd(4, dy),
             check_invariants(mutant),
-            check_recurrence(4, mutant),
-            check_classical_grammars(3, {"paper_G": mutant}),
+            check_recurrence(4, dz, dy),
+            check_classical_grammars(3, dz, {"paper_G": mutant}),
         ]
-    return [check_classical_grammars(4, {name: mutant})]
+    return [check_classical_grammars(4, _paper(_z), {name: mutant})]
 
 
 @pytest.mark.parametrize("name", ["paper_G", "eulerian", "andre", "ramanujan", "exterior_peak"])
@@ -141,9 +161,9 @@ def test_closed_forms_rejects_inadmissible_points():
     from gramcalc.series import EvalPoint, InadmissiblePointError
 
     with pytest.raises(InadmissiblePointError, match="squared"):
-        check_closed_forms(4, points=(EvalPoint({"x": 4}, 2),))
+        check_closed_forms(4, _paper(_z), _paper(_y), points=(EvalPoint({"x": 4}, 2),))
     with pytest.raises(InadmissiblePointError, match="no closed form applies"):
-        check_closed_forms(4, points=(EvalPoint({"x": 1, "z": 1}, 1),))
+        check_closed_forms(4, _paper(_z), _paper(_y), points=(EvalPoint({"x": 1, "z": 1}, 1),))
 
 
 def test_wrong_carlitz_table_fails_verify(monkeypatch, capsys):
@@ -176,16 +196,17 @@ def _mutant_first_failures():
     for name in BUILTIN_NAMES:
         for label, mutant in _single_swap_mutants(builtin_grammar(name)):
             if name == "paper_G":
+                dz, dy = Derivatives(_z, mutant), Derivatives(_y, mutant)
                 reports = [
-                    check_joint_ep_pdd(4, mutant),
-                    check_peak_dd(4, mutant),
-                    check_recurrence(4, mutant),
+                    check_joint_ep_pdd(4, dz),
+                    check_peak_dd(4, dy),
+                    check_recurrence(4, dz, dy),
                     check_invariants(mutant),
-                    check_closed_forms(6, grammar=mutant),
-                    check_classical_grammars(4, {"paper_G": mutant}),
+                    check_closed_forms(6, dz, dy),
+                    check_classical_grammars(4, dz, {"paper_G": mutant}),
                 ]
             else:
-                reports = [check_classical_grammars(4, {name: mutant})]
+                reports = [check_classical_grammars(4, _paper(_z), {name: mutant})]
             rows.append([name, label] + [r.first_failure for r in reports])
     return rows
 
@@ -201,9 +222,6 @@ def test_mutant_first_failures_are_pinned():
         "354300f74e298f1641588b17107c5be4"
         "6ac2c8cc247387628f190f8a088d4d66"
     )
-
-
-_x, _y, _z = LP.variable("x"), LP.variable("y"), LP.variable("z")
 
 
 def _paper_items(word, n):
@@ -263,12 +281,12 @@ def _case_gen_y_recombination(monkeypatch):
         return series
 
     monkeypatch.setattr(verify_module, "closed_form", unequal_gen_y)
-    return check_closed_forms(2)
+    return check_closed_forms(2, _paper(_z), _paper(_y))
 
 
 def _case_relabeled_dz(monkeypatch):
     dz = _paper_items(_z, 3)
-    return check_classical_grammars(3, _dz=_tamper(dz, 2, _x * _y))
+    return check_classical_grammars(3, _tamper(dz, 2, _x * _y))
 
 
 def _case_andre_golden(monkeypatch):
@@ -277,7 +295,7 @@ def _case_andre_golden(monkeypatch):
     golden = list(verify_module._ANDRE_GOLDEN)
     golden[3] = "x*y^3 + 5*x^2*y"
     monkeypatch.setattr(verify_module, "_ANDRE_GOLDEN", tuple(golden))
-    return check_classical_grammars(6)
+    return check_classical_grammars(6, _paper(_z))
 
 
 def _case_carlitz_branch(monkeypatch):
@@ -290,7 +308,7 @@ def _case_carlitz_branch(monkeypatch):
         return poly + _y ** 9 if (table.kind, table.n) == ("carlitz_quadruple", 2) else poly
 
     monkeypatch.setattr(verify_module, "table_to_poly", tampered)
-    return check_peak_dd(3)
+    return check_peak_dd(3, _paper(_y))
 
 
 def _case_oracle_q(monkeypatch):
@@ -303,27 +321,27 @@ def _case_oracle_q(monkeypatch):
         return poly + _y ** 9 if (table.kind, table.n) == ("peak_dd", 2) else poly
 
     monkeypatch.setattr(verify_module, "table_to_poly", tampered)
-    return check_recurrence(3)
+    return check_recurrence(3, _paper(_z), _paper(_y))
 
 
 def _case_t_marginal(monkeypatch):
     _patch_triangle(monkeypatch, "T", 2)
-    return check_recurrence(3)
+    return check_recurrence(3, _paper(_z), _paper(_y))
 
 
 def _case_u_marginal(monkeypatch):
     _patch_triangle(monkeypatch, "U", 3)
-    return check_recurrence(3)
+    return check_recurrence(3, _paper(_z), _paper(_y))
 
 
 def _case_gessel(monkeypatch):
     _patch_triangle(monkeypatch, "T", 2)
-    return check_closed_forms(3, points=(GESSEL_POINT,))
+    return check_closed_forms(3, _paper(_z), _paper(_y), points=(GESSEL_POINT,))
 
 
 def _case_elizalde_noy(monkeypatch):
     _patch_triangle(monkeypatch, "U", 3)
-    return check_closed_forms(3, points=(ELIZALDE_NOY_POINT,))
+    return check_closed_forms(3, _paper(_z), _paper(_y), points=(ELIZALDE_NOY_POINT,))
 
 
 def _case_carlitz_f(monkeypatch):
@@ -336,17 +354,17 @@ def _case_carlitz_f(monkeypatch):
         return poly + _y if (table.kind, table.n) == ("carlitz_quadruple", 2) else poly
 
     monkeypatch.setattr(verify_module, "table_to_poly", tampered)
-    return check_closed_forms(3)
+    return check_closed_forms(3, _paper(_z), _paper(_y))
 
 
 def _case_gen_z_third_point(monkeypatch):
     dz = _tamper(_paper_items(_z, 3), 1, _y)
-    return check_closed_forms(3, points=GRAMMAR_POINTS[2:], _dz=dz)
+    return check_closed_forms(3, dz, _paper(_y), points=GRAMMAR_POINTS[2:])
 
 
 def _case_no_pdd_u0(monkeypatch):
     dz = _tamper(_paper_items(_z, 3), 2, _x)
-    return check_closed_forms(3, points=(), _dz=dz)
+    return check_closed_forms(3, dz, _paper(_y), points=())
 
 
 def _case_zx_inverse(monkeypatch):
@@ -369,12 +387,12 @@ def _case_exterior_marginal(monkeypatch):
         return rows + [(5, 1)] if table.n == 2 else rows
 
     monkeypatch.setattr(verify_module, "specialize_triangle", tampered)
-    return check_classical_grammars(3)
+    return check_classical_grammars(3, _paper(_z))
 
 
 def _case_eulerian_row_sum(monkeypatch):
     _patch_derive(monkeypatch, _x, 2, _x)
-    return check_classical_grammars(3)
+    return check_classical_grammars(3, _paper(_z))
 
 
 FAILURE_MESSAGES = [
