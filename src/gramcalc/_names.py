@@ -26,6 +26,13 @@ MAX_DERIVE_WORK = 30_000_000
 #: Python 3.11), and the builtins use at most 4.
 MAX_VARIABLES = 64
 
+#: The most digits of an integer literal in a ``.gram`` document or in a
+#: polynomial written in its term syntax.  This is CPython's default limit on
+#: converting a string to an int, so no literal it converts is refused; where
+#: the interpreter has no such limit, one literal near the 1 MiB file bound
+#: took 8.5-10 s to convert (2-vCPU VM, Python 3.11 with the limit off).
+MAX_LITERAL_DIGITS = 4300
+
 BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")
 
 TABLE_KINDS = ("exterior_pdd", "peak_dd", "carlitz_quadruple")

@@ -16,7 +16,9 @@ explicit and there are no parentheses, so ``-2/3*x^-1*y^2 + z`` parses while
 ``2x`` and ``(x+y)^2`` do not.  Every variable used in a rule image or in the
 start word must be declared under ``vars:`` or ``inert:``.  A document declares,
 and a polynomial uses, at most ``MAX_VARIABLES`` (64) variables: every term
-stores one exponent per variable of its polynomial.
+stores one exponent per variable of its polynomial.  An integer literal (a
+coefficient's numerator or denominator, an exponent, ``n:``) has at most
+``MAX_LITERAL_DIGITS`` (4300) digits.
 
 All rejections carry the line number and the offending token.
 """
@@ -27,9 +29,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._names import MAX_VARIABLES
+from ._names import MAX_LITERAL_DIGITS, MAX_VARIABLES
 from .grammar import Grammar
-from .laurent import LaurentPolynomial, monomial
+from .laurent import LaurentPolynomial
 
 
 class GrammarSyntaxError(ValueError):
@@ -73,245 +75,194 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+_KEYWORDS = ("vars", "inert", "rule", "start", "n")
+
+_TOO_MANY_VARIABLES = f"more than {MAX_VARIABLES} variables (gdsl.MAX_VARIABLES)"
+
 
 class _Token(NamedTuple):
     kind: str  # "ident", "int", "arrow", or the symbol itself
     text: str
-    line: int
     column: int
 
 
-def _tokenize(line: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(line):
-        match = _TOKEN_RE.match(line, pos)
-        if match is None:
-            raise GrammarSyntaxError(
-                f"unexpected character {line[pos]!r}", line_no, pos + 1
-            )
-        kind = match.lastgroup
-        if kind not in ("ws", "comment"):
-            text = match.group()
-            if kind == "sym":
-                kind = text
-            tokens.append(_Token(kind, text, line_no, match.start() + 1))
-        pos = match.end()
-    return tokens
+class _Line:
+    """A cursor over the tokens of one line."""
 
-
-class _TokenStream:
-    def __init__(self, tokens: list[_Token], line_no: int):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, line_no: int):
         self.line_no = line_no
+        self.tokens: list[_Token] = []
+        self.pos = 0
+        column = 0
+        while column < len(text):
+            match = _TOKEN_RE.match(text, column)
+            if match is None:
+                raise self.fail(f"unexpected character {text[column]!r}", column + 1)
+            kind = match.lastgroup
+            if kind not in ("ws", "comment"):
+                token = match.group()
+                self.tokens.append(_Token(token if kind == "sym" else kind, token, column + 1))
+            column = match.end()
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token | None:
-        token = self.peek()
-        if token is not None:
-            self.pos += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
+    def accept(self, kind: str) -> _Token | None:
+        """Consume and return the next token if it is of ``kind``."""
         token = self.peek()
         if token is None or token.kind != kind:
-            raise self.fail(f"expected {kind!r}")
+            return None
         self.pos += 1
         return token
 
-    def fail(self, message: str) -> GrammarSyntaxError:
-        token = self.peek()
+    def expect(self, kind: str) -> _Token:
+        token = self.accept(kind)
         if token is None:
-            column = self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
-            return GrammarSyntaxError(message + " at end of line", self.line_no, column)
-        return GrammarSyntaxError(f"{message}, found {token.text!r}", token.line, token.column)
+            raise self.fail(f"expected {kind!r}")
+        return token
 
+    def integer(self, token: _Token) -> int:
+        """The value of an ``int`` token, refused past ``MAX_LITERAL_DIGITS``."""
+        if len(token.text) > MAX_LITERAL_DIGITS:
+            raise self.fail(
+                f"more than {MAX_LITERAL_DIGITS} digits (gdsl.MAX_LITERAL_DIGITS)", token.column
+            )
+        return int(token.text)
 
-def _parse_integer(stream: _TokenStream) -> int:
-    negative = False
-    token = stream.peek()
-    if token is not None and token.kind == "-":
-        stream.next()
-        negative = True
-    token = stream.expect("int")
-    value = int(token.text)
-    return -value if negative else value
+    def fail(self, message: str, column: int | None = None) -> GrammarSyntaxError:
+        """The rejection at ``column``, or else at the next token, which it names."""
+        if column is None:
+            token = self.peek()
+            if token is not None:
+                message, column = f"{message}, found {token.text!r}", token.column
+            else:
+                last = self.tokens[-1] if self.tokens else _Token("", "", 1)
+                message, column = message + " at end of line", last.column + len(last.text)
+        return GrammarSyntaxError(message, self.line_no, column)
 
 
 def _parse_term(
-    stream: _TokenStream, allowed: set[str] | None, seen: set[str]
-) -> tuple[Fraction, dict[str, int]]:
-    """One signless term: an optional coefficient and its variable factors.
+    line: _Line, allowed: set[str] | None, seen: set[str]
+) -> tuple[Fraction, list[tuple[str, int]]]:
+    """One signless term: an optional coefficient and its (variable, exponent) factors.
 
     ``seen`` collects the variables of the polynomial so far.
     """
     coeff = Fraction(1)
-    exponents: dict[str, int] = {}
-    token = stream.peek()
-    if token is not None and token.kind == "int":
-        stream.next()
-        numerator = int(token.text)
-        denominator = 1
-        if stream.peek() is not None and stream.peek().kind == "/":
-            stream.next()
-            denom_token = stream.expect("int")
-            denominator = int(denom_token.text)
-            if denominator == 0:
-                raise GrammarSyntaxError(
-                    "zero denominator in coefficient", denom_token.line, denom_token.column
-                )
-        coeff = Fraction(numerator, denominator)
-        if stream.peek() is None or stream.peek().kind != "*":
-            return coeff, exponents
-        stream.next()
+    factors: list[tuple[str, int]] = []
+    numerator = line.accept("int")
+    if numerator is not None:
+        coeff = Fraction(line.integer(numerator))
+        if line.accept("/"):
+            token = line.expect("int")
+            denominator = line.integer(token)
+            if not denominator:
+                raise line.fail("zero denominator in coefficient", token.column)
+            coeff /= denominator
+        if not line.accept("*"):
+            return coeff, factors
     while True:
-        token = stream.expect("ident")
+        token = line.expect("ident")
         if allowed is not None and token.text not in allowed:
-            raise GrammarSyntaxError(
-                f"undeclared variable '{token.text}'", token.line, token.column
-            )
+            raise line.fail(f"undeclared variable '{token.text}'", token.column)
         seen.add(token.text)
         if len(seen) > MAX_VARIABLES:
-            raise _too_many_variables(token)
+            raise line.fail(_TOO_MANY_VARIABLES, token.column)
         exp = 1
-        if stream.peek() is not None and stream.peek().kind == "^":
-            stream.next()
-            exp = _parse_integer(stream)
-        exponents[token.text] = exponents.get(token.text, 0) + exp
-        if stream.peek() is not None and stream.peek().kind == "*":
-            stream.next()
-            continue
-        return coeff, exponents
+        if line.accept("^"):
+            negative = line.accept("-")
+            exp = line.integer(line.expect("int"))
+            if negative:
+                exp = -exp
+        factors.append((token.text, exp))
+        if not line.accept("*"):
+            return coeff, factors
 
 
-def _too_many_variables(token: _Token) -> GrammarSyntaxError:
-    return GrammarSyntaxError(
-        f"more than {MAX_VARIABLES} variables (gdsl.MAX_VARIABLES)", token.line, token.column
-    )
-
-
-def _parse_poly(stream: _TokenStream, allowed: set[str] | None) -> LaurentPolynomial:
+def _parse_poly(line: _Line, allowed: set[str] | None) -> LaurentPolynomial:
     """A polynomial that runs to the end of the line."""
-    if stream.peek() is None:
-        raise stream.fail("expected a polynomial")
+    if line.peek() is None:
+        raise line.fail("expected a polynomial")
     terms = []
     seen: set[str] = set()
-    sign = 1
-    token = stream.peek()
-    if token.kind in ("+", "-"):
-        stream.next()
-        sign = -1 if token.kind == "-" else 1
+    sign = line.accept("+") or line.accept("-")
     while True:
-        coeff, exponents = _parse_term(stream, allowed, seen)
-        terms.append((monomial(exponents), sign * coeff))
-        token = stream.peek()
-        if token is None:
+        coeff, factors = _parse_term(line, allowed, seen)
+        terms.append((factors, -coeff if sign and sign.kind == "-" else coeff))
+        if line.peek() is None:
             return LaurentPolynomial(terms)
-        if token.kind not in ("+", "-"):
-            raise stream.fail("expected '+' or '-' between terms")
-        stream.next()
-        sign = -1 if token.kind == "-" else 1
+        sign = line.accept("+") or line.accept("-")
+        if sign is None:
+            raise line.fail("expected '+' or '-' between terms")
 
 
 def parse_poly(text: str, allowed: set[str] | None = None, line_no: int = 1) -> LaurentPolynomial:
     """Parse a standalone polynomial written in the DSL term syntax."""
-    return _parse_poly(_TokenStream(_tokenize(text, line_no), line_no), allowed)
+    return _parse_poly(_Line(text, line_no), allowed)
 
 
 def parse_grammar(text: str) -> GrammarSpec:
     """Parse a grammar document, validating declarations and rule coverage."""
-    declared: list[str] = []
-    declared_lines: dict[str, int] = {}
-    inert: list[str] = []
+    declared: dict[str, int] = {}  # each variable and the line declaring it
+    inert: dict[str, int] = {}
     rules: list[tuple[str, LaurentPolynomial]] = []
     rule_for: dict[str, int] = {}
-    start: LaurentPolynomial | None = None
-    default_n: int | None = None
-    vars_line = 1
-
-    def names(stream: _TokenStream, into: list[str]) -> None:
-        while stream.peek() is not None:
-            token = stream.expect("ident")
-            if token.text in declared or token.text in inert:
-                raise GrammarSyntaxError(
-                    f"variable '{token.text}' declared twice", token.line, token.column
-                )
-            if len(declared) + len(inert) == MAX_VARIABLES:
-                raise _too_many_variables(token)
-            into.append(token.text)
-            declared_lines[token.text] = token.line
-
+    once: dict[str, object] = {}  # the 'start:' word and the 'n:' count
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, line_no)
-        if not tokens:
+        line = _Line(raw, line_no)
+        head = line.peek()
+        if head is None:
             continue
-        stream = _TokenStream(tokens, line_no)
-        head = stream.next()
-        if head.kind == "ident" and head.text == "vars":
-            stream.expect(":")
-            vars_line = line_no
-            names(stream, declared)
-        elif head.kind == "ident" and head.text == "inert":
-            stream.expect(":")
-            names(stream, inert)
-        elif head.kind == "ident" and head.text == "rule":
-            lhs = stream.expect("ident")
+        if head.kind != "ident" or head.text not in _KEYWORDS:
+            raise line.fail("expected 'vars:', 'inert:', 'rule', 'start:' or 'n:'")
+        keyword = line.expect("ident").text
+        if keyword != "rule":
+            line.expect(":")
+        if keyword in once:
+            raise line.fail(f"duplicate '{keyword}:' line", head.column)
+        if keyword in ("vars", "inert"):
+            while line.peek() is not None:
+                token = line.expect("ident")
+                if token.text in declared or token.text in inert:
+                    raise line.fail(f"variable '{token.text}' declared twice", token.column)
+                if len(declared) + len(inert) == MAX_VARIABLES:
+                    raise line.fail(_TOO_MANY_VARIABLES, token.column)
+                (declared if keyword == "vars" else inert)[token.text] = line_no
+        elif keyword == "rule":
+            lhs = line.expect("ident")
             if lhs.text not in declared:
-                raise GrammarSyntaxError(
-                    f"undeclared variable '{lhs.text}'", lhs.line, lhs.column
-                )
+                raise line.fail(f"undeclared variable '{lhs.text}'", lhs.column)
             if lhs.text in rule_for:
-                raise GrammarSyntaxError(
+                raise line.fail(
                     f"duplicate rule for variable '{lhs.text}' "
                     f"(first given on line {rule_for[lhs.text]})",
-                    lhs.line,
                     lhs.column,
                 )
-            stream.expect("arrow")
-            image = _parse_poly(stream, set(declared) | set(inert))
+            line.expect("arrow")
+            rules.append((lhs.text, _parse_poly(line, declared.keys() | inert.keys())))
             rule_for[lhs.text] = line_no
-            rules.append((lhs.text, image))
-        elif head.kind == "ident" and head.text == "start":
-            stream.expect(":")
-            if start is not None:
-                raise GrammarSyntaxError("duplicate 'start:' line", head.line, head.column)
-            start = _parse_poly(stream, set(declared) | set(inert))
-        elif head.kind == "ident" and head.text == "n":
-            stream.expect(":")
-            if default_n is not None:
-                raise GrammarSyntaxError("duplicate 'n:' line", head.line, head.column)
-            token = stream.expect("int")
-            default_n = int(token.text)
+        elif keyword == "start":
+            once[keyword] = _parse_poly(line, declared.keys() | inert.keys())
         else:
-            raise GrammarSyntaxError(
-                f"expected 'vars:', 'inert:', 'rule', 'start:' or 'n:', "
-                f"found {head.text!r}",
-                head.line,
-                head.column,
-            )
-        trailing = stream.peek()
+            once[keyword] = line.integer(line.expect("int"))
+        trailing = line.peek()
         if trailing is not None:
-            raise GrammarSyntaxError(
-                f"trailing input {trailing.text!r}", trailing.line, trailing.column
-            )
+            raise line.fail(f"trailing input {trailing.text!r}", trailing.column)
 
-    for name in declared:
+    for name, line_no in declared.items():
         if name not in rule_for:
             raise GrammarSyntaxError(
                 f"declared variable '{name}' has no rule "
                 "(declare constants under 'inert:')",
-                declared_lines.get(name, vars_line),
+                line_no,
             )
 
     return GrammarSpec(
         declared_vars=tuple(declared),
         inert_vars=tuple(inert),
         rules=tuple(rules),
-        start=start,
-        default_n=default_n,
+        start=once.get("start"),
+        default_n=once.get("n"),
     )
 
 

@@ -139,11 +139,12 @@ def leibniz_check(
     return direct == expanded
 
 
-def _make_builtin(name: str, rule_exps: dict[str, dict[str, int]], order: tuple[str, ...]) -> Grammar:
+def _make_builtin(name: str, rule_exps: dict[str, dict[str, int]]) -> Grammar:
+    """A builtin whose variables display in the order its rules are given."""
     rules = {
         var: LaurentPolynomial.term(1, exps) for var, exps in rule_exps.items()
     }
-    return Grammar(rules=rules, name=name, var_order=order)
+    return Grammar(rules=rules, name=name, var_order=tuple(rule_exps))
 
 
 _BUILTINS: dict[str, Grammar] = {
@@ -158,31 +159,26 @@ _BUILTINS: dict[str, Grammar] = {
             "z": {"z": 1, "w": 1},
             "w": {"x": 1, "z": 1},
         },
-        ("x", "y", "z", "w"),
     ),
     # Generates the Eulerian polynomials.
     "eulerian": _make_builtin(
         "eulerian",
         {"x": {"x": 1, "y": 1}, "y": {"x": 1, "y": 1}},
-        ("x", "y"),
     ),
     # Generates the Andre polynomials.
     "andre": _make_builtin(
         "andre",
         {"x": {"x": 1, "y": 1}, "y": {"x": 1}},
-        ("x", "y"),
     ),
     # Generates the Ramanujan polynomials.
     "ramanujan": _make_builtin(
         "ramanujan",
         {"x": {"x": 3, "y": 1}, "y": {"x": 1, "y": 2}},
-        ("x", "y"),
     ),
     # Two-variable grammar counting exterior peaks alone.
     "exterior_peak": _make_builtin(
         "exterior_peak",
         {"x": {"x": 1, "y": 1}, "y": {"x": 2}},
-        ("x", "y"),
     ),
 }
 

@@ -1,10 +1,11 @@
 """Stdout of a fixed set of requests, pinned by sha256.
 
 The digests were recorded from the CLI before the polynomial core was
-rewritten, and those of the order-150 ``series`` requests before rational
-series moved to integer numerators; any change of display order,
-coefficient text or JSON layout in ``derive``, ``series`` or ``verify``
-shows up here as a changed digest.
+rewritten, those of the order-150 ``series`` requests before rational
+series moved to integer numerators, and those of the n = 6 ``table``
+requests before the ``.gram`` reader was rebuilt; any change of display
+order, coefficient text or JSON layout in ``derive``, ``series``, ``table``
+or ``verify`` shows up here as a changed digest.
 """
 
 import hashlib
@@ -73,6 +74,23 @@ for _which, _point in _FORM_POINTS.items():
     REQUESTS[f"series_{_which}_150_text"] = _argv
     REQUESTS[f"series_{_which}_150_egf_json"] = (*_argv, "--egf", "--format", "json")
 
+# Every table kind and every marginal triangle (with the kind it reads) at
+# n = 6, in each output format.
+_TABLES = {
+    "exterior_pdd": ("exterior_pdd", ()),
+    "peak_dd": ("peak_dd", ()),
+    "carlitz_quadruple": ("carlitz_quadruple", ()),
+    "triangle_T": ("exterior_pdd", ("--triangle", "T")),
+    "triangle_U": ("exterior_pdd", ("--triangle", "U")),
+    "triangle_R": ("peak_dd", ("--triangle", "R")),
+    "triangle_W": ("peak_dd", ("--triangle", "W")),
+}
+for _label, (_kind, _triangle) in _TABLES.items():
+    for _format in ("text", "csv", "json"):
+        REQUESTS[f"table_{_label}_{_format}"] = (
+            "table", "--kind", _kind, "--n", "6", *_triangle, "--format", _format,
+        )
+
 DIGESTS = {
     "derive_andre_json": "2e80624716d51483bf70a1429860a5e28319a8e7bc00acfc3a4a6389365ef392",
     "derive_andre_text": "ae6adc69bc1824e90f5bfc7d0e7e92762abd277cbe2aa25582afb7436f3168a3",
@@ -101,6 +119,27 @@ DIGESTS = {
     "series_elizalde_noy_U_150_egf_json": "7a5ee7ef5b77e1622a14a75318b6938b52a2dc2d47cc3c55797d5a9496de0c0d",
     "series_no_pdd_U0_150_text": "55de3d2a76fcc5a20502ef05b7f757fab10db32769f30bb33280ce1918953ec7",
     "series_no_pdd_U0_150_egf_json": "087cb05fc9f4b377a9997a46888b2cfc7cfc70bcc6edb284c5d450cdd06c52c1",
+    "table_exterior_pdd_text": "9e805b16daee2e53f65c2b8ba6aca26532e504775fb8c34e4cb8c28786785d93",
+    "table_exterior_pdd_csv": "e2c24874801033d9a258364c755224e98632a696415335b0322314d27dbf8775",
+    "table_exterior_pdd_json": "b9072e2b397a1c0e6dd6516ed855d3ffd8502c46b94df517bff36074aa56a1ea",
+    "table_peak_dd_text": "565c2e4ade0ce66824bea7d0008ae1f2783d69f8f7c5bb8a44135de2f1dcc496",
+    "table_peak_dd_csv": "abdfab64bb9762dddcd54bfc8b51da873d6c118c04363dc29a07176693d66422",
+    "table_peak_dd_json": "2bdf4e53bf594c94105d79264323307098627c40c56a26b10484976745af433d",
+    "table_carlitz_quadruple_text": "891d38a31a74122f30fc901a01ab411be5305337c0a27fdca82414e280c66ad6",
+    "table_carlitz_quadruple_csv": "877b3dab87ac5cbff54b2391a68beb0e11c8e8ec2789dd53b6696e732cf5df4a",
+    "table_carlitz_quadruple_json": "5d039a790d3e1e2b0bc334761f9f8e1e3516ff9785c7dbc80d5fe26fa7a0bd96",
+    "table_triangle_T_text": "3aaa42698ca57bb9f82e69edd355fe5fd2b1fa581511381f2c0163e08c045294",
+    "table_triangle_T_csv": "c8d11568d2295836ae92c37c92a3d01e11cc57c5b49fba10fbbcafe185aeabde",
+    "table_triangle_T_json": "3c7b6bc1853ec33d58239f8b043f0c79f947a44e4aeb1cc7e3ee210523df13af",
+    "table_triangle_U_text": "62517b0215689792cae9a0d298daa9533762924288d39e36008158e69ce8aa23",
+    "table_triangle_U_csv": "c1efcb3fcbbe5d8fc5d89ed216ee9597fde5713a1ff8ecba758c9919575ac492",
+    "table_triangle_U_json": "c8429c3407687d83ca56f325da0fc6e09d02aa912f9e91252c88c2115f0ee93e",
+    "table_triangle_R_text": "35343471f0a24d1a5f79a1c6cae2b552f461acd886fab02e2c0c08eff4c4a9df",
+    "table_triangle_R_csv": "b776dccdaabfd4e8e0e68b571df62da6b31012cbe340005e7704b468ffd90462",
+    "table_triangle_R_json": "4f966788b0bae19dd01b09962b1d68a27bc46925845c38fd69fecff6bcd78fad",
+    "table_triangle_W_text": "ec9a3730c8939c96eaa2cf7d27311fbe3153a41745df5f3dae68b956ef5bb54d",
+    "table_triangle_W_csv": "05046002a12fec93af31dd4fdbec6acc6f2bb23e0f9bd5679492f05473548543",
+    "table_triangle_W_json": "6d61a9df6b3423446799f59ae975cbcb3032ba06ce0536844791b3305f677179",
 }
 
 

@@ -161,6 +161,15 @@ def test_gram_file_syntax_error_is_diagnosed(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_derive_long_start_literal_is_located(capsys):
+    start = "z^" + "9" * 4301
+    code, out, err = run(capsys, "derive", "--grammar", "paper_G", "--start", start, "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "gramcalc: error: line 1, column 3: more than 4300 digits (gdsl.MAX_LITERAL_DIGITS)\n"
+    )
+
+
 def test_gram_file_over_the_size_limit_is_rejected(tmp_path, capsys):
     limit = 1 << 20
     padding = "# a comment line\n" * (limit // 17 + 1)

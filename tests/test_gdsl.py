@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramcalc import gdsl
 from gramcalc.gdsl import (
     GrammarSpec,
     GrammarSyntaxError,
@@ -144,6 +145,45 @@ def test_poly_rejections_carry_message_and_location(text, message, column):
         parse_poly(text)
     assert str(exc.value) == f"line 1, column {column}: {message}"
     assert (exc.value.line, exc.value.column) == (1, column)
+
+
+LONG = "9" * 4301
+LONG_LITERAL = "more than 4300 digits (gdsl.MAX_LITERAL_DIGITS)"
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (f"vars: x\nrule x -> {LONG}*x\n", 2, 11),
+        (f"vars: x\nrule x -> 1/{LONG}*x\n", 2, 13),
+        (f"vars: x\nrule x -> x^-{LONG}\n", 2, 14),
+        (f"vars: x\nrule x -> x\nn: {LONG}\n", 3, 4),
+    ],
+    ids=["numerator", "denominator", "exponent", "default_n"],
+)
+def test_long_literal_rejected_at_its_token(text, line, column):
+    # Without the bound, int() of such a literal raises a bare ValueError
+    # (CPython's own 4300-digit limit) or, where there is none, takes
+    # seconds near the 1 MiB file bound.
+    with pytest.raises(GrammarSyntaxError) as exc:
+        parse_grammar(text)
+    assert str(exc.value) == f"line {line}, column {column}: {LONG_LITERAL}"
+
+
+def test_long_exponent_in_poly_rejected_at_its_token():
+    assert gdsl.MAX_LITERAL_DIGITS == 4300
+    with pytest.raises(GrammarSyntaxError) as exc:
+        parse_poly("x^" + LONG, line_no=4)
+    assert str(exc.value) == f"line 4, column 3: {LONG_LITERAL}"
+
+
+def test_literal_at_the_digit_limit_parses():
+    top = "9" * 4300
+    p = parse_poly(f"{top}/{top}*x^-{top} + 1/{top}")
+    assert p.coefficient({"x": 1 - 10 ** 4300}) == 1
+    assert p.coefficient({}) * (10 ** 4300 - 1) == 1
+    spec = parse_grammar(f"vars: x\nrule x -> x\nn: {top}\n")
+    assert spec.default_n == 10 ** 4300 - 1
 
 
 def test_juxtaposition_rejected():

@@ -83,8 +83,8 @@ def test_ring_and_token_fields():
     assert ring.dot([2, 3], [5, 7]) == 31
     assert ring == Ring(name="r", one=1, dot=RATIONALS.dot)
     assert Ring._fields == ("name", "one", "dot")
-    token = _Token("ident", "x", 1, 5)
-    assert token == _Token(kind="ident", text="x", line=1, column=5)
+    token = _Token("ident", "x", 5)
+    assert token == _Token(kind="ident", text="x", column=5)
     assert token.column == 5
 
 
