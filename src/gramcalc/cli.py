@@ -28,6 +28,13 @@ MAX_GRAMMAR_BYTES = 1 << 20
 #: times the order; at this bound every form prints at ``series.MAX_ORDER``.
 MAX_POINT_DIGITS = 10
 
+#: The most digits of any integer a request prints: a numerator, denominator
+#: or exponent of a ``derive`` result (or of its start word, in JSON), or a
+#: ``series`` coefficient's numerator or denominator.  It is CPython's default limit on printing an integer, checked
+#: before any text is formatted, so an over-size request exits 1 on every
+#: interpreter.
+MAX_OUTPUT_DIGITS = 4300
+
 
 class CliError(Exception):
     pass
@@ -253,6 +260,27 @@ def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
     return EvalPoint(assignment, root_value)
 
 
+def _check_digits(values) -> None:
+    """Refuse the first ``(name, integer)`` of ``values`` with more than
+    ``MAX_OUTPUT_DIGITS`` digits.  It is measured against a power of ten, as
+    the text of such an integer is what an interpreter may refuse to build."""
+    limit = 10**MAX_OUTPUT_DIGITS
+    for name, value in values:
+        if not -limit < value < limit:
+            raise CliError(
+                f"{name} has more than {MAX_OUTPUT_DIGITS} digits (cli.MAX_OUTPUT_DIGITS)"
+            )
+
+
+def _printed_integers(poly, what: str):
+    """The integers ``poly.format()`` and ``poly.to_json_obj()`` print, named, in display order."""
+    for mono, coeff in poly.sorted_terms():
+        yield f"a coefficient of {what}", coeff.numerator
+        yield f"a coefficient of {what}", coeff.denominator
+        for name, exp in mono:
+            yield f"the exponent of {name} in {what}", exp
+
+
 # Each command returns its exit status and its stdout lines, and ``main`` writes
 # them only then: a request that exits 1 writes nothing to stdout.
 
@@ -277,7 +305,9 @@ def _cmd_derive(args) -> tuple[int, list[str]]:
         raise CliError("no order: pass --n or add 'n:' to the .gram file")
     result = derive_n(start, grammar, n).items[n]
     order = grammar.display_order()
+    _check_digits(_printed_integers(result, f"the order-{n} derivative"))
     if args.format == "json":
+        _check_digits(_printed_integers(start, "the start word"))
         payload = {
             "grammar": grammar.name,
             "start": start.format(order),
@@ -322,6 +352,12 @@ def _cmd_series(args) -> tuple[int, list[str]]:
     point = _parse_point(args.point, args.root)
     series = closed_form(args.which, point, args.order)
     values = series.egf_coefficients() if args.egf else list(series.coeffs)
+    kind = "EGF coefficient" if args.egf else "coefficient"
+    _check_digits(
+        (f"the {kind} of t^{n}", part)
+        for n, value in enumerate(values)
+        for part in (value.numerator, value.denominator)
+    )
     if args.format == "json":
         payload = {
             "which": args.which,

@@ -196,9 +196,9 @@ def _parse_poly(line: _Line, allowed: set[str] | None) -> LaurentPolynomial:
             raise line.fail("expected '+' or '-' between terms")
 
 
-def parse_poly(text: str, allowed: set[str] | None = None, line_no: int = 1) -> LaurentPolynomial:
-    """Parse a standalone polynomial written in the DSL term syntax."""
-    return _parse_poly(_Line(text, line_no), allowed)
+def parse_poly(text: str, allowed: set[str] | None = None) -> LaurentPolynomial:
+    """Parse a standalone polynomial written in the DSL term syntax; errors name line 1."""
+    return _parse_poly(_Line(text, 1), allowed)
 
 
 def parse_grammar(text: str) -> GrammarSpec:

@@ -8,9 +8,11 @@ any variable with no rule at all, behave as constants (``D(v) = 0``).
 
 This module holds the grammar's semantics: the rule record, the builtin
 grammars, and the bounds on a request.  The product-rule step itself is ring
-arithmetic and lives in ``laurent.derivatives``; ``derive``, ``derive_n`` and
-every other caller take their steps from ``iter_derive``, which refuses a
-request past ``MAX_N`` orders or ``MAX_DERIVE_WORK``.
+arithmetic: ``laurent.derivatives`` takes each step as one ``laurent.dot`` of
+the images ``D(v) / v`` with the copies of the last derivative weighted by
+``v d/dv``.  ``derive``, ``derive_n`` and every other caller take their steps
+from ``iter_derive``, which refuses a request past ``MAX_N`` orders or
+``MAX_DERIVE_WORK``.
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ numerators and the denominator are coprime.  Equality is therefore plain
 field equality.  Operations on polynomials over different variables first
 re-embed both into the union of their variables; products, powers, sums,
 evaluation and substitution run in integer arithmetic.  ``dot`` sums many
-products into one dict, and ``derivatives`` iterates a derivation of the
-ring (the formal derivative of a grammar) on the same integer terms, so no
-other module reads a polynomial's exponent tuples.
+products into one dict, and it is the one place where two terms are
+multiplied: sums, products, powers and substitution go through it, and so
+does each step of ``derivatives``, the iterated derivation of the ring (the
+formal derivative of a grammar).  No other module reads a polynomial's
+exponent tuples.
 ``LaurentPolynomial.from_dense`` is the one constructor that takes integer
 terms from outside.
 
@@ -107,7 +109,9 @@ class LaurentPolynomial:
         for exps, c in collected:
             key = tuple([exps.get(name, 0) for name in variables])
             num[key] = num.get(key, 0) + c.numerator * (den // c.denominator)
-        _set(self, variables, {k: c for k, c in num.items() if c}, den)
+        self._vars, self._num, self._den = _reduce(
+            variables, {k: c for k, c in num.items() if c}, den
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -418,42 +422,25 @@ def derivatives(
     """``D^0(p), D^1(p), ...`` for the derivation ``D`` with ``D(v) = rules[v]``.
 
     ``D`` is linear, obeys the product rule and sends a variable without a
-    rule to 0.  On one term, with no special case for negative exponents,
-
-        D(c * prod v^e_v) = c * sum_v e_v * v^(e_v - 1) * rules[v] * prod_{u != v} u^e_u.
-
-    The image of the variable at position ``i`` is kept as its exponent
-    vectors minus the unit vector ``i``, over the images' common denominator
-    ``rden``: a step adds that shift to a term's vector and scales by the
-    exponent, and ``D^k(p)`` is held over ``p``'s denominator times ``rden^k``.
+    rule to 0, so ``D = sum_v (rules[v] * v^-1) * (v d/dv)``.  A step is one
+    ``dot`` of those images with the copies of the last derivative weighted by
+    ``v d/dv``: each numerator times its exponent of ``v``, and the terms where
+    that exponent is 0 dropped.  Negative exponents need no special case.
     """
     yield p
     names = _union([p, *rules.values()])
-    images = sorted((names.index(v), r) for v, r in rules.items() if v in names and r._num)
-    rden = lcm(*(image._den for _, image in images))
-    shifted = [
-        (i, [
-            (tuple([e - (j == i) for j, e in enumerate(key)]), c * (rden // image._den))
-            for key, c in _embed(image, names).items()
-        ])
-        for i, image in images
-    ]
-    num, den = _embed(p, names), p._den
+    # Every operand of a step's ``dot`` is held over ``names``, unreduced, so
+    # that ``dot`` embeds none of them; only its result is kept.
+    ruled = [i for i, v in enumerate(names) if v in rules and rules[v]._num]
+    images = [rules[names[i]] * LaurentPolynomial.variable(names[i]) ** -1 for i in ruled]
+    images = [_raw(names, _embed(image, names), image._den) for image in images]
     while True:
-        out: dict[Exponents, int] = {}
-        get = out.get
-        for key, coeff in num.items():
-            for i, image in shifted:
-                exp = key[i]
-                if not exp:
-                    continue
-                scale = coeff * exp
-                for shift, c in image:
-                    k = tuple(map(add, key, shift))
-                    out[k] = get(k, 0) + scale * c
-        num = {k: c for k, c in out.items() if c}
-        den *= rden
-        yield _make(names, num, den)
+        num = _embed(p, names)
+        weighted = [
+            _raw(names, {k: c * k[i] for k, c in num.items() if k[i]}, p._den) for i in ruled
+        ]
+        p = dot(weighted, images)
+        yield p
 
 
 def _union(polys: Iterable[LaurentPolynomial]) -> tuple[str, ...]:
@@ -483,12 +470,17 @@ def _embedder(src: tuple[str, ...], dst: tuple[str, ...]):
 
 def _make(names: tuple[str, ...], num: dict[Exponents, int], den: int) -> LaurentPolynomial:
     # Internal constructor: ``names`` sorted, numerators nonzero, ``den`` > 0.
-    result = object.__new__(LaurentPolynomial)
-    _set(result, names, num, den)
-    return result
+    return _raw(*_reduce(names, num, den))
 
 
-def _set(poly: LaurentPolynomial, names: tuple[str, ...], num: dict[Exponents, int], den: int) -> None:
+def _raw(names: tuple[str, ...], num: dict[Exponents, int], den: int) -> LaurentPolynomial:
+    # The fields as given: canonical only if ``_reduce`` made them.
+    poly = object.__new__(LaurentPolynomial)
+    poly._vars, poly._num, poly._den = names, num, den
+    return poly
+
+
+def _reduce(names: tuple[str, ...], num: dict[Exponents, int], den: int) -> tuple:
     # Reduce to lowest terms and drop the variables that no longer occur.
     if not num:
         names, den = (), 1
@@ -502,9 +494,7 @@ def _set(poly: LaurentPolynomial, names: tuple[str, ...], num: dict[Exponents, i
         if len(used) < len(names):
             names = tuple([names[i] for i in used])
             num = {tuple([k[i] for i in used]): c for k, c in num.items()}
-    poly._vars = names
-    poly._num = num
-    poly._den = den
+    return names, num, den
 
 
 def _coerce(value: object):

@@ -64,7 +64,7 @@ class InadmissiblePointError(ValueError):
 
 
 class Ring(NamedTuple):
-    """The numerators of a series: ``RATIONALS`` or ``LAURENT``.
+    """The numerators of a series: ``RATIONALS`` or ``LAURENT``, no other.
 
     ``one`` is the numerator 1, and ``dot(xs, ys)`` is the sum of the
     products ``xs[i] * ys[i]`` of two iterables of numerators.
@@ -91,6 +91,12 @@ def _scalar(ring: Ring, value) -> tuple:
     return ring.one * c.numerator, c.denominator
 
 
+def _check_ring(ring: Ring) -> None:
+    # The ring-dependent steps test for these two by identity.
+    if ring is not RATIONALS and ring is not LAURENT:
+        raise ValueError("a series ring must be series.RATIONALS or series.LAURENT")
+
+
 def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -114,6 +120,7 @@ class TruncatedSeries:
     __slots__ = ("ring", "_nums", "_e", "_q", "_coeffs")
 
     def __init__(self, ring: Ring, coeffs: Sequence):
+        _check_ring(ring)
         scalars = [_scalar(ring, c) for c in coeffs]
         if not scalars:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
@@ -265,6 +272,7 @@ class TruncatedSeries:
 
 def exp_series(alpha, order: int, ring: Ring = RATIONALS) -> TruncatedSeries:
     """exp(alpha * t) truncated: the n-th coefficient is alpha^n / n!."""
+    _check_ring(ring)
     _check_order(order)
     num, den = _scalar(ring, alpha)
     powers = accumulate(repeat(num, order), mul, initial=ring.one)

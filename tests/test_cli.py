@@ -170,6 +170,65 @@ def test_derive_long_start_literal_is_located(capsys):
     )
 
 
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "start, n, fmt, what",
+    [
+        (f"z^{NINES}", 2, "text", "a coefficient of the order-2 derivative"),
+        (f"z^{NINES}", 2, "json", "a coefficient of the order-2 derivative"),
+        (f"{NINES}*z", 3, "text", "a coefficient of the order-3 derivative"),
+        (f"{NINES}*z", 3, "json", "a coefficient of the order-3 derivative"),
+        (f"1/{NINES}*x^{NINES}", 2, "text", "the exponent of x in the order-2 derivative"),
+        (f"1/{NINES} + 1/{NINES[:-1]}7 + z", 1, "json", "a coefficient of the start word"),
+    ],
+    ids=["power_n2", "power_n2_json", "multiple_n3", "multiple_n3_json", "exponent", "start_json"],
+)
+def test_derive_output_digits_are_bounded(capsys, start, n, fmt, what):
+    # Printing an integer of more than 4300 digits raises a bare ValueError
+    # on CPython since 3.10.7 and succeeds before it; the check comes first.
+    argv = ("derive", "--grammar", "paper_G", "--start", start, "--n", str(n), "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"gramcalc: error: {what} has more than 4300 digits (cli.MAX_OUTPUT_DIGITS)\n"
+
+
+@pytest.mark.parametrize(
+    "start, printed",
+    [
+        (f"{NINES}*z", f"{NINES}*z*w"),
+        (f"z^{NINES}", f"{NINES}*z^{NINES}*w"),
+        # The start word is printed only in JSON; its 1/a + 1/b has 8600 digits.
+        (f"1/{NINES} + 1/{NINES[:-1]}7 + z", "z*w"),
+    ],
+    ids=["multiple", "power", "start"],
+)
+def test_derive_output_digits_at_the_bound(capsys, start, printed):
+    code, out, err = run(capsys, "derive", "--grammar", "paper_G", "--start", start, "--n", "1")
+    assert (code, out, err) == (0, f"{printed}\n", "")
+
+
+@pytest.mark.parametrize("egf", [(), ("--egf",)], ids=["raw", "egf"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_series_output_digits_are_bounded(capsys, monkeypatch, egf, fmt):
+    from gramcalc import cli
+
+    # no_pdd_U0 prints 2017/5040 (raw) and 2017 (EGF) at t^7, then 6679/20160
+    # and 13358 at t^8.
+    monkeypatch.setattr(cli, "MAX_OUTPUT_DIGITS", 4)
+    argv = ("series", "--which", "no_pdd_U0", "--format", fmt, *egf)
+    code, out, err = run(capsys, *argv, "--order", "8")
+    assert (code, out) == (1, "")
+    kind = "EGF coefficient" if egf else "coefficient"
+    assert err == (
+        f"gramcalc: error: the {kind} of t^8 has more than 4 digits (cli.MAX_OUTPUT_DIGITS)\n"
+    )
+    code, out, err = run(capsys, *argv, "--order", "7")
+    assert (code, err) == (0, "")
+    assert ("2017" if egf else "2017/5040") in out
+
+
 def test_gram_file_over_the_size_limit_is_rejected(tmp_path, capsys):
     limit = 1 << 20
     padding = "# a comment line\n" * (limit // 17 + 1)

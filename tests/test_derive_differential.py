@@ -49,7 +49,7 @@ def assert_same(new, old):
         assert a.to_json_obj() == b.to_json_obj()
 
 
-X, T, U = LP.variable("a"), LP.variable("t"), LP.variable("u")
+X, B, T, U = LP.variable("a"), LP.variable("b"), LP.variable("t"), LP.variable("u")
 
 
 @settings(max_examples=150, deadline=None)
@@ -59,6 +59,11 @@ X, T, U = LP.variable("a"), LP.variable("t"), LP.variable("u")
 @example((Grammar({"a": LP.zero(), "b": X}), X ** -2 * U + LP.variable("b")))
 @example((Grammar({"a": Fraction(1, 2) * X ** 2, "b": X}), Fraction(2, 3) * X ** -1))
 @example((Grammar({"a": X, "b": X ** -1}, frozenset("t")), T * U ** -1))
+@example((Grammar({"a": 2 * X}), X ** 3 * B + X ** -1))
+@example(
+    (Grammar({"a": Fraction(1, 3) * X ** -1 * B, "b": X}), X ** 2 * B ** -1 + Fraction(1, 2) * B)
+)
+@example((Grammar({"a": B, "b": X}, frozenset("t")), X * B + T))
 def test_derivatives_agree_with_the_reference(case):
     g, p = case
     assert_same(list(islice(derivatives(p, g.rules), ORDER + 1)), ref._derive_steps(p, g, ORDER))

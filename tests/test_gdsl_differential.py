@@ -107,19 +107,15 @@ def assert_same(new, old):
 
 
 @settings(max_examples=400, deadline=None)
-@given(polys, st.sets(names), st.integers(1, 40))
-@example("x^0 + x*x^-1*y^2 - 0*z", {"x", "y"}, 3)
-@example(f"{'9' * 4300}/{'9' * 4300}*x^-{'9' * 4300}", None, 1)
-@example("2/0*x", set(), 1)
-@example("x*v1*t^-3 - 3/4*", {"x"}, 7)
-def test_poly_matches_reference(text, allowed, line_no):
+@given(polys, st.sets(names))
+@example("x^0 + x*x^-1*y^2 - 0*z", {"x", "y"})
+@example(f"{'9' * 4300}/{'9' * 4300}*x^-{'9' * 4300}", None)
+@example("2/0*x", set())
+@example("x*v1*t^-3 - 3/4*", {"x"})
+def test_poly_matches_reference(text, allowed):
     assert_same(outcome(gdsl.parse_poly, text), outcome(ref.parse_poly, text))
     assert_same(
         outcome(gdsl.parse_poly, text, allowed), outcome(ref.parse_poly, text, allowed)
-    )
-    assert_same(
-        outcome(gdsl.parse_poly, text, allowed, line_no),
-        outcome(ref.parse_poly, text, allowed, line_no),
     )
 
 

@@ -12,6 +12,7 @@ from gramcalc.series import (
     RATIONALS,
     EvalPoint,
     InadmissiblePointError,
+    Ring,
     TruncatedSeries,
     closed_form,
     exp_series,
@@ -128,6 +129,27 @@ def test_series_rejects_float_scalars():
         with pytest.raises(TypeError, match="float"):
             apply()
     assert (a + Fraction(1, 2)).coeffs == (Fraction(3, 2), 2, 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda ring: TruncatedSeries(ring, [2, 1, 3]).inverse(),
+        lambda ring: TruncatedSeries.constant(2, 3, ring),
+        lambda ring: exp_series(2, 3, ring),
+    ],
+    ids=["init", "constant", "exp_series"],
+)
+@pytest.mark.parametrize(
+    "ring", [Ring("r", 1, RATIONALS.dot), Ring(*RATIONALS)], ids=["new_ring", "copy"]
+)
+def test_series_refuse_a_ring_of_their_own(make, ring):
+    # The ring-dependent steps test for RATIONALS and LAURENT by identity, so
+    # another ring once fell through to ``beta ** -1``: the inverse of
+    # [2, 1, 3] read (0.5, -0.25, -0.625).
+    with pytest.raises(ValueError) as exc:
+        make(ring)
+    assert str(exc.value) == "a series ring must be series.RATIONALS or series.LAURENT"
 
 
 def test_derivative_shifts():
