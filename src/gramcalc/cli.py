@@ -6,11 +6,13 @@ stderr), 2 when a verification check fails.
 
 # The docstring above is the text of ``gramcalc --help``.  The process entry
 # point, for ``python -m gramcalc.cli`` and the ``gramcalc`` script, is
-# ``run()``; ``main(argv)`` serves one request and returns its exit status.
+# ``run()``, which ends the process without interpreter teardown;
+# ``main(argv)`` serves one request and returns its exit status.
 
 from __future__ import annotations
 
 import atexit
+import errno
 import os
 import sys
 from types import SimpleNamespace
@@ -392,6 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         status, lines = (0, [args]) if isinstance(args, str) else commands[args.command](args)
+        if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write("".join(f"{line}\n" for line in lines))
         sys.stdout.flush()  # a full disk or a closed pipe is reported here, not at exit
         return status
@@ -400,32 +404,33 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _observed() -> bool:
-    """Whether a tracer, a profiler or another thread still has work to do at exit."""
-    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
-    threading = sys.modules.get("threading")
-    return bool(
-        sys.gettrace() or sys.getprofile()
-        or monitoring and any(map(monitoring.get_tool, range(6)))
-        or threading and threading.active_count() > 1
-    )
+def _end(status: int) -> NoReturn:
+    """The last step of ``run``: end the process with ``status`` as soon as the
+    ``atexit`` callbacks registered before it have run."""
+    atexit.unregister(_end)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:  # main has reported a failed write; bytes it left are dropped
+                pass
+    os._exit(status)
 
 
 def run() -> NoReturn:
     """The process entry point: ``main()``, then exit with its status.
 
-    Interpreter teardown (clearing every module, the last garbage collections)
-    takes longer than a small request computes, so the process ends at once
-    after the ``atexit`` callbacks and a flush of stderr; ``main`` has already
-    flushed stdout.  A normal exit is kept when ``_observed()``.
+    The exit is a ``sys.exit``, so other threads are joined and a profiler or
+    a tracer that runs the module still prints its report; then the first
+    ``atexit`` callback, ``_end``, runs the others and ends the process without
+    interpreter teardown (clearing every module, the last garbage
+    collections), which takes longer than a small request computes.  The
+    status is ``main``'s even where such a tool catches the ``SystemExit``.
     """
     status = main()
-    if _observed():
-        sys.exit(status)
-    atexit._run_exitfuncs()
-    if sys.stderr is not None:
-        sys.stderr.flush()
-    os._exit(status)
+    atexit.register(_end, status)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -209,6 +209,19 @@ def test_derive_output_digits_at_the_bound(capsys, start, printed):
     assert (code, out, err) == (0, f"{printed}\n", "")
 
 
+def test_derive_output_digits_are_judged_at_the_order_printed(tmp_path, capsys):
+    # D and D^2 of x^2 have 4301-digit coefficients, D^3 is 0: a request is
+    # refused by what it prints, not by a step it passes through.
+    path = tmp_path / "big.gram"
+    path.write_text(f"vars: x\nrule x -> {NINES}\nstart: x^2\n", encoding="utf-8")
+    for n in (1, 2):
+        code, out, err = run(capsys, "derive", "--grammar", str(path), "--n", str(n))
+        what = f"a coefficient of the order-{n} derivative"
+        assert (code, out) == (1, "")
+        assert err == f"gramcalc: error: {what} has more than 4300 digits (cli.MAX_OUTPUT_DIGITS)\n"
+    assert run(capsys, "derive", "--grammar", str(path), "--n", "3") == (0, "0\n", "")
+
+
 @pytest.mark.parametrize("egf", [(), ("--egf",)], ids=["raw", "egf"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_series_output_digits_are_bounded(capsys, monkeypatch, egf, fmt):

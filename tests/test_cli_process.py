@@ -1,10 +1,12 @@
 """The CLI as a fresh process: ``python -m gramcalc.cli`` ends through ``cli.run``.
 
-``run`` skips interpreter teardown, so these tests check that a child prints
-what in-process ``main`` prints, that a failed write is reported with exit 1,
-and that a profiler, a tracer, an ``atexit`` callback and a running thread
-still get to finish.  The children run without ``PYTHONUNBUFFERED``: with it,
-stdout is written at once and a failed write never waits for the flush.
+``run`` ends every request the same way: ``sys.exit``, then its own ``atexit``
+callback runs the others and ends the process without interpreter teardown.
+These tests check that a child prints what in-process ``main`` prints, that a
+failed write is reported once with exit 1, that teardown never runs, and that
+a profiler, a tracer, an ``atexit`` callback and a running thread still get to
+finish.  The children run without ``PYTHONUNBUFFERED``: with it, stdout is
+written at once and a failed write never waits for the flush.
 """
 
 import errno
@@ -95,6 +97,15 @@ def test_closed_stderr_exits_0():
     assert (child.returncode, child.stdout) == (0, b"gramcalc 0.1.0\n")
 
 
+def test_closed_stdout_exits_1():
+    # With descriptor 1 closed, sys.stdout is None: a failed write, not a traceback.
+    child = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m gramcalc.cli --version >&-', sys.executable],
+        env=_env(), stderr=subprocess.PIPE, timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (1, _write_error(errno.EBADF))
+
+
 def test_failed_flush_returns_1(capsys, monkeypatch):
     class FullStdout:
         def write(self, text):
@@ -106,12 +117,6 @@ def test_failed_flush_returns_1(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", FullStdout())
     assert main(TABLE) == 1
     assert capsys.readouterr().err == _write_error(errno.ENOSPC).decode()
-
-
-def test_plain_request_is_not_observed():
-    # A plain request takes the fast exit; the tests below check each way out of it.
-    child = _child(["-c", "from gramcalc.cli import _observed; print(_observed())"])
-    assert child.stdout == b"False\n"
 
 
 def test_profiler_report_is_printed():
@@ -131,9 +136,13 @@ def test_tracer_summary_is_printed(tmp_path):
     assert f"{os.sep}cli.py)".encode() in child.stdout
 
 
-def _run_after(setup: str, argv: list[str]) -> subprocess.CompletedProcess:
+def _run_after(setup: str, argv: list[str], **kwargs) -> subprocess.CompletedProcess:
     code = f"{setup}\nimport sys\nsys.argv = {['gramcalc', *argv]!r}\n"
-    return _child(["-c", code + "from gramcalc.cli import run\nrun()\n"])
+    return _child(["-c", code + "from gramcalc.cli import run\nrun()\n"], **kwargs)
+
+
+#: A thread still running when ``main`` returns.
+SLEEPER = "import threading, time\nthreading.Thread(target=time.sleep, args=(0.2,)).start()"
 
 
 def test_atexit_callback_runs():
@@ -155,3 +164,57 @@ def test_thread_finishes():
     assert child.returncode == 1
     assert child.stderr.endswith(b"\nthread ran\n")
     assert child.stderr.startswith(b"gramcalc: error: unrecognized arguments: --jobs 2\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_with_thread_exits_1():
+    # The bytes main could not write are still in stdout's buffer once the
+    # thread is joined; flushing them again must not turn status 1 into 120.
+    with open("/dev/full", "wb") as full:
+        child = _run_after(SLEEPER, TABLE, stdout=full)
+    assert (child.returncode, child.stderr) == (1, _write_error(errno.ENOSPC))
+
+
+def test_closed_pipe_with_thread_exits_1():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = _run_after(SLEEPER, TABLE, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, _write_error(errno.EPIPE))
+
+
+@pytest.mark.parametrize(
+    "setup",
+    ["", SLEEPER],
+    ids=["plain", "thread"],
+)
+def test_teardown_is_skipped(setup):
+    setup += (
+        "\nimport atexit, sys\n"
+        "class Loud:\n"
+        "    def __del__(self):\n"
+        "        sys.stderr.write('teardown\\n')\n"
+        "loud = Loud()\n"
+        "atexit.register(sys.stderr.write, 'atexit ran\\n')"
+    )
+    child = _run_after(setup, TABLE)
+    assert (child.returncode, child.stderr) == (0, b"atexit ran\n")
+    assert child.stdout.startswith(b"(1, 0)  count=1\n")
+
+
+@pytest.mark.parametrize(
+    "tool, report",
+    [
+        (["-m", "cProfile", "-m"], b" function calls "),
+        (["-m", "trace", "--listfuncs", "--module"], b"functions called:"),
+    ],
+    ids=["cProfile", "trace"],
+)
+def test_profiled_request_keeps_its_status(tool, report):
+    # cProfile and trace catch the SystemExit, print their report and would exit 0.
+    child = _child([*tool, "gramcalc.cli", *TABLE, "--jobs", "2"])
+    assert child.returncode == 1
+    assert child.stderr == b"gramcalc: error: unrecognized arguments: --jobs 2\n"
+    assert report in child.stdout
