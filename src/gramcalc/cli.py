@@ -214,7 +214,7 @@ def _load_grammar(source: str) -> tuple[Grammar, GrammarSpec | None]:
             raise CliError(
                 f"grammar file '{source}' exceeds the limit of {MAX_GRAMMAR_BYTES} bytes"
             )
-        spec = parse_grammar(data.decode("utf-8"))
+        spec = parse_grammar(data.decode("utf-8-sig"))
         return spec.to_grammar(name=os.path.basename(source)), spec
     raise CliError(
         f"unknown grammar '{source}': not a builtin "
@@ -280,7 +280,11 @@ def _check_digits(values) -> None:
 
 
 def _printed_integers(poly, what: str):
-    """The integers ``poly.format()`` and ``poly.to_json_obj()`` print, named, in display order."""
+    """The integers ``poly.format()`` and ``poly.to_json_obj()`` print, named, in display order.
+
+    Text and JSON render the terms of ``poly.sorted_terms()``, and this reads
+    the same walk, so the bound sees exactly the integers they print.
+    """
     for mono, coeff in poly.sorted_terms():
         yield f"a coefficient of {what}", coeff.numerator
         yield f"a coefficient of {what}", coeff.denominator
@@ -296,6 +300,8 @@ def _cmd_derive(args) -> tuple[int, list[str]]:
     from .grammar import derive_n
 
     grammar, spec = _load_grammar(args.grammar)
+    # A builtin grammar has no file to add a default to.
+    hint = "" if spec is None else " or add '{}:' to the .gram file"
     if args.start is not None:
         from .gdsl import parse_poly
 
@@ -304,12 +310,12 @@ def _cmd_derive(args) -> tuple[int, list[str]]:
     elif spec is not None and spec.start is not None:
         start = spec.start
     else:
-        raise CliError("no start word: pass --start or add 'start:' to the .gram file")
+        raise CliError("no start word: pass --start" + hint.format("start"))
     n = args.n
     if n is None and spec is not None:
         n = spec.default_n
     if n is None:
-        raise CliError("no order: pass --n or add 'n:' to the .gram file")
+        raise CliError("no order: pass --n" + hint.format("n"))
     result = derive_n(start, grammar, n).items[n]
     order = grammar.display_order()
     _check_digits(_printed_integers(result, f"the order-{n} derivative"))

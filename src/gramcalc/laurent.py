@@ -32,8 +32,11 @@ variables are the same iff their names are equal.
 
 For display and serialization, terms are ordered by total degree and then
 lexicographically on the exponent vector (variables taken in alphabetical
-order), largest first.  This ordering is deterministic, so formatted output
-and JSON exports are stable across runs.
+order), largest first.  ``sorted_terms()`` is the one walk in that order:
+``format()`` and ``to_json_obj()`` render its terms, and the CLI's bound on
+printed integers reads it, so text, JSON and the bound see the same terms.
+The ordering is deterministic, so formatted output and JSON exports are
+stable across runs.
 """
 
 from __future__ import annotations
@@ -331,20 +334,15 @@ class LaurentPolynomial:
 
     # -- ordering, display, serialization ------------------------------------
 
-    def _sorted_keys(self) -> list[Exponents]:
-        # Graded lex, largest first: the dense key is the exponent vector over
-        # the sorted variables.
-        return sorted(self._num, key=lambda k: (sum(k), k), reverse=True)
-
-    def _coeff_text(self, c: int) -> str:
-        return str(c) if self._den == 1 else str(Fraction(c, self._den))
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in the canonical display order (graded lex, largest first)."""
-        return [
-            (self._monomial(k), Fraction(self._num[k], self._den))
-            for k in self._sorted_keys()
-        ]
+        """Terms in the canonical display order (graded lex, largest first).
+
+        The one display walk: ``format``, ``to_json_obj`` and the CLI's output
+        bound all read it.
+        """
+        # The dense key is the exponent vector over the sorted variables.
+        keys = sorted(self._num, key=lambda k: (sum(k), k), reverse=True)
+        return [(self._monomial(k), Fraction(self._num[k], self._den)) for k in keys]
 
     def format(self, var_order: Iterable[str] = ()) -> str:
         """Render in the text syntax understood by the grammar DSL.
@@ -356,36 +354,25 @@ class LaurentPolynomial:
         if not self._num:
             return "0"
         rank = {name: i for i, name in enumerate(var_order)}
-        factor_order = sorted(
-            range(len(self._vars)),
-            key=lambda i: (rank.get(self._vars[i], len(rank)), self._vars[i]),
-        )
-        pieces: list[str] = []
-        for key in self._sorted_keys():
-            body = "*".join(
-                self._vars[i] if key[i] == 1 else f"{self._vars[i]}^{key[i]}"
-                for i in factor_order
-                if key[i]
-            )
-            c = self._num[key]
-            if not body:
-                text = self._coeff_text(abs(c))
-            elif abs(c) == self._den:
-                text = body
-            else:
-                text = f"{self._coeff_text(abs(c))}*{body}"
-            if not pieces:
-                pieces.append(f"-{text}" if c < 0 else text)
-            else:
-                pieces.append(f" - {text}" if c < 0 else f" + {text}")
-        return "".join(pieces)
+        place = {name: (rank.get(name, len(rank)), name) for name in self._vars}
+        pieces = []
+        for mono, c in self.sorted_terms():
+            body = "*".join([
+                name if e == 1 else f"{name}^{e}"
+                for name, e in sorted(mono, key=lambda factor: place[factor[0]])
+            ])
+            coeff = str(c)
+            sign, text = ("-", coeff[1:]) if coeff[0] == "-" else ("+", coeff)
+            if body:
+                text = body if text == "1" else f"{text}*{body}"
+            pieces.append(f"{sign} {text}")
+        # "- a + b" -> "-a + b" and "+ a - b" -> "a - b".
+        joined = " ".join(pieces)
+        return joined[2:] if joined[0] == "+" else f"-{joined[2:]}"
 
     def to_json_obj(self) -> list[dict]:
         """JSON-ready form: a list of ``{"coeff": "p/q", "exps": {...}}`` terms."""
-        return [
-            {"coeff": self._coeff_text(self._num[k]), "exps": dict(self._monomial(k))}
-            for k in self._sorted_keys()
-        ]
+        return [{"coeff": str(c), "exps": dict(mono)} for mono, c in self.sorted_terms()]
 
     def __str__(self) -> str:
         return self.format()

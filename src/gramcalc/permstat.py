@@ -162,9 +162,8 @@ def specialize_triangle(table: StatTable, which: str) -> list[tuple[int, int]]:
     """Marginal counts by one statistic: rows (k, count), k ascending."""
     kind, axis = _triangle_source(which)
     if table.kind != kind:
-        raise ValueError(
-            f"triangle {which} needs a {kind} table, got {table.kind}"
-        )
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ValueError(f"triangle {which} needs {article} {kind} table, got {table.kind}")
     marginal: dict[int, int] = {}
     for key, count in table.counts.items():
         k = key[axis]

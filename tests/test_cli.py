@@ -83,6 +83,51 @@ def test_derive_missing_order(tmp_path, capsys):
     assert err == "gramcalc: error: no order: pass --n or add 'n:' to the .gram file\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "no start word: pass --start"),
+        (("--start", "z"), "no order: pass --n"),
+    ],
+    ids=["start", "order"],
+)
+def test_derive_builtin_without_defaults_names_only_the_flag(capsys, argv, message):
+    # A builtin grammar has no .gram file to add 'start:' or 'n:' to.
+    code, out, err = run(capsys, "derive", "--grammar", "paper_G", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"gramcalc: error: {message}\n"
+
+
+def test_gram_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.gram", tmp_path / "marked.gram"
+    plain.write_text(MAIN_GRAMMAR_TEXT, encoding="utf-8")
+    marked.write_text(MAIN_GRAMMAR_TEXT, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    for fmt in ("text", "json"):
+        expected = run(capsys, "derive", "--grammar", str(plain), "--format", fmt)
+        assert expected[0] == 0
+        got = run(capsys, "derive", "--grammar", str(marked), "--format", fmt)
+        # The name in the JSON payload is the file's base name.
+        assert got == (0, expected[1].replace("plain.gram", "marked.gram"), "")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["vars: x\nrule x -> x*\n", "vars: x$\n"],
+    ids=["later-line", "first-line"],
+)
+def test_byte_order_mark_keeps_error_locations(tmp_path, capsys, text):
+    errors = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path = tmp_path / f"{encoding}.gram"
+        path.write_text(text, encoding=encoding)
+        code, out, err = run(capsys, "derive", "--grammar", str(path), "--n", "1")
+        assert (code, out) == (1, "")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "line" in errors[0] and "column" in errors[0]
+
+
 # Every rule is v -> v*(a + ... + h), so D^n(a) holds each of the
 # C(n + 8, 7) monomials of degree n + 1: about three times the work every
 # two orders, while every n up to MAX_N = 25 passes the order check.

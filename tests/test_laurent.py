@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,44 @@ def test_json_shape():
 def test_format_parses_back():
     p = parse_poly("-2/3*x^-1*y^2 + z - 5*w")
     assert parse_poly(p.format()) == p
+
+
+@settings(max_examples=80)
+@given(polys(), st.permutations("wxyz"))
+def test_text_and_json_show_the_sorted_terms(a, var_order):
+    # ``sorted_terms()`` is the walk the CLI's output bound reads, so text and
+    # JSON must show its terms, in its order, with its coefficients.
+    terms = a.sorted_terms()
+    obj = a.to_json_obj()
+    assert [(tuple(sorted(t["exps"].items())), Fraction(t["coeff"])) for t in obj] == terms
+    text = a.format(var_order)
+    if not terms:
+        assert (text, obj) == ("0", [])
+        return
+    shown = re.split(r" (?=[+-] )", text)
+    assert len(shown) == len(terms)
+    for piece, (mono, coeff) in zip(shown, terms):
+        piece = piece.replace("+ ", "", 1).replace("- ", "-", 1)
+        assert parse_poly(piece) == LP({mono: coeff})
+        names = re.findall(r"[a-z]", piece)
+        assert names == sorted(names, key=var_order.index)
+
+
+# -- operators outside the ring --------------------------------------------------
+
+def test_unary_plus_is_identity():
+    assert +P3 is P3
+
+
+def test_foreign_operands_are_refused():
+    with pytest.raises(TypeError):
+        "a" - P3
+    with pytest.raises(TypeError):
+        P3 - "a"
+    with pytest.raises(TypeError):
+        P3 ** 1.5
+    assert (P3 == "x") is False
+    assert (P3 != "x") is True
 
 
 # -- algebraic properties -------------------------------------------------------

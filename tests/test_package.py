@@ -81,6 +81,16 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(gramcalc, "cli_main")
 
 
+def test_leg_access_imports_through_getattr(monkeypatch):
+    # Once a leg is imported, the import system binds it on the package; with
+    # that binding gone, access must go through the package's ``__getattr__``.
+    import gramcalc.series as series
+
+    monkeypatch.delattr(gramcalc, "series")
+    assert "series" not in vars(gramcalc)
+    assert gramcalc.series is series
+
+
 def test_star_import_in_fresh_interpreter():
     out = _fresh(
         "from gramcalc import *\n"

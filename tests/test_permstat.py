@@ -201,6 +201,8 @@ def test_triangle_kind_mismatch():
     table = stat_table(3, KIND_EXTERIOR_PDD)
     with pytest.raises(ValueError, match="needs a peak_dd table"):
         specialize_triangle(table, "R")
+    with pytest.raises(ValueError, match="^triangle T needs an exterior_pdd table, got peak_dd$"):
+        specialize_triangle(stat_table(3, KIND_PEAK_DD), "T")
     with pytest.raises(ValueError, match="unknown triangle"):
         specialize_triangle(table, "Q")
 

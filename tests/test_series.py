@@ -114,6 +114,10 @@ def test_scalar_operations():
     assert (5 - a).coeffs == (4, -2, -3)
 
 
+def test_series_equal_only_series():
+    assert (exp_series(1, 2) == 3) is False
+
+
 def test_series_rejects_float_scalars():
     with pytest.raises(TypeError, match="float"):
         exp_series(0.5, 3)
