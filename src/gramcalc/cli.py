@@ -251,15 +251,17 @@ def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
         if root is not None:
             raise CliError("--root given without --point")
         return None
+    from .laurent import check_variable_name
     from .series import EvalPoint
 
     assignment = {}
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece or "=" not in piece:
-            raise CliError(f"bad point component {piece!r} (expected var=rational)")
-        name, _, value = piece.partition("=")
-        name = name.strip()
+        name, eq, value = piece.partition("=")
+        try:  # a component without "=" names nothing
+            name = check_variable_name(name.strip() if eq else None)
+        except ValueError:
+            raise CliError(f"bad point component {piece!r} (expected var=rational)") from None
         if name in assignment:
             raise CliError(f"variable '{name}' is assigned twice in --point")
         assignment[name] = _rational(value, "--point")

@@ -99,14 +99,21 @@ def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[La
         raise ValueError("derivative order must be nonnegative")
     if n > MAX_N:
         raise ValueError(f"derivative order {n} exceeds the limit {MAX_N}")
-    width = len(p.variables().union(*(image.variables() for image in g.rules.values())))
+    images = g.rules.values()
+    width = len(p.variables().union(*(image.variables() for image in images)))
+    # The largest number a product multiplies a coefficient by: an exponent,
+    # which MAX_N steps grow by a few bits at most, or an image's integer.
+    factor_bits = max(
+        [p.exponent_bits(), *(max(i.coefficient_bits(), i.exponent_bits()) for i in images)]
+    )
     steps = derivatives(p, g.rules)
     last = next(steps)
     yield last
     work = 0
     for order in range(1, n + 1):
         products = len(last) * sum(len(g.rules.get(v, ())) for v in last.variables())
-        work += products * (width + 8)
+        size = last.coefficient_bits() // 64 * (factor_bits // 64 + 32) // 32
+        work += products * (width + 8 + size)
         if work > MAX_DERIVE_WORK:
             raise ValueError(
                 f"derivative order {order} needs up to {work} units of work, "

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, getitem, index, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -182,6 +183,16 @@ class LaurentPolynomial:
 
     def variables(self) -> frozenset[str]:
         return frozenset(self._vars)
+
+    def coefficient_bits(self) -> int:
+        """The bit length of its denominator or of its largest numerator in absolute value."""
+        nums = [self._den, *self._num.values()]
+        return max(max(nums).bit_length(), min(nums).bit_length())
+
+    def exponent_bits(self) -> int:
+        """The bit length of its largest exponent in absolute value (0 for a constant)."""
+        exps = [0, *chain.from_iterable(self._num)]
+        return max(max(exps).bit_length(), min(exps).bit_length())
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         """The coefficient of the given monomial (0 if absent)."""

@@ -10,9 +10,10 @@ numerators are ``int``s over ``RATIONALS`` and ``LaurentPolynomial``s over
 
 Each operation has one algorithm for both rings.  ``exp(p/q * t)`` is
 ``b[n] = p^n`` with ``Q = q``; sums rescale both operands to the lcm of their
-scales; a product is the binomial convolution ``sum C(n,k) a[k] b[n-k]``, one
-``Ring.dot`` per coefficient; a reciprocal runs Knuth's recurrence on the
-numerators; ``derivative()`` drops ``b[0]`` and multiplies ``E`` by ``Q``, and
+scales, and a scalar joins a sum as a constant series; a product is the
+binomial convolution ``sum C(n,k) a[k] b[n-k]``, one ``Ring.dot`` per
+coefficient; a reciprocal runs Knuth's recurrence on the numerators;
+``derivative()`` drops ``b[0]`` and multiplies ``E`` by ``Q``, and
 ``truncate()`` is a slice.  Only these points depend on the ring:
 
 * the numerator type (``Ring.one``) and ``Ring.dot``: an integer ``sum`` of
@@ -20,14 +21,14 @@ numerators; ``derivative()`` drops ``b[0]`` and multiplies ``E`` by ``Q``, and
 * the reciprocal's last step: over the integers it folds ``|b[0]|`` into
   ``E`` and ``Q``; over polynomials it multiplies by powers of ``b[0]**-1``,
   so the constant term must be a single term;
-* how a coefficient is read: a ``Fraction`` or a polynomial;
 * scalar operands, which may be polynomials only over ``LAURENT``.
 
-Nothing is reduced until the coefficients are read: ``coeffs``,
-``egf_coefficients()``, ``==`` and ``repr`` give ``Fraction``s over
-``RATIONALS`` and polynomials over ``LAURENT``.  There is no floating point
-anywhere: a float coefficient or scalar, added to or multiplied into a series
-or passed to ``exp_series``, raises ``TypeError``.
+Nothing is reduced until the coefficients are read, and they are reduced
+again on each read: ``coeffs``, ``egf_coefficients()``, ``==`` and ``repr``
+multiply each numerator by ``Fraction(1, denominator)``, which gives
+``Fraction``s over ``RATIONALS`` and polynomials over ``LAURENT``.  There is
+no floating point anywhere: a float coefficient or scalar, added to or
+multiplied into a series or passed to ``exp_series``, raises ``TypeError``.
 
 ``gen_series(p, g, order)`` is the exponential generating series of the
 iterated derivatives of ``p`` under the grammar ``g``: its EGF numerators are
@@ -114,10 +115,10 @@ class TruncatedSeries:
     """Coefficients of t^0 .. t^order; arithmetic never looks past order.
 
     The series lives in ``_nums``, ``_e`` and ``_q`` (see the module
-    docstring); ``coeffs`` is computed from them when first read.
+    docstring); ``coeffs`` is computed from them on each read.
     """
 
-    __slots__ = ("ring", "_nums", "_e", "_q", "_coeffs")
+    __slots__ = ("ring", "_nums", "_e", "_q")
 
     def __init__(self, ring: Ring, coeffs: Sequence):
         _check_ring(ring)
@@ -126,29 +127,24 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
         e = lcm(*(den for _, den in scalars))
         nums = [num * (factorial(n) * e // den) for n, (num, den) in enumerate(scalars)]
-        self.ring, self._nums, self._e, self._q, self._coeffs = ring, nums, e, 1, None
+        self.ring, self._nums, self._e, self._q = ring, nums, e, 1
 
     @classmethod
     def _of(cls, ring: Ring, nums: list, e: int, q: int) -> "TruncatedSeries":
         """The series with n-th coefficient ``nums[n] / (e * n! * q^n)``."""
         self = cls.__new__(cls)
-        self.ring, self._nums, self._e, self._q, self._coeffs = ring, nums, e, q, None
+        self.ring, self._nums, self._e, self._q = ring, nums, e, q
         return self
 
     def _values(self, steps: Iterable[int]) -> list:
         """``nums[n] / (e * steps[0] * ... * steps[n-1])``, reduced, for each n."""
         dens = accumulate(steps, mul, initial=self._e)
-        if self.ring is RATIONALS:
-            return list(map(Fraction, self._nums, dens))
         return [b * Fraction(1, d) for b, d in zip(self._nums, dens)]
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients of t^0 .. t^order, reduced when first read."""
-        if self._coeffs is None:
-            steps = (n * self._q for n in range(1, self.order + 1))
-            self._coeffs = tuple(self._values(steps))
-        return self._coeffs
+        """The coefficients of t^0 .. t^order, reduced on each read."""
+        return tuple(self._values(n * self._q for n in range(1, self.order + 1)))
 
     @property
     def order(self) -> int:
@@ -156,8 +152,8 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, order: int, ring: Ring = RATIONALS) -> "TruncatedSeries":
-        _check_order(order)
-        return cls(ring, [value] + [0] * order)
+        """``value`` times ``exp(0 * t) = 1``."""
+        return exp_series(0, order, ring) * value
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -177,16 +173,9 @@ class TruncatedSeries:
             return [b * k for b in self._nums]
         return list(map(mul, self._nums, accumulate(repeat(m, self.order), mul, initial=k)))
 
-    def _plus(self, num, den: int) -> "TruncatedSeries":
-        """This series plus the scalar ``num / den``."""
-        e = lcm(self._e, den)
-        nums = self._rescaled(e, self._q)
-        nums[0] += num * (e // den)
-        return TruncatedSeries._of(self.ring, nums, e, self._q)
-
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self._plus(*_scalar(self.ring, other))
+            other = TruncatedSeries.constant(other, self.order, self.ring)
         self._match(other)
         e, q = lcm(self._e, other._e), lcm(self._q, other._q)
         nums = list(map(add, self._rescaled(e, q), other._rescaled(e, q)))
@@ -199,8 +188,7 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            num, den = _scalar(self.ring, other)
-            return self._plus(-num, den)
+            other = TruncatedSeries.constant(other, self.order, self.ring)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -388,6 +388,17 @@ def test_series_bad_point_syntax(capsys):
 
 
 @pytest.mark.parametrize(
+    "point, piece", [("x=3/4, =1", "=1"), ("1x=2", "1x=2"), ("x y=2", "x y=2")]
+)
+def test_series_point_names_are_variables(capsys, point, piece):
+    # A blank name once reached closed_form, which said "the point also
+    # assigns " and named nothing.
+    code, out, err = run(capsys, "series", "--which", "gessel_T", "--point", point, "--root", "1/2")
+    assert (code, out) == (1, "")
+    assert err == f"gramcalc: error: bad point component {piece!r} (expected var=rational)\n"
+
+
+@pytest.mark.parametrize(
     "point, root, bad",
     [
         ("x=75e-2", "1/2", "'75e-2' in --point"),

@@ -93,6 +93,20 @@ def test_derive_work_limit_is_exact(monkeypatch):
     assert str(lazy_exc.value) == str(exc.value)
 
 
+def test_derive_work_counts_the_size_of_the_numbers():
+    # Each step multiplies 4300-digit exponents into coefficients that grow by
+    # as much again.  Counted by terms alone, the 25 steps were charged 1.1 %
+    # of the limit and took 20 s before the CLI refused to print the result.
+    e = "9" * 4300
+    start = parse_poly(f"z^{e}*x^{e} + y^{e}*w^{e}")
+    with pytest.raises(ValueError) as exc:
+        derive_n(start, G, 25)
+    assert str(exc.value) == (
+        "derivative order 11 needs up to 32747616 units of work, "
+        "over the limit 30000000 (grammar.MAX_DERIVE_WORK)"
+    )
+
+
 def test_builtin_rules():
     assert G.rules["w"] == X * Z
     assert G.rules["x"] == X * Y

@@ -265,6 +265,18 @@ def test_text_and_json_show_the_sorted_terms(a, var_order):
         assert names == sorted(names, key=var_order.index)
 
 
+def test_bit_lengths_of_coefficients_and_exponents():
+    cases = [
+        (LP.zero(), 1, 0),
+        (LP.constant(-5), 3, 0),
+        (LP.term(Fraction(1, 2**80), {"x": 3}), 81, 2),
+        (LP.term(-(2**64), {"x": 1}), 65, 1),
+        (LP.term(3, {"x": 1, "y": -(2**70)}), 2, 71),
+    ]
+    for p, coefficient_bits, exponent_bits in cases:
+        assert (p.coefficient_bits(), p.exponent_bits()) == (coefficient_bits, exponent_bits)
+
+
 # -- operators outside the ring --------------------------------------------------
 
 def test_unary_plus_is_identity():

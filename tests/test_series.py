@@ -135,6 +135,19 @@ def test_series_rejects_float_scalars():
     assert (a + Fraction(1, 2)).coeffs == (Fraction(3, 2), 2, 3)
 
 
+@pytest.mark.parametrize("ring", [RATIONALS, LAURENT], ids=["rationals", "laurent"])
+@pytest.mark.parametrize("value", [0.5, "a"], ids=["float", "str"])
+def test_scalar_sums_name_the_bad_scalar(ring, value):
+    # A difference must not negate the operand first: "-0.5" or "bad operand
+    # type for unary -" would name another value than the one given.
+    s = exp_series(2, 3, ring)
+    message = f"expected an exact scalar (int or Fraction), got {type(value).__name__} {value!r}"
+    for apply in (lambda: s + value, lambda: value + s, lambda: s - value, lambda: value - s):
+        with pytest.raises(TypeError) as exc:
+            apply()
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -454,3 +467,26 @@ def polys(draw):
 def test_gen_series_multiplicative_random(p, q):
     order = 6
     assert gen_series(p * q, G, order) == gen_series(p, G, order) * gen_series(q, G, order)
+
+
+exact_scalars = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+
+@st.composite
+def series_and_scalar(draw):
+    ring = draw(st.sampled_from([RATIONALS, LAURENT]))
+    values = exact_scalars if ring is RATIONALS else st.one_of(exact_scalars, polys())
+    return TruncatedSeries(ring, draw(st.lists(values, min_size=1, max_size=6))), draw(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_and_scalar())
+def test_scalar_sums_are_sums_with_a_constant_series(case):
+    s, c = case
+    k = TruncatedSeries.constant(c, s.order, s.ring)
+    assert s + c == c + s == s + k
+    assert s - c == s - k
+    assert c - s == k - s
+    head, *tail = s.coeffs
+    assert (s + c).coeffs == (head + c, *tail)
+    assert (c - s).coeffs == (c - head, *(-t for t in tail))
