@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 #: Each public name, grouped under the leg that defines it.
 _LEGS = {
-    "gdsl": ("GrammarSpec", "GrammarSyntaxError", "format_grammar", "parse_grammar", "parse_poly"),
+    "gdsl": ("GrammarSpec", "GrammarSyntaxError", "parse_grammar", "parse_poly"),
     "grammar": (
         "BUILTIN_GRAMMAR_NAMES",
         "DerivativeSequence",
@@ -29,14 +29,11 @@ _LEGS = {
         "builtin_grammar",
         "derive",
         "derive_n",
-        "leibniz_check",
     ),
     "laurent": ("LaurentPolynomial",),
     "permstat": (
-        "StatProfile",
         "StatTable",
         "specialize_triangle",
-        "stat_profile",
         "stat_table",
         "table_to_poly",
         "triangle_poly",

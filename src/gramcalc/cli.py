@@ -37,9 +37,9 @@ MAX_POINT_DIGITS = 10
 
 #: The most digits of any integer a request prints: a numerator, denominator
 #: or exponent of a ``derive`` result (or of its start word, in JSON), or a
-#: ``series`` coefficient's numerator or denominator.  It is CPython's default limit on printing an integer, checked
-#: before any text is formatted, so an over-size request exits 1 on every
-#: interpreter.
+#: ``series`` coefficient's numerator or denominator.  It is CPython's default
+#: limit on printing an integer, checked before any text is formatted, so an
+#: over-size request exits 1 on every interpreter.
 MAX_OUTPUT_DIGITS = 4300
 
 
@@ -231,13 +231,18 @@ def _json(payload) -> str:
 def _rational(text: str, flag: str):
     """``text`` as a Fraction: ``p``, ``p/q`` or a plain decimal, no exponent part.
 
-    The reduced numerator and denominator have at most ``MAX_POINT_DIGITS`` digits.
+    Only ASCII digits, signs, ``.`` and ``/`` are read, so that every supported
+    interpreter's ``Fraction`` takes the same values (3.11 added ``3_0/4_0``,
+    3.12 ``3 / 4``).  The reduced numerator and denominator have at most
+    ``MAX_POINT_DIGITS`` digits.
     """
     from fractions import Fraction
 
     try:
         if "e" in text.lower():  # 1e9999999 would build a huge integer
             raise ValueError("exponent notation is not accepted")
+        if set(text.strip()) - set("0123456789+-./"):
+            raise ValueError("expected p, p/q or a plain decimal")
         value = Fraction(text)
         if max(abs(value.numerator), value.denominator) >= 10**MAX_POINT_DIGITS:
             raise ValueError(f"more than {MAX_POINT_DIGITS} digits (cli.MAX_POINT_DIGITS)")

@@ -1,4 +1,4 @@
-"""Parser and formatter for the plain-text grammar description language.
+"""Parser for the plain-text grammar description language.
 
 A grammar document is line oriented (UTF-8, ``.gram`` files by convention).
 Blank lines and ``#`` comments are ignored.  The recognized line forms are::
@@ -264,18 +264,3 @@ def parse_grammar(text: str) -> GrammarSpec:
         start=once.get("start"),
         default_n=once.get("n"),
     )
-
-
-def format_grammar(spec: GrammarSpec) -> str:
-    """Canonical text for a spec; ``parse_grammar`` of the result is equal."""
-    order = spec.var_order()
-    lines = ["vars: " + " ".join(spec.declared_vars) if spec.declared_vars else "vars:"]
-    if spec.inert_vars:
-        lines.append("inert: " + " ".join(spec.inert_vars))
-    for name, image in spec.rules:
-        lines.append(f"rule {name} -> {image.format(order)}")
-    if spec.start is not None:
-        lines.append(f"start: {spec.start.format(order)}")
-    if spec.default_n is not None:
-        lines.append(f"n: {spec.default_n}")
-    return "\n".join(lines) + "\n"

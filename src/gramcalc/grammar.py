@@ -17,11 +17,10 @@ from ``iter_derive``, which refuses a request past ``MAX_N`` orders or
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Mapping, NamedTuple
 
 from ._names import BUILTIN_GRAMMAR_NAMES, MAX_DERIVE_WORK, MAX_N
-from .laurent import LaurentPolynomial, check_variable_name, derivatives, dot
+from .laurent import LaurentPolynomial, check_variable_name, derivatives
 
 
 class _GrammarFields(NamedTuple):
@@ -68,15 +67,6 @@ class Grammar(_GrammarFields):
             return self.var_order
         return tuple(sorted(set(self.rules) | self.inert))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "rules": {
-                name: self.rules[name].to_json_obj() for name in sorted(self.rules)
-            },
-            "inert": sorted(self.inert),
-        }
-
 
 class DerivativeSequence(NamedTuple):
     """``items[k]`` is the k-th derivative of ``start`` under ``grammar``."""
@@ -84,9 +74,6 @@ class DerivativeSequence(NamedTuple):
     start: LaurentPolynomial
     items: tuple[LaurentPolynomial, ...]
     grammar: Grammar
-
-    def order(self) -> int:
-        return len(self.items) - 1
 
 
 def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[LaurentPolynomial]:
@@ -132,20 +119,6 @@ def derive(p: LaurentPolynomial, g: Grammar) -> LaurentPolynomial:
 def derive_n(p: LaurentPolynomial, g: Grammar, n: int) -> DerivativeSequence:
     """Compute ``D^0(p) .. D^n(p)`` by iterated single derivatives, n <= MAX_N."""
     return DerivativeSequence(start=p, items=tuple(iter_derive(p, g, n)), grammar=g)
-
-
-def leibniz_check(
-    u: LaurentPolynomial,
-    v: LaurentPolynomial,
-    g: Grammar,
-    n: int,
-) -> bool:
-    """True iff D^n(uv) equals the binomial convolution of the factor derivatives."""
-    direct = derive_n(u * v, g, n).items[n]
-    du = derive_n(u, g, n).items
-    dv = derive_n(v, g, n).items
-    expanded = dot([math.comb(n, k) * du[k] for k in range(n + 1)], dv[::-1])
-    return direct == expanded
 
 
 def _make_builtin(name: str, rule_exps: dict[str, dict[str, int]]) -> Grammar:

@@ -1,4 +1,4 @@
-"""Permutation statistics: profiles, joint tables, marginals.
+"""Permutation statistics: joint tables and their marginals.
 
 Statistics of a permutation ``p = p_1 .. p_n`` of ``{1..n}``:
 
@@ -22,14 +22,14 @@ letter (``gramcalc._transfer``), in time polynomial in n.  One pass of it is
 grown per process, up to the largest n asked for (at most ``MAX_N``), and
 keeps the state totals of every level it passed; a table only classifies the
 totals of its level, so no table is cached here, and every call returns a new
-``counts`` dict that the caller may change.  ``stat_profile`` is the one
-definition of the statistics; brute force over S_n with it is the test oracle
-for the recurrence.
+``counts`` dict that the caller may change.  The tests check every table
+against brute force over S_n, which reads the definitions above off each
+permutation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _transfer
 from ._names import MAX_N, TABLE_KINDS, TRIANGLES
@@ -46,61 +46,12 @@ _kernel = _transfer
 KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ = TABLE_KINDS
 
 
-class StatProfile(NamedTuple):
-    exterior_peaks: int
-    proper_double_descents: int
-    peaks: int
-    double_descents: int
-    valleys: int
-    double_rises: int
-
-
 class StatTable(NamedTuple):
     """Counts of a statistic key over all of S_n (they sum to n!)."""
 
     n: int
     kind: str
     counts: dict[tuple[int, ...], int]
-
-
-def is_permutation(values: Sequence[int]) -> bool:
-    return sorted(values) == list(range(1, len(values) + 1))
-
-
-def stat_profile(values: Sequence[int]) -> StatProfile:
-    """All six statistics of one permutation of {1..n}, n >= 1."""
-    n = len(values)
-    if n < 1:
-        raise ValueError("stat_profile requires a nonempty permutation")
-    if not is_permutation(values):
-        raise ValueError(f"{values!r} is not a permutation of 1..{n}")
-    ep = 1 if n >= 2 and values[0] > values[1] else 0
-    for i in range(1, n - 1):
-        if values[i - 1] < values[i] > values[i + 1]:
-            ep += 1
-    pdd = sum(
-        1 for i in range(2, n) if values[i - 2] > values[i - 1] > values[i]
-    )
-    padded = (0, *values, 0)
-    pk = dd = vl = dr = 0
-    for i in range(1, n + 1):
-        if padded[i - 1] < padded[i]:
-            if padded[i] > padded[i + 1]:
-                pk += 1
-            else:
-                dr += 1
-        elif padded[i] > padded[i + 1]:
-            dd += 1
-        else:
-            vl += 1
-    return StatProfile(
-        exterior_peaks=ep,
-        proper_double_descents=pdd,
-        peaks=pk,
-        double_descents=dd,
-        valleys=vl,
-        double_rises=dr,
-    )
 
 
 def stat_table(n: int, kind: str) -> StatTable:

@@ -1,8 +1,9 @@
 # The ``.gram`` reader as ``gramcalc.gdsl`` ran it before it read each line
 # through one cursor, kept as a test reference: the module below is copied
 # unchanged apart from its imports, which are absolute here.
-# ``test_gdsl_differential`` compares the package's parser against it.  It is
-# not imported by the package.
+# ``test_gdsl_differential`` compares the package's parser against it, and
+# ``test_gdsl`` writes its round-trip documents with its ``format_grammar``,
+# which the package no longer has.  It is not imported by the package.
 """Parser and formatter for the plain-text grammar description language.
 
 A grammar document is line oriented (UTF-8, ``.gram`` files by convention).

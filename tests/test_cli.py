@@ -423,6 +423,24 @@ def test_series_accepts_plain_decimals(capsys):
 
 
 @pytest.mark.parametrize(
+    "point, root, bad",
+    [
+        ("x=3_0/4_0", "1/2", "'3_0/4_0' in --point"),
+        ("x=3 / 4", "1/2", "'3 / 4' in --point"),
+        ("x=\u0663/4", "1/2", "'\u0663/4' in --point"),
+        ("x=3/4", "1_0/2_0", "'1_0/2_0' in --root"),
+    ],
+)
+def test_series_reads_only_ascii_rationals(capsys, point, root, bad):
+    # Fraction() took 3_0/4_0 from Python 3.11 on and "3 / 4" from 3.12 on, and
+    # an Arabic-Indic digit on every version; each is now refused everywhere.
+    argv = ("series", "--which", "gessel_T", "--point", point, "--root", root, "--order", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"gramcalc: error: bad rational {bad}: expected p, p/q or a plain decimal\n"
+
+
+@pytest.mark.parametrize(
     "form",
     [
         ("gen_z", "--point", "x=4,y=2,z=1,w=3", "--root", "3"),
@@ -676,6 +694,45 @@ def test_verify_json(capsys):
     assert payload == [
         {"check": "joint_ep_pdd", "limit": 4, "passed": True, "first_failure": None}
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (
+            ("derive", "--grammar", "g.gram", "--n", "1"),
+            {
+                "grammar": "g.gram",  # the file's basename, not the path given
+                "start": "z",
+                "n": 1,
+                "derivative": [{"coeff": "1", "exps": {"w": 1, "z": 1}}],
+            },
+        ),
+        (
+            ("table", "--kind", "peak_dd", "--n", "3"),
+            {"n": 3, "kind": "peak_dd", "counts": {"1,0": 1, "1,1": 2, "1,2": 1, "2,0": 2}},
+        ),
+        (
+            ("table", "--kind", "peak_dd", "--n", "3", "--triangle", "R"),
+            {"n": 3, "triangle": "R", "rows": [{"k": 1, "count": 4}, {"k": 2, "count": 2}]},
+        ),
+        (
+            ("series", "--which", "no_pdd_U0", "--order", "2"),
+            {"which": "no_pdd_U0", "order": 2, "egf": False, "coefficients": ["1", "1", "1"]},
+        ),
+        (
+            ("verify", "--check", "invariants"),
+            [{"check": "invariants", "limit": 12, "passed": True, "first_failure": None}],
+        ),
+    ],
+    ids=["derive", "table", "triangle", "series", "verify"],
+)
+def test_json_payload_of_each_command(tmp_path, capsys, argv, payload):
+    # The whole line is compared, so the keys' order is pinned too.
+    gram = tmp_path / "g.gram"
+    gram.write_text(MAIN_GRAMMAR_TEXT, encoding="utf-8")
+    argv = [str(gram) if arg == "g.gram" else arg for arg in argv]
+    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(payload) + "\n", "")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

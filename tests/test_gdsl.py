@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gdsl_reference import format_grammar
 from gramcalc import gdsl
-from gramcalc.gdsl import (
-    GrammarSpec,
-    GrammarSyntaxError,
-    format_grammar,
-    parse_grammar,
-    parse_poly,
-)
+from gramcalc.gdsl import GrammarSpec, GrammarSyntaxError, parse_grammar, parse_poly
 from gramcalc.grammar import builtin_grammar
 from gramcalc.laurent import LaurentPolynomial as LP
 

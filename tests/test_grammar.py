@@ -1,5 +1,6 @@
 from collections.abc import Hashable
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from gramcalc.grammar import (
     builtin_grammar,
     derive,
     derive_n,
-    leibniz_check,
 )
 from gramcalc.laurent import LaurentPolynomial as LP
+from gramcalc.laurent import dot
 
 X, Y, Z, W = (LP.variable(v) for v in "xyzw")
 G = builtin_grammar("paper_G")
@@ -31,7 +32,7 @@ def test_derive_base_cases():
 def test_derive_sequence_structure():
     seq = derive_n(Z, G, 5)
     assert seq.items[0] == Z
-    assert seq.order() == 5
+    assert len(seq.items) == 6
     for n in range(5):
         assert seq.items[n + 1] == derive(seq.items[n], G)
 
@@ -50,9 +51,17 @@ def test_inverse_start_word_stays_closed_form():
     assert derive_n(zx, G, 3).items[3] == zx * (W - Y) ** 3
 
 
+def leibniz_holds(u, v, g, n):
+    """D^n(uv) equals the binomial convolution of the factors' derivatives."""
+    direct = derive_n(u * v, g, n).items[n]
+    du = derive_n(u, g, n).items
+    dv = derive_n(v, g, n).items
+    return direct == dot([comb(n, k) * du[k] for k in range(n + 1)], dv[::-1])
+
+
 def test_leibniz_examples():
-    assert leibniz_check(Z, W, G, 3)
-    assert leibniz_check(LP.one(), parse_poly("x*y^2 - 3*z"), G, 4)
+    assert leibniz_holds(Z, W, G, 3)
+    assert leibniz_holds(LP.one(), parse_poly("x*y^2 - 3*z"), G, 4)
 
 
 def test_derive_order_limits():
@@ -60,7 +69,7 @@ def test_derive_order_limits():
         derive_n(Z, G, -1)
     with pytest.raises(ValueError, match="exceeds the limit"):
         derive_n(Z, G, 26)
-    assert derive_n(Z, G, 25).order() == 25
+    assert len(derive_n(Z, G, 25).items) == 26
 
 
 def test_derive_work_limit_is_exact(monkeypatch):
@@ -182,14 +191,6 @@ def test_grammar_is_declared_unhashable():
         hash(G)
 
 
-def test_grammar_json_shape():
-    obj = G.to_json_obj()
-    assert obj["name"] == "paper_G"
-    assert sorted(obj["rules"]) == ["w", "x", "y", "z"]
-    assert obj["rules"]["z"] == [{"coeff": "1", "exps": {"w": 1, "z": 1}}]
-    assert obj["inert"] == []
-
-
 # -- differential: derive_n against the textbook product rule ---------------------
 
 
@@ -278,7 +279,7 @@ def test_derive_is_linear_and_leibniz(a, b):
 @settings(max_examples=30, deadline=None)
 @given(polys(), polys(), st.integers(0, 4))
 def test_leibniz_identity_random(u, v, n):
-    assert leibniz_check(u, v, G, n)
+    assert leibniz_holds(u, v, G, n)
 
 
 @given(st.integers(-4, 4).filter(bool), exponents)

@@ -25,7 +25,6 @@ HOMES = {
     "LAURENT": "series",
     "LaurentPolynomial": "laurent",
     "RATIONALS": "series",
-    "StatProfile": "permstat",
     "StatTable": "permstat",
     "TruncatedSeries": "series",
     "builtin_grammar": "grammar",
@@ -33,14 +32,11 @@ HOMES = {
     "derive": "grammar",
     "derive_n": "grammar",
     "exp_series": "series",
-    "format_grammar": "gdsl",
     "gen_series": "series",
-    "leibniz_check": "grammar",
     "parse_grammar": "gdsl",
     "parse_poly": "gdsl",
     "run_checks": "verify",
     "specialize_triangle": "permstat",
-    "stat_profile": "permstat",
     "stat_table": "permstat",
     "table_to_poly": "permstat",
     "triangle_poly": "permstat",

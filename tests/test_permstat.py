@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from _permstat_reference import stat_profile
 from gramcalc.gdsl import parse_poly
 from gramcalc.grammar import builtin_grammar, derive_n
 from gramcalc.laurent import LaurentPolynomial as LP
@@ -13,7 +14,6 @@ from gramcalc.permstat import (
     KIND_PEAK_DD,
     TABLE_KINDS,
     specialize_triangle,
-    stat_profile,
     stat_table,
     table_csv,
     table_json_dict,
@@ -25,7 +25,7 @@ from gramcalc.permstat import (
 G = builtin_grammar("paper_G")
 
 
-# -- stat_profile ---------------------------------------------------------------
+# -- the brute-force oracle (tests/_permstat_reference.py) --------------------------
 
 def test_profile_worked_example():
     profile = stat_profile((3, 5, 6, 4, 1, 2))

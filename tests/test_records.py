@@ -11,7 +11,6 @@ from gramcalc import (
     Grammar,
     GrammarSpec,
     LaurentPolynomial as LP,
-    StatProfile,
     StatTable,
     builtin_grammar,
 )
@@ -57,12 +56,6 @@ def test_check_report_positional_and_keyword():
 
 
 def test_stat_records_compare_by_fields():
-    profile = StatProfile(1, 0, 1, 0, 0, 1)
-    assert profile == StatProfile(
-        exterior_peaks=1, proper_double_descents=0, peaks=1,
-        double_descents=0, valleys=0, double_rises=1,
-    )
-    assert profile.double_rises == 1
     table = StatTable(n=2, kind="peak_dd", counts={(1, 0): 2})
     assert table == StatTable(2, "peak_dd", {(1, 0): 2})
     assert table != StatTable(2, "peak_dd", {(1, 0): 1})
@@ -73,7 +66,6 @@ def test_derivative_sequence_fields():
     g = builtin_grammar("eulerian")
     seq = DerivativeSequence(start=X, items=(X, X * Y), grammar=g)
     assert seq == DerivativeSequence(X, (X, X * Y), g)
-    assert seq.order() == 1
     assert seq.grammar is g
 
 
