@@ -247,7 +247,9 @@ def _rational(text: str, flag: str):
         if max(abs(value.numerator), value.denominator) >= 10**MAX_POINT_DIGITS:
             raise ValueError(f"more than {MAX_POINT_DIGITS} digits (cli.MAX_POINT_DIGITS)")
         return value
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise CliError(f"bad rational {text!r} in {flag}: the denominator is zero") from None
+    except ValueError as exc:
         raise CliError(f"bad rational {text!r} in {flag}: {exc}") from None
 
 

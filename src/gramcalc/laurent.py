@@ -14,12 +14,12 @@ zero, every listed variable has a nonzero exponent in some term, and the
 numerators and the denominator are coprime.  Equality is therefore plain
 field equality.  Operations on polynomials over different variables first
 re-embed both into the union of their variables; products, powers, sums,
-evaluation and substitution run in integer arithmetic.  ``dot`` sums many
+evaluation and renaming run in integer arithmetic.  ``dot`` sums many
 products into one dict, and it is the one place where two terms are
-multiplied: sums, products, powers and substitution go through it, and so
-does each step of ``derivatives``, the iterated derivation of the ring (the
-formal derivative of a grammar).  No other module reads a polynomial's
-exponent tuples.
+multiplied: sums, products and powers go through it, and so does each step
+of ``derivatives``, the iterated derivation of the ring (the formal
+derivative of a grammar).  No other module reads a polynomial's exponent
+tuples.
 ``LaurentPolynomial.from_dense`` is the one constructor that takes integer
 terms from outside.
 
@@ -285,7 +285,7 @@ class LaurentPolynomial:
 
     __hash__ = None  # mutable-dict internals; polynomials are not hashable
 
-    # -- evaluation and substitution ----------------------------------------
+    # -- evaluation and renaming ---------------------------------------------
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point, exactly.
@@ -314,34 +314,22 @@ class LaurentPolynomial:
         total = sum(c * prod(map(getitem, tables, key)) for key, c in self._num.items())
         return Fraction(total, scale)
 
-    def subst(self, images: Mapping[str, "LaurentPolynomial"]) -> "LaurentPolynomial":
-        """Simultaneous substitution of polynomials for variables.
+    def subst(self, names: Mapping[str, str]) -> "LaurentPolynomial":
+        """Rename each variable ``v`` to ``names.get(v, v)``; each target must be a name.
 
-        Variables absent from ``images`` are left alone.  A variable occurring
-        with a negative exponent must map to a single-term image.
+        Variables renamed onto one name multiply, so their exponents add:
+        ``(x*z^-1).subst({"z": "x"})`` is 1, and ``{"x": "y", "y": "x"}`` swaps.
         """
-        powers: dict[tuple[str, int], LaurentPolynomial] = {}
-        terms = []
+        for target in names.values():
+            check_variable_name(target)
+        targets = [names.get(name, name) for name in self._vars]
+        renamed = tuple(sorted(set(targets)))
+        groups = [[i for i, target in enumerate(targets) if target == name] for name in renamed]
+        num: dict[Exponents, int] = {}
         for key, c in self._num.items():
-            term = _make((), {(): c}, 1)
-            for name, exp in zip(self._vars, key):
-                if not exp:
-                    continue
-                power = powers.get((name, exp))
-                if power is None:
-                    base = images.get(name)
-                    if base is None:
-                        base = LaurentPolynomial.variable(name)
-                    if exp < 0 and len(base._num) != 1:
-                        raise ValueError(
-                            f"variable '{name}' has a negative exponent but its "
-                            "image is not a single term"
-                        )
-                    power = powers[(name, exp)] = base ** exp
-                term = term * power
-            terms.append(term)
-        total = dot(terms, [_ONE] * len(terms))
-        return _make(total._vars, total._num, total._den * self._den)
+            k = tuple([sum([key[i] for i in group]) for group in groups])
+            num[k] = num.get(k, 0) + c
+        return _make(renamed, {k: c for k, c in num.items() if c}, self._den)
 
     # -- ordering, display, serialization ------------------------------------
 

@@ -173,24 +173,36 @@ def check_recurrence(max_n: int, dz, dy) -> CheckReport:
 def check_invariants(grammar: Grammar | None = None) -> CheckReport:
     """Exact derivative identities: the two invariants and the inverse-term forms."""
     g = grammar or builtin_grammar("paper_G")
+    w_minus_y = _W - _Y
     delta = (_W + _Y) ** 2 - 4 * _X * _Z
     zx_inv = _Z * _X ** -1
     xz_inv = _X ** -1 * _Z ** -1
 
     def cases():
         zx_items = derive_n(zx_inv, g, 10).items
-        yield "D(w - y)", derive(_W - _Y, g), 0
+        yield "D(w - y)", derive(w_minus_y, g), 0
         yield "D((w+y)^2 - 4xz)", derive(delta, g), 0
         yield "D(x^-1)", derive(_X ** -1, g), -(_X ** -1 * _Y)
-        yield "D(z*x^-1)", zx_items[1], zx_inv * (_W - _Y)
+        yield "D(z*x^-1)", zx_items[1], zx_inv * w_minus_y
+        # Each expected side below is an earlier one times one factor, taken
+        # only once the comparison before it has passed.
+        expected = zx_inv
         for n in range(11):
-            yield f"D^{n}(z*x^-1)", zx_items[n], zx_inv * (_W - _Y) ** n
+            if n:
+                expected *= w_minus_y
+            yield f"D^{n}(z*x^-1)", zx_items[n], expected
         items = derive_n(xz_inv, g, 12).items
-        even_head = (_W + _Y) ** 2 - 2 * _X * _Z
         yield "D^0(x^-1*z^-1)", items[0], xz_inv
+        # D^n(x^-1*z^-1) is a head of n's parity times delta^((n-1)//2).
+        by_parity = [None, None]
         for n in range(1, 13):
-            head = -(xz_inv * (_W + _Y)) if n % 2 == 1 else xz_inv * even_head
-            yield f"D^{n}(x^-1*z^-1)", items[n], head * delta ** ((n - 1) // 2)
+            if n > 2:
+                by_parity[n % 2] *= delta
+            elif n == 1:
+                by_parity[1] = -(xz_inv * (_W + _Y))
+            else:
+                by_parity[0] = xz_inv * ((_W + _Y) ** 2 - 2 * _X * _Z)
+            yield f"D^{n}(x^-1*z^-1)", items[n], by_parity[n % 2]
 
     return _report("invariants", 12, cases())
 
@@ -274,10 +286,6 @@ _TO_EULERIAN = {"z": "x", "y": "x", "x": "y", "w": "y"}
 _TO_EXTERIOR = {"z": "x", "x": "x", "w": "y", "y": "y"}
 
 
-def _relabel(p: LaurentPolynomial, names: dict[str, str]) -> LaurentPolynomial:
-    return p.subst({old: LaurentPolynomial.variable(new) for old, new in names.items()})
-
-
 def check_classical_grammars(
     max_n: int, dz, grammars: dict[str, Grammar] | None = None
 ) -> CheckReport:
@@ -300,9 +308,9 @@ def check_classical_grammars(
             yield f"eulerian row sum, n={n}", items[n].eval({"x": 1, "y": 1}), factorial(n)
         for name, image in g.rules.items():
             expected = eulerian.rules[_TO_EULERIAN[name]]
-            yield f"relabeled rule for '{name}'", _relabel(image, _TO_EULERIAN), expected
+            yield f"relabeled rule for '{name}'", image.subst(_TO_EULERIAN), expected
             expected = exterior.rules[_TO_EXTERIOR[name]]
-            yield f"relabeled (exterior) rule for '{name}'", _relabel(image, _TO_EXTERIOR), expected
+            yield f"relabeled (exterior) rule for '{name}'", image.subst(_TO_EXTERIOR), expected
         ep_items = derive_n(_X, exterior, max_n).items
         for n in range(max_n + 1):
             rows = specialize_triangle(stat_table(n, KIND_EXTERIOR_PDD), "T")
@@ -311,7 +319,7 @@ def check_classical_grammars(
             )
             yield f"exterior-peak marginal, n={n}", ep_items[n], expected
             label = _Bare(f"relabeled D^{n}(z) differs from the exterior-peak derivative")
-            yield label, _relabel(dz[n], _TO_EXTERIOR), ep_items[n]
+            yield label, dz[n].subst(_TO_EXTERIOR), ep_items[n]
         for name, golden in (("andre", _ANDRE_GOLDEN), ("ramanujan", _RAMANUJAN_GOLDEN)):
             seq = derive_n(_X, get(name), min(max_n, len(golden) - 1)).items
             for n, poly in enumerate(seq):

@@ -441,6 +441,22 @@ def test_series_reads_only_ascii_rationals(capsys, point, root, bad):
 
 
 @pytest.mark.parametrize(
+    "point, root, bad",
+    [
+        ("x=1/0", "1/2", "'1/0' in --point"),
+        ("x=0/0", "1/2", "'0/0' in --point"),
+        ("x=3/4", "1/0", "'1/0' in --root"),
+    ],
+)
+def test_series_names_a_zero_denominator(capsys, point, root, bad):
+    # Fraction() refuses these with the bare text "Fraction(1, 0)".
+    argv = ("series", "--which", "gessel_T", "--point", point, "--root", root, "--order", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"gramcalc: error: bad rational {bad}: the denominator is zero\n"
+
+
+@pytest.mark.parametrize(
     "form",
     [
         ("gen_z", "--point", "x=4,y=2,z=1,w=3", "--root", "3"),

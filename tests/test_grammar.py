@@ -149,23 +149,21 @@ def test_unruled_variables_are_constants():
 
 
 def test_relabeling_collapses_to_classical_grammars():
-    to_eulerian = {"z": X, "y": X, "x": Y, "w": Y}
-    renamed = {"z": "x", "y": "x", "x": "y", "w": "y"}
+    to_eulerian = {"z": "x", "y": "x", "x": "y", "w": "y"}
     eulerian = builtin_grammar("eulerian")
     for var, image in G.rules.items():
-        assert image.subst(to_eulerian) == eulerian.rules[renamed[var]]
+        assert image.subst(to_eulerian) == eulerian.rules[to_eulerian[var]]
 
-    to_exterior = {"z": X, "w": Y}
-    renamed = {"z": "x", "x": "x", "w": "y", "y": "y"}
+    to_exterior = {"z": "x", "w": "y"}
     exterior = builtin_grammar("exterior_peak")
     for var, image in G.rules.items():
-        assert image.subst(to_exterior) == exterior.rules[renamed[var]]
+        assert image.subst(to_exterior) == exterior.rules[to_exterior.get(var, var)]
 
 
 def test_relabeling_commutes_with_derivation():
     # The variable collapse sends each derivative of z to the corresponding
     # derivative of x under the collapsed grammar.
-    to_exterior = {"z": X, "w": Y}
+    to_exterior = {"z": "x", "w": "y"}
     exterior = builtin_grammar("exterior_peak")
     gz = derive_n(Z, G, 6).items
     ex = derive_n(X, exterior, 6).items

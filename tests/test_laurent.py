@@ -186,25 +186,19 @@ def test_eval_rejects_floats():
         Z.eval({"x": 0.5, "z": 1})
 
 
-# -- substitution ---------------------------------------------------------------
-
-def test_subst_collapses_to_marginal():
-    ones = {v: LP.one() for v in "yzw"}
-    assert P3.subst(ones) == LP.one() + 5 * X
-
+# -- renaming -------------------------------------------------------------------
 
 def test_subst_identity():
     assert P3.subst({}) == P3
-    assert P3.subst({v: LP.variable(v) for v in "xyzw"}) == P3
+    assert P3.subst({v: v for v in "xyzw"}) == P3
 
 
-def test_subst_rejects_sum_image_at_negative_exponent():
-    with pytest.raises(ValueError, match="negative exponent"):
-        (X ** -1).subst({"x": X + Y})
-
-
-def test_subst_monomial_image_at_negative_exponent():
-    assert (X ** -2).subst({"x": 2 * Y}) == LP.term(Fraction(1, 4), {"y": -2})
+@pytest.mark.parametrize("target", ["1x", "x y", "", X, 1, None])
+def test_subst_rejects_a_target_that_is_not_a_name(target):
+    with pytest.raises(ValueError, match="invalid variable name"):
+        P3.subst({"x": target})
+    with pytest.raises(ValueError, match="invalid variable name"):
+        LP.one().subst({"q": target})
 
 
 # -- formatting and serialization ----------------------------------------------

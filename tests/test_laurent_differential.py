@@ -9,7 +9,7 @@ type.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _laurent_reference as ref
@@ -121,23 +121,17 @@ def test_eval_errors_agree_on_single_terms(terms, point):
     assert outcome(lambda: a.eval(point)) == outcome(lambda: ra.eval(point))
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    term_lists,
-    st.dictionaries(st.sampled_from(NAMES), term_lists, max_size=3),
-)
-def test_subst_agrees(terms, image_terms):
+@settings(max_examples=80, deadline=None)
+@given(term_lists, st.dictionaries(st.sampled_from(NAMES), st.sampled_from(NAMES + "t")))
+@example([({"x": 2, "y": -1}, 1), ({"y": 3}, -2)], {"x": "y", "y": "x"})
+@example([({"x": 1, "z": -1}, Fraction(3, 2)), ({"w": -2}, 1)], {"z": "x", "w": "t"})
+@example([({"x": 1, "z": -1}, 4), ({}, -2), ({"y": 1, "w": -1}, 6)], {"z": "x", "w": "y"})
+def test_subst_agrees(terms, names):
+    # A rename is the substitution of one variable for another; merged
+    # variables multiply, and the last example cancels to a constant.
     a, ra = pair(terms)
-    images, ref_images = {}, {}
-    for name, img in image_terms.items():
-        images[name], ref_images[name] = pair(img)
-    kind, value = outcome(lambda: a.subst(images))
-    ref_kind, ref_value = outcome(lambda: ra.subst(ref_images))
-    assert kind == ref_kind
-    if kind == "ok":
-        assert_same(value, ref_value)
-    elif len(a) == 1:
-        assert value == ref_value
+    images = {old: ref.LaurentPolynomial.variable(new) for old, new in names.items()}
+    assert_same(a.subst(names), ra.subst(images))
 
 
 @settings(max_examples=50, deadline=None)
