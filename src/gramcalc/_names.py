@@ -25,10 +25,11 @@ MAX_N = 25
 #: coefficients, the costliest shape found, a product took 850 ns (8.5
 #: units at 100 ns) per word of ``c``.  At this limit the slowest request
 #: found took about 3 s (2-vCPU VM, Python 3.11), whatever the number of
-#: variables; the builtins use under 1 % of it.  The gcd that reduces each
-#: step over a large denominator is not charged: a start word with 20
-#: distinct 4300-digit denominators takes about 0.65 s per step and stops
-#: at order 9 after 5.3 s.
+#: variables; the builtins use under 1 % of it.  The gcds that reduce a step
+#: took 1.3 ns per term and squared word of its denominator, 4.3 ns for one
+#: term, so a product adds ``d * d / 32`` units, ``d`` the words of the last
+#: derivative's denominator times the images': a start word with 20 distinct
+#: 4300-digit denominators is refused under ``paper_G`` after one 0.6 s step.
 MAX_DERIVE_WORK = 30_000_000
 
 #: The most variables a ``.gram`` document declares or a polynomial written

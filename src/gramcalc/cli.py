@@ -288,17 +288,16 @@ def _check_digits(values) -> None:
             )
 
 
-def _printed_integers(poly, what: str):
-    """The integers ``poly.format()`` and ``poly.to_json_obj()`` print, named, in display order.
-
-    Text and JSON render the terms of ``poly.sorted_terms()``, and this reads
-    the same walk, so the bound sees exactly the integers they print.
-    """
-    for mono, coeff in poly.sorted_terms():
-        yield f"a coefficient of {what}", coeff.numerator
-        yield f"a coefficient of {what}", coeff.denominator
-        for name, exp in mono:
-            yield f"the exponent of {name} in {what}", exp
+def _printable_terms(poly, what: str) -> list:
+    """``poly.sorted_terms()``, which text and JSON print, once every integer in
+    it (numerator, denominator, then exponents of each term) passes ``_check_digits``."""
+    terms, coeff = poly.sorted_terms(), f"a coefficient of {what}"
+    _check_digits(
+        named for mono, c in terms
+        for named in [(coeff, c.numerator), (coeff, c.denominator),
+                      *((f"the exponent of {name} in {what}", e) for name, e in mono)]
+    )
+    return terms
 
 
 # Each command returns its exit status and its stdout lines, and ``main`` writes
@@ -306,7 +305,8 @@ def _printed_integers(poly, what: str):
 
 
 def _cmd_derive(args) -> tuple[int, list[str]]:
-    from .grammar import derive_n
+    from .grammar import iter_derive
+    from .laurent import format_terms
 
     grammar, spec = _load_grammar(args.grammar)
     # A builtin grammar has no file to add a default to.
@@ -325,19 +325,19 @@ def _cmd_derive(args) -> tuple[int, list[str]]:
         n = spec.default_n
     if n is None:
         raise CliError("no order: pass --n" + hint.format("n"))
-    result = derive_n(start, grammar, n).items[n]
+    for result in iter_derive(start, grammar, n):  # only D^n is kept
+        pass
     order = grammar.display_order()
-    _check_digits(_printed_integers(result, f"the order-{n} derivative"))
+    terms = _printable_terms(result, f"the order-{n} derivative")
     if args.format == "json":
-        _check_digits(_printed_integers(start, "the start word"))
         payload = {
             "grammar": grammar.name,
-            "start": start.format(order),
+            "start": format_terms(_printable_terms(start, "the start word"), order),
             "n": n,
-            "derivative": result.to_json_obj(),
+            "derivative": [{"coeff": str(c), "exps": dict(mono)} for mono, c in terms],
         }
         return 0, [_json(payload)]
-    return 0, [result.format(order)]
+    return 0, [format_terms(terms, order)]
 
 
 def _cmd_table(args) -> tuple[int, list[str]]:

@@ -93,6 +93,7 @@ def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[La
     factor_bits = max(
         [p.exponent_bits(), *(max(i.coefficient_bits(), i.exponent_bits()) for i in images)]
     )
+    image_den_bits = sum(image.denominator_bits() for image in images)
     steps = derivatives(p, g.rules)
     last = next(steps)
     yield last
@@ -100,7 +101,8 @@ def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[La
     for order in range(1, n + 1):
         products = len(last) * sum(len(g.rules.get(v, ())) for v in last.variables())
         size = last.coefficient_bits() // 64 * (factor_bits // 64 + 32) // 32
-        work += products * (width + 8 + size)
+        den = (last.denominator_bits() + image_den_bits) // 64
+        work += products * (width + 8 + size + den * den // 32)
         if work > MAX_DERIVE_WORK:
             raise ValueError(
                 f"derivative order {order} needs up to {work} units of work, "

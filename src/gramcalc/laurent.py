@@ -32,11 +32,11 @@ variables are the same iff their names are equal.
 
 For display and serialization, terms are ordered by total degree and then
 lexicographically on the exponent vector (variables taken in alphabetical
-order), largest first.  ``sorted_terms()`` is the one walk in that order:
-``format()`` and ``to_json_obj()`` render its terms, and the CLI's bound on
-printed integers reads it, so text, JSON and the bound see the same terms.
-The ordering is deterministic, so formatted output and JSON exports are
-stable across runs.
+order), largest first.  ``sorted_terms()`` is the one walk in that order,
+and ``format_terms`` the one renderer of its list: ``format()`` calls both,
+and the CLI bounds the integers of one such list and prints its text or its
+JSON from it, so the bound sees exactly the terms printed.  The ordering is
+deterministic, so formatted output and JSON exports are stable across runs.
 """
 
 from __future__ import annotations
@@ -189,6 +189,10 @@ class LaurentPolynomial:
         nums = [self._den, *self._num.values()]
         return max(max(nums).bit_length(), min(nums).bit_length())
 
+    def denominator_bits(self) -> int:
+        """The bit length of its common denominator (1 when it has none)."""
+        return self._den.bit_length()
+
     def exponent_bits(self) -> int:
         """The bit length of its largest exponent in absolute value (0 for a constant)."""
         exps = [0, *chain.from_iterable(self._num)]
@@ -334,50 +338,44 @@ class LaurentPolynomial:
     # -- ordering, display, serialization ------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in the canonical display order (graded lex, largest first).
-
-        The one display walk: ``format``, ``to_json_obj`` and the CLI's output
-        bound all read it.
-        """
+        """Terms in the canonical display order (graded lex, largest first), the
+        one display walk: ``format`` renders its list; the CLI bounds and prints one."""
         # The dense key is the exponent vector over the sorted variables.
         keys = sorted(self._num, key=lambda k: (sum(k), k), reverse=True)
         return [(self._monomial(k), Fraction(self._num[k], self._den)) for k in keys]
 
     def format(self, var_order: Iterable[str] = ()) -> str:
-        """Render in the text syntax understood by the grammar DSL.
-
-        ``var_order`` controls the order of factors inside each term; listed
-        variables come first (in the given order), any others follow
-        alphabetically.  Term order is always the canonical display order.
-        """
-        if not self._num:
-            return "0"
-        rank = {name: i for i, name in enumerate(var_order)}
-        place = {name: (rank.get(name, len(rank)), name) for name in self._vars}
-        pieces = []
-        for mono, c in self.sorted_terms():
-            body = "*".join([
-                name if e == 1 else f"{name}^{e}"
-                for name, e in sorted(mono, key=lambda factor: place[factor[0]])
-            ])
-            coeff = str(c)
-            sign, text = ("-", coeff[1:]) if coeff[0] == "-" else ("+", coeff)
-            if body:
-                text = body if text == "1" else f"{text}*{body}"
-            pieces.append(f"{sign} {text}")
-        # "- a + b" -> "-a + b" and "+ a - b" -> "a - b".
-        joined = " ".join(pieces)
-        return joined[2:] if joined[0] == "+" else f"-{joined[2:]}"
-
-    def to_json_obj(self) -> list[dict]:
-        """JSON-ready form: a list of ``{"coeff": "p/q", "exps": {...}}`` terms."""
-        return [{"coeff": str(c), "exps": dict(mono)} for mono, c in self.sorted_terms()]
+        """Render in the text syntax understood by the grammar DSL (see ``format_terms``)."""
+        return format_terms(self.sorted_terms(), var_order)
 
     def __str__(self) -> str:
         return self.format()
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.format()!r})"
+
+
+def format_terms(terms: Sequence[tuple[Monomial, Fraction]], var_order: Iterable[str] = ()) -> str:
+    """Render a ``sorted_terms()`` list, in its order, in the grammar DSL's text
+    syntax.  The variables ``var_order`` lists lead each term, in that order;
+    any others follow alphabetically."""
+    if not terms:
+        return "0"
+    rank = {name: i for i, name in enumerate(var_order)}
+    pieces = []
+    for mono, c in terms:
+        body = "*".join([
+            name if e == 1 else f"{name}^{e}"
+            for name, e in sorted(mono, key=lambda f: (rank.get(f[0], len(rank)), f[0]))
+        ])
+        coeff = str(c)
+        sign, text = ("-", coeff[1:]) if coeff[0] == "-" else ("+", coeff)
+        if body:
+            text = body if text == "1" else f"{text}*{body}"
+        pieces.append(f"{sign} {text}")
+    # "- a + b" -> "-a + b" and "+ a - b" -> "a - b".
+    joined = " ".join(pieces)
+    return joined[2:] if joined[0] == "+" else f"-{joined[2:]}"
 
 
 def dot(

@@ -169,8 +169,6 @@ class TruncatedSeries:
     def _rescaled(self, e: int, q: int) -> list:
         """The numerators over the scales ``e`` and ``q``, multiples of ``_e`` and ``_q``."""
         k, m = e // self._e, q // self._q
-        if m == 1:
-            return [b * k for b in self._nums]
         return list(map(mul, self._nums, accumulate(repeat(m, self.order), mul, initial=k)))
 
     def __add__(self, other):

@@ -304,13 +304,6 @@ class LaurentPolynomial:
                 pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
         return "".join(pieces)
 
-    def to_json_obj(self) -> list[dict]:
-        """JSON-ready form: a list of ``{"coeff": "p/q", "exps": {...}}`` terms."""
-        return [
-            {"coeff": str(coeff), "exps": {name: exp for name, exp in mono}}
-            for mono, coeff in self.sorted_terms()
-        ]
-
     def __str__(self) -> str:
         return self.format()
 

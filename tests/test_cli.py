@@ -49,6 +49,26 @@ def test_derive_json_stable(capsys):
     assert payload["derivative"][0] == {"coeff": "1", "exps": {"z": 1, "w": 3}}
 
 
+@pytest.mark.parametrize("fmt, walks", [("text", 1), ("json", 2)])
+def test_derive_walks_each_printed_polynomial_once(capsys, monkeypatch, fmt, walks):
+    # The output bound and the rendering read one sorted_terms() list: D^n's,
+    # plus the start word's in JSON.
+    from gramcalc.laurent import LaurentPolynomial
+
+    calls = []
+    sorted_terms = LaurentPolynomial.sorted_terms
+
+    def counted(self):
+        calls.append(self)
+        return sorted_terms(self)
+
+    monkeypatch.setattr(LaurentPolynomial, "sorted_terms", counted)
+    argv = ("derive", "--grammar", "paper_G", "--start", "z", "--n", "6", "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(calls) == walks
+
+
 def test_derive_from_gram_file_matches_builtin(tmp_path, capsys):
     path = tmp_path / "main.gram"
     path.write_text(MAIN_GRAMMAR_TEXT, encoding="utf-8")

@@ -46,7 +46,7 @@ def assert_same(new, old):
     for a, b in zip(new, old):
         assert a == b
         assert a.format() == b.format()
-        assert a.to_json_obj() == b.to_json_obj()
+        assert a.sorted_terms() == b.sorted_terms()
 
 
 X, B, T, U = LP.variable("a"), LP.variable("b"), LP.variable("t"), LP.variable("u")

@@ -1,11 +1,14 @@
+import io
 import json
 import re
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramcalc.cli import main
 from gramcalc.laurent import LaurentPolynomial as LP
 from gramcalc.gdsl import parse_poly
 
@@ -223,14 +226,19 @@ def test_term_order_is_graded_then_lex():
     assert p.format() == "x^2 + x + 1 + x^-1"
 
 
+def cli_json(p):
+    """The JSON terms ``gramcalc derive`` prints for ``p``, as its D^0 under paper_G."""
+    argv = ["derive", "--grammar", "paper_G", f"--start={p}", "--n", "0", "--format", "json"]
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    return json.loads(out.getvalue())["derivative"]
+
+
 def test_json_shape():
-    p = parse_poly("-2/3*x^-1*y^2 + z")
-    obj = p.to_json_obj()
-    assert obj == [
+    assert cli_json(parse_poly("-2/3*x^-1*y^2 + z")) == [
         {"coeff": "1", "exps": {"z": 1}},
         {"coeff": "-2/3", "exps": {"x": -1, "y": 2}},
     ]
-    json.dumps(obj)  # serializable
 
 
 def test_format_parses_back():
@@ -241,10 +249,10 @@ def test_format_parses_back():
 @settings(max_examples=80)
 @given(polys(), st.permutations("wxyz"))
 def test_text_and_json_show_the_sorted_terms(a, var_order):
-    # ``sorted_terms()`` is the walk the CLI's output bound reads, so text and
-    # JSON must show its terms, in its order, with its coefficients.
+    # The CLI bounds and prints one ``sorted_terms()`` list, so text and JSON
+    # must show its terms, in its order, with its coefficients.
     terms = a.sorted_terms()
-    obj = a.to_json_obj()
+    obj = cli_json(a)
     assert [(tuple(sorted(t["exps"].items())), Fraction(t["coeff"])) for t in obj] == terms
     text = a.format(var_order)
     if not terms:

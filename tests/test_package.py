@@ -1,5 +1,7 @@
 """The package namespace: every public name and leg resolves on first use."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -107,3 +109,22 @@ def test_legs_resolve_after_bare_import():
         "print(sum(gramcalc.permstat.stat_table(4, 'peak_dd').counts.values()))"
     )
     assert out == "24\n"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps each TRACED function by module and attribute
+    # path; a rename here must fail tier-1, not only the traced benchmark run.
+    # The file is read, not imported, so nothing is written beside it.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+    ]
+    for span, (module, *attrs) in traced.items():
+        owner = importlib.import_module(module)
+        for attr in attrs:
+            assert hasattr(owner, attr), f"{span}: {module} has no {'.'.join(attrs)}"
+            owner = getattr(owner, attr)
+        assert callable(owner), span
