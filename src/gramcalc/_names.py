@@ -12,9 +12,10 @@ list its options and their choices without importing any leg.
 MAX_N = 25
 
 #: The most work the derivatives of one request may take.  Before each
-#: step, the term products it may form (terms times the image terms of
-#: their ruled variables) are charged one unit per variable plus 8, as a
-#: product's coefficient and dict update cost about as much as 8 exponents.
+#: step, ``laurent.derivatives`` charges the term products it may form
+#: (terms times the image terms of their ruled variables) one unit per
+#: variable plus 8, as a product's coefficient and dict update cost about as
+#: much as 8 exponents.
 #: Large numbers add ``c * (m + 32) / 32`` units per product, where ``c``
 #: is the 64-bit words (rounded down) of the largest numerator or
 #: denominator of the last derivative, and ``m`` those of the largest

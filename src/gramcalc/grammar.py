@@ -7,18 +7,21 @@ grammar on variables.  Variables carried by the grammar's ``inert`` set, and
 any variable with no rule at all, behave as constants (``D(v) = 0``).
 
 This module holds the grammar's semantics: the rule record, the builtin
-grammars, and the bounds on a request.  The product-rule step itself is ring
+grammars, and the order bound ``MAX_N``.  The product-rule step itself is ring
 arithmetic: ``laurent.derivatives`` takes each step as one ``laurent.dot`` of
 the images ``D(v) / v`` with the copies of the last derivative weighted by
-``v d/dv``.  ``derive``, ``derive_n`` and every other caller take their steps
-from ``iter_derive``, which refuses a request past ``MAX_N`` orders or
-``MAX_DERIVE_WORK``.
+``v d/dv``, and charges it against ``MAX_DERIVE_WORK`` before it runs.
+``derive``, ``derive_n`` and every other caller take their steps from
+``iter_derive``, which refuses an order past ``MAX_N``.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Mapping, NamedTuple
 
+# MAX_DERIVE_WORK is re-exported: it is the public name of the bound that
+# ``laurent.derivatives`` keeps.
 from ._names import BUILTIN_GRAMMAR_NAMES, MAX_DERIVE_WORK, MAX_N
 from .laurent import LaurentPolynomial, check_variable_name, derivatives
 
@@ -79,37 +82,15 @@ class DerivativeSequence(NamedTuple):
 def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[LaurentPolynomial]:
     """Yield ``D^0(p) .. D^n(p)``, n <= MAX_N, each step taken when it is read.
 
-    A step is refused before it runs if its work, added to that of the steps
-    before it, passes ``MAX_DERIVE_WORK`` (see ``_names``).
+    ``laurent.derivatives`` takes the steps and refuses one before it runs if
+    the work of the steps so far passes ``MAX_DERIVE_WORK``; step n + 1 is
+    never asked for, so it is never charged.
     """
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n > MAX_N:
         raise ValueError(f"derivative order {n} exceeds the limit {MAX_N}")
-    images = g.rules.values()
-    width = len(p.variables().union(*(image.variables() for image in images)))
-    # The largest number a product multiplies a coefficient by: an exponent,
-    # which MAX_N steps grow by a few bits at most, or an image's integer.
-    factor_bits = max(
-        [p.exponent_bits(), *(max(i.coefficient_bits(), i.exponent_bits()) for i in images)]
-    )
-    image_den_bits = sum(image.denominator_bits() for image in images)
-    steps = derivatives(p, g.rules)
-    last = next(steps)
-    yield last
-    work = 0
-    for order in range(1, n + 1):
-        products = len(last) * sum(len(g.rules.get(v, ())) for v in last.variables())
-        size = last.coefficient_bits() // 64 * (factor_bits // 64 + 32) // 32
-        den = (last.denominator_bits() + image_den_bits) // 64
-        work += products * (width + 8 + size + den * den // 32)
-        if work > MAX_DERIVE_WORK:
-            raise ValueError(
-                f"derivative order {order} needs up to {work} units of work, "
-                f"over the limit {MAX_DERIVE_WORK} (grammar.MAX_DERIVE_WORK)"
-            )
-        last = next(steps)
-        yield last
+    yield from islice(derivatives(p, g.rules), n + 1)
 
 
 def derive(p: LaurentPolynomial, g: Grammar) -> LaurentPolynomial:

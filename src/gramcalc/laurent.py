@@ -18,12 +18,14 @@ evaluation and renaming run in integer arithmetic.  ``dot`` sums many
 products into one dict, and it is the one place where two terms are
 multiplied: sums, products and powers go through it, and so does each step
 of ``derivatives``, the iterated derivation of the ring (the formal
-derivative of a grammar).  No other module reads a polynomial's exponent
-tuples.
+derivative of a grammar).  ``derivatives`` also prices each step from the
+sizes of its operands and refuses one that would pass ``MAX_DERIVE_WORK``,
+so the charge sits beside the loop it models.  No other module reads a
+polynomial's exponent tuples or numerators.
 ``LaurentPolynomial.from_dense`` is the one constructor that takes integer
 terms from outside.
 
-``Fraction`` appears only at the edge.  ``items()`` and ``coefficient()``
+``Fraction`` appears only at the edge.  ``items()`` and ``sorted_terms()``
 give ``Fraction`` coefficients on monomials, where a monomial is a tuple of
 ``(variable, exponent)`` pairs sorted by variable name, with no zero
 exponent (the empty monomial is the constant 1).  Variables are bare
@@ -43,10 +45,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd, lcm, prod
 from operator import add, getitem, index, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from ._names import MAX_DERIVE_WORK
 
 Monomial = tuple[tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -178,33 +182,8 @@ class LaurentPolynomial:
     def __len__(self) -> int:
         return len(self._num)
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def variables(self) -> frozenset[str]:
         return frozenset(self._vars)
-
-    def coefficient_bits(self) -> int:
-        """The bit length of its denominator or of its largest numerator in absolute value."""
-        nums = [self._den, *self._num.values()]
-        return max(max(nums).bit_length(), min(nums).bit_length())
-
-    def denominator_bits(self) -> int:
-        """The bit length of its common denominator (1 when it has none)."""
-        return self._den.bit_length()
-
-    def exponent_bits(self) -> int:
-        """The bit length of its largest exponent in absolute value (0 for a constant)."""
-        exps = [0, *chain.from_iterable(self._num)]
-        return max(max(exps).bit_length(), min(exps).bit_length())
-
-    def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
-        """The coefficient of the given monomial (0 if absent)."""
-        exps = dict(monomial(exponents))
-        if not exps.keys() <= set(self._vars):
-            return _ZERO_FRAC
-        key = tuple([exps.get(name, 0) for name in self._vars])
-        return Fraction(self._num.get(key, 0), self._den)
 
     def _monomial(self, key: Exponents) -> Monomial:
         return tuple([(name, e) for name, e in zip(self._vars, key) if e])
@@ -410,21 +389,48 @@ def derivatives(
     ``dot`` of those images with the copies of the last derivative weighted by
     ``v d/dv``: each numerator times its exponent of ``v``, and the terms where
     that exponent is 0 dropped.  Negative exponents need no special case.
+
+    A step is refused before it runs if its work, added to that of the steps
+    before it, passes ``MAX_DERIVE_WORK`` (see ``_names``); a step is taken
+    only when its item is read.
     """
     yield p
     names = _union([p, *rules.values()])
+    # The largest number a product multiplies a coefficient by: an exponent,
+    # which MAX_N steps grow by a few bits at most, or an image's integer.
+    factor_bits = _bits(
+        chain.from_iterable(p._num),
+        *([r._den, *r._num.values(), *chain.from_iterable(r._num)] for r in rules.values()),
+    )
+    image_den_bits = sum([r._den.bit_length() for r in rules.values()])
+    work = 0
     # Every operand of a step's ``dot`` is held over ``names``, unreduced, so
     # that ``dot`` embeds none of them; only its result is kept.
     ruled = [i for i, v in enumerate(names) if v in rules and rules[v]._num]
     images = [rules[names[i]] * LaurentPolynomial.variable(names[i]) ** -1 for i in ruled]
     images = [_raw(names, _embed(image, names), image._den) for image in images]
-    while True:
+    for order in count(1):
+        products = len(p._num) * sum([len(rules[v]._num) for v in p._vars if v in rules])
+        size = _bits([p._den], p._num.values()) // 64 * (factor_bits // 64 + 32) // 32
+        den = (p._den.bit_length() + image_den_bits) // 64
+        work += products * (len(names) + 8 + size + den * den // 32)
+        if work > MAX_DERIVE_WORK:
+            raise ValueError(
+                f"derivative order {order} needs up to {work} units of work, "
+                f"over the limit {MAX_DERIVE_WORK} (grammar.MAX_DERIVE_WORK)"
+            )
         num = _embed(p, names)
         weighted = [
             _raw(names, {k: c * k[i] for k, c in num.items() if k[i]}, p._den) for i in ruled
         ]
         p = dot(weighted, images)
         yield p
+
+
+def _bits(*numbers: Iterable[int]) -> int:
+    # The bit length of the largest of ``numbers`` in absolute value (0 for none).
+    values = [0, *chain(*numbers)]
+    return max(max(values).bit_length(), min(values).bit_length())
 
 
 def _union(polys: Iterable[LaurentPolynomial]) -> tuple[str, ...]:
@@ -489,6 +495,5 @@ def _coerce(value: object):
     return NotImplemented
 
 
-_ZERO_FRAC = Fraction(0)
 _ZERO = _make((), {}, 1)
 _ONE = _make((), {(): 1}, 1)

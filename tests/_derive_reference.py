@@ -45,7 +45,7 @@ def _derive_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolyn
     images = {
         names.index(var): dense(image, names)
         for var, image in g.rules.items()
-        if var in names and not image.is_zero()
+        if var in names and image != 0
     }
     rden = math.lcm(*(d for _, d in images.values()))
     rules = [

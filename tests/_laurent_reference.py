@@ -114,15 +114,8 @@ class LaurentPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def variables(self) -> frozenset[str]:
         return frozenset(name for mono in self._terms for name, _ in mono)
-
-    def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
-        """The coefficient of the given monomial (0 if absent)."""
-        return self._terms.get(monomial(exponents), _ZERO_FRAC)
 
     # -- ring operations ---------------------------------------------------
 

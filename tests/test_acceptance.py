@@ -14,7 +14,7 @@ from _permstat_reference import stat_profile
 from gramcalc.gdsl import parse_poly
 from gramcalc.grammar import builtin_grammar, derive, derive_n
 from gramcalc.laurent import LaurentPolynomial as LP
-from gramcalc.laurent import dot
+from gramcalc.laurent import dot, monomial
 from gramcalc.permstat import (
     KIND_CARLITZ,
     KIND_EXTERIOR_PDD,
@@ -51,8 +51,8 @@ def test_criterion_2_peak_distribution_polynomials():
     for n in range(1, 9):
         assert items_y[n] == table_to_poly(stat_table(n, KIND_PEAK_DD)), n
     d4z = derive_n(Z, G, 4).items[4]
-    assert d4z.coefficient({"x": 1, "y": 1, "z": 2, "w": 1}) == 6
-    assert items_y[4].coefficient({"x": 2, "y": 1, "z": 2}) == 8
+    assert dict(d4z.items())[monomial({"x": 1, "y": 1, "z": 2, "w": 1})] == 6
+    assert dict(items_y[4].items())[monomial({"x": 2, "y": 1, "z": 2})] == 8
     _passed(2, "derivatives of y match enumeration for n <= 8, spot coefficients 6 and 8")
 
 
@@ -129,9 +129,9 @@ def test_criterion_4_recurrence():
 
 
 def test_criterion_5_derivative_invariants():
-    assert derive(W - Y, G).is_zero()
+    assert derive(W - Y, G) == 0
     delta = (W + Y) ** 2 - 4 * X * Z
-    assert derive(delta, G).is_zero()
+    assert derive(delta, G) == 0
 
     zx = Z * X ** -1
     items = derive_n(zx, G, 10).items

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,8 +177,7 @@ def test_long_exponent_in_poly_rejected_at_its_token():
 def test_literal_at_the_digit_limit_parses():
     top = "9" * 4300
     p = parse_poly(f"{top}/{top}*x^-{top} + 1/{top}")
-    assert p.coefficient({"x": 1 - 10 ** 4300}) == 1
-    assert p.coefficient({}) * (10 ** 4300 - 1) == 1
+    assert dict(p.items()) == {(("x", 1 - 10 ** 4300),): 1, (): Fraction(1, 10 ** 4300 - 1)}
     spec = parse_grammar(f"vars: x\nrule x -> x\nn: {top}\n")
     assert spec.default_n == 10 ** 4300 - 1
 
@@ -222,13 +223,10 @@ def test_minus_one_coefficient_formats_bare():
 
 
 def test_poly_syntax_directly():
-    from fractions import Fraction
-
     p = parse_poly("-2/3*x^-1*y^2 + z")
-    assert p.coefficient({"x": -1, "y": 2}) == Fraction(-2, 3)
-    assert p.coefficient({"z": 1}) == 1
+    assert dict(p.items()) == {(("x", -1), ("y", 2)): Fraction(-2, 3), (("z", 1),): 1}
     assert len(p) == 2
-    assert parse_poly("0").is_zero()
+    assert parse_poly("0") == 0
     assert parse_poly("7") == LP.constant(7)
     assert parse_poly("x^0") == LP.one()
     assert parse_poly("+x") == LP.variable("x")

@@ -23,10 +23,10 @@ G = builtin_grammar("paper_G")
 
 def test_derive_base_cases():
     assert derive(Z, G) == Z * W
-    assert derive(LP.constant(7), G).is_zero()
+    assert derive(LP.constant(7), G) == 0
     assert derive(X ** -1, G) == -(X ** -1 * Y)
-    assert derive(W - Y, G).is_zero()
-    assert derive((W + Y) ** 2 - 4 * X * Z, G).is_zero()
+    assert derive(W - Y, G) == 0
+    assert derive((W + Y) ** 2 - 4 * X * Z, G) == 0
 
 
 def test_derive_sequence_structure():
@@ -73,16 +73,16 @@ def test_derive_order_limits():
 
 
 def test_derive_work_limit_is_exact(monkeypatch):
-    import gramcalc.grammar as grammar_module
+    import gramcalc.laurent as laurent_module
 
     # eulerian rules each have one term, and each request runs over x and y,
     # so a step from D^k(x) is charged len(D^k(x)) * |vars of D^k(x)| * (2 + 8).
     g = builtin_grammar("eulerian")
     items = derive_n(X, g, 5).items
     work = sum(len(p) * len(p.variables()) * 10 for p in items[:5])
-    monkeypatch.setattr(grammar_module, "MAX_DERIVE_WORK", work)
+    monkeypatch.setattr(laurent_module, "MAX_DERIVE_WORK", work)
     assert derive_n(X, g, 5).items == items
-    monkeypatch.setattr(grammar_module, "MAX_DERIVE_WORK", work - 1)
+    monkeypatch.setattr(laurent_module, "MAX_DERIVE_WORK", work - 1)
     with pytest.raises(ValueError) as exc:
         derive_n(X, g, 5)
     assert str(exc.value) == (
@@ -158,7 +158,7 @@ def test_grammar_validation():
 def test_unruled_variables_are_constants():
     s = LP.variable("s")
     g = Grammar(rules={"x": X * LP.variable("s")}, inert=frozenset({"s"}))
-    assert derive(s, g).is_zero()
+    assert derive(s, g) == 0
     assert derive(s * X, g) == s * (X * s)
 
 
@@ -297,4 +297,4 @@ def test_leibniz_identity_random(u, v, n):
 @given(st.integers(-4, 4).filter(bool), exponents)
 def test_inverse_rule(coeff, exps):
     u = LP.term(coeff, {k: v for k, v in exps.items() if v} or {"x": 1})
-    assert derive(u * u ** -1, G).is_zero()
+    assert derive(u * u ** -1, G) == 0

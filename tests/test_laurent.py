@@ -3,13 +3,16 @@ import json
 import re
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramcalc.cli import main
+from gramcalc.grammar import builtin_grammar
 from gramcalc.laurent import LaurentPolynomial as LP
+from gramcalc.laurent import _bits, derivatives
 from gramcalc.gdsl import parse_poly
 
 
@@ -43,14 +46,14 @@ nonzero_points = st.fixed_dictionaries(
 # -- construction and canonical form -----------------------------------------
 
 def test_zero_and_one():
-    assert LP.zero().is_zero()
+    assert LP.zero() == 0
     assert LP.one() == LP.constant(1)
     assert len(LP.one()) == 1
-    assert LP.term(0, {"x": 2}).is_zero()
+    assert LP.term(0, {"x": 2}) == 0
 
 
 def test_additive_inverse_cancels():
-    assert (X + (-X)).is_zero()
+    assert X + (-X) == 0
 
 
 def test_sum_reassembles_known_polynomial():
@@ -268,6 +271,8 @@ def test_text_and_json_show_the_sorted_terms(a, var_order):
 
 
 def test_bit_lengths_of_coefficients_and_exponents():
+    # ``derivatives`` prices a step by the bit length of the largest numerator
+    # or denominator, and of the largest exponent, in absolute value.
     cases = [
         (LP.zero(), 1, 0),
         (LP.constant(-5), 3, 0),
@@ -276,7 +281,22 @@ def test_bit_lengths_of_coefficients_and_exponents():
         (LP.term(3, {"x": 1, "y": -(2**70)}), 2, 71),
     ]
     for p, coefficient_bits, exponent_bits in cases:
-        assert (p.coefficient_bits(), p.exponent_bits()) == (coefficient_bits, exponent_bits)
+        assert _bits([p._den], p._num.values()) == coefficient_bits
+        assert _bits(chain.from_iterable(p._num)) == exponent_bits
+
+
+def test_a_negative_number_is_charged_by_its_size(monkeypatch):
+    # Under eulerian a one-term step forms one product over x and y: 2 + 8
+    # units, plus one for a coefficient of 64 bits or more, whatever its sign.
+    import gramcalc.laurent as laurent_module
+
+    monkeypatch.setattr(laurent_module, "MAX_DERIVE_WORK", 0)
+    rules = builtin_grammar("eulerian").rules
+    for coeff, charge in [(1, 10), (2**64, 11), (-(2**64), 11), (-(2**63) + 1, 10)]:
+        steps = derivatives(LP.term(coeff, {"x": 1}), rules)
+        next(steps)
+        with pytest.raises(ValueError, match=f"order 1 needs up to {charge} units"):
+            next(steps)
 
 
 # -- operators outside the ring --------------------------------------------------
@@ -310,7 +330,7 @@ def test_ring_laws(a, b, c):
 @given(polys())
 def test_additive_identity_and_inverse(a):
     assert a + LP.zero() == a
-    assert (a - a).is_zero()
+    assert a - a == 0
     assert a * LP.one() == a
 
 

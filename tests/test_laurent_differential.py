@@ -133,15 +133,6 @@ def test_subst_agrees(terms, names):
     assert_same(a.subst(names), ra.subst(images))
 
 
-@settings(max_examples=50, deadline=None)
-@given(term_lists, exponent_maps)
-def test_coefficient_agrees(terms, exps):
-    a, ra = pair(terms)
-    assert a.coefficient(exps) == ra.coefficient(exps)
-    for mono, c in ra.items():
-        assert a.coefficient(dict(mono)) == c
-
-
 def reference_derivative(p, rules):
     """One product-rule step on the reference class."""
     out = ref.LaurentPolynomial()

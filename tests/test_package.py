@@ -111,6 +111,17 @@ def test_legs_resolve_after_bare_import():
     assert out == "24\n"
 
 
+def test_laurent_imports_no_other_leg():
+    # The ring sits below the grammar: ``laurent`` reads its work bound from
+    # ``_names`` and must never import ``grammar`` or any other leg.
+    out = _fresh(
+        "import sys\n"
+        "import gramcalc.laurent\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'gramcalc')))"
+    )
+    assert out.split() == ["gramcalc", "gramcalc._names", "gramcalc.laurent"]
+
+
 def test_benchmark_tracer_targets_resolve():
     # perfbench/tracing.py wraps each TRACED function by module and attribute
     # path; a rename here must fail tier-1, not only the traced benchmark run.
