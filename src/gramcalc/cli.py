@@ -388,7 +388,8 @@ def _cmd_series(args) -> tuple[int, list[str]]:
             "coefficients": [str(v) for v in values],
         }
         return 0, [_json(payload)]
-    return 0, [f"t^{n}: {value}" for n, value in enumerate(values)]
+    # str(), as in the JSON: Fraction.__format__ no longer calls it from Python 3.13 on
+    return 0, [f"t^{n}: {value!s}" for n, value in enumerate(values)]
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:

@@ -1,4 +1,4 @@
-"""Permutation statistics: joint tables and their marginals.
+"""Permutation statistics over S_n: joint tables and their marginals.
 
 Statistics of a permutation ``p = p_1 .. p_n`` of ``{1..n}``:
 
@@ -17,21 +17,42 @@ every derivative has a table to check it:
 * ``"peak_dd"``: ``(peaks, double descents)``,
 * ``"carlitz_quadruple"``: ``(peaks - 1, double descents, valleys, double rises)``.
 
-The tables come from a transfer recurrence over the relative rank of the last
-letter (``gramcalc._transfer``), in time polynomial in n.  One pass of it is
-grown per process, up to the largest n asked for (at most ``MAX_N``), and
-keeps the state totals of every level it passed; a table only classifies the
-totals of its level, so no table is cached here, and every call returns a new
-``counts`` dict that the caller may change.  The tests check every table
-against brute force over S_n, which reads the definitions above off each
-permutation.
+Every statistic is decided by consecutive triples, so the tables come from
+one transfer pass that grows a permutation one letter at a time, in time
+polynomial in n.  After m letters the state is the relative rank j of the
+last letter among the m letters, the direction of the step into it, and the
+running (peaks, double descents) over the letters 1..m-1, which are already
+classified.  Appending a letter of relative rank r (1..m+1) is an up step iff
+r > j, and that step out classifies letter m: up-down is a peak, down-down a
+double descent, and up-up or down-up (a double rise or a valley) leave the
+key as it is.  The left pad 0 makes the step into p_1 an up step.  This is
+the state space of the Seidel-Entringer (boustrophedon) triangle; the counts
+of one (direction, key) pair are kept as a list over j, so one step is a
+prefix sum.
+
+The kinds differ only in how the last letter is classified: ``exterior_pdd``
+never classifies p_n, and the peak-based kinds classify it with the down step
+into the right pad 0.  Valleys and double rises are not tracked: with both
+pads, peaks = valleys + 1 and the four classes add up to n.  So the pass that
+reaches n letters serves every table up to n.  It is grown once per process,
+only as far as the largest n asked for so far, and keeps, for every level m
+it passed, the number of permutations of {1..m} in each (direction, key)
+state, and the by-j counts of its last level, from which the next level
+grows.  One lock is held while the pass grows, and a level is stored whole
+before it is read, so the pass is a cache of a fixed function: sharing it
+between callers, threads included, changes no result.  No table is cached,
+and every call returns a new ``counts`` dict that the caller may change.  The
+tests check every table against brute force over S_n, which reads the
+definitions above off each permutation.
 """
 
 from __future__ import annotations
 
+import sys
+from _thread import allocate_lock
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from . import _transfer
 from ._names import MAX_N, TABLE_KINDS, TRIANGLES
 
 if TYPE_CHECKING:
@@ -39,11 +60,41 @@ if TYPE_CHECKING:
 
 #: Kept only for ``perfbench``, whose environment stamp and tracer read these two
 #: names: there is no compiled table engine, and ``_kernel.count_table`` is the
-#: transfer pass's entry point.
+#: transfer pass's entry point, which the tracer rebinds here.
 KERNEL_IS_COMPILED = False
-_kernel = _transfer
+_kernel = sys.modules[__name__]
 
 KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ = TABLE_KINDS
+
+# State: (step into the last letter is up, peaks, double descents).
+# _totals[m] maps each state of level m to its number of permutations of {1..m};
+# _totals[0] is unused, since ``stat_table`` answers n = 0 itself.
+_totals: list[dict[tuple[bool, int, int], int]] = [{}, {(True, 0, 0): 1}]
+# The states of the last level reached -> counts by the 0-based rank of the last letter.
+_front: dict[tuple[bool, int, int], list[int]] = {(True, 0, 0): [1]}
+_growing = allocate_lock()
+
+
+def _merge(groups: dict, key: tuple, counts: list[int]) -> None:
+    have = groups.get(key)
+    groups[key] = counts if have is None else [a + b for a, b in zip(have, counts)]
+
+
+def _grow(n: int) -> None:
+    """Extend the pass one letter at a time until it has reached level n."""
+    global _front
+    with _growing:
+        while len(_totals) <= n:
+            grown: dict[tuple[bool, int, int], list[int]] = {}
+            for (up, peaks, dds), by_rank in _front.items():
+                # a new letter at 0-based rank r steps up from every j < r, down from j >= r
+                below = list(accumulate(by_rank, initial=0))
+                total = below[-1]
+                _merge(grown, (True, peaks, dds), below)
+                fall = (False, peaks + 1, dds) if up else (False, peaks, dds + 1)
+                _merge(grown, fall, [total - b for b in below])
+            _front = grown
+            _totals.append({state: sum(by_rank) for state, by_rank in grown.items()})
 
 
 class StatTable(NamedTuple):
@@ -71,7 +122,27 @@ def stat_table(n: int, kind: str) -> StatTable:
         if kind != KIND_EXTERIOR_PDD:
             raise ValueError(f"{kind} tables start at n = 1")
         return StatTable(n=0, kind=kind, counts={(0, 0): 1})
-    return StatTable(n=n, kind=kind, counts=_transfer.count_table(n, kind))
+    return StatTable(n=n, kind=kind, counts=count_table(n, kind))
+
+
+def count_table(n: int, kind: str) -> dict[tuple[int, ...], int]:
+    """Classify the pass's level n by the key shape of ``kind``, n >= 1.
+
+    ``stat_table`` is the caller; it checks ``n`` and ``kind``.  Every call
+    returns a new dict.
+    """
+    _grow(n)
+    counts: dict[tuple[int, ...], int] = {}
+    for (up, peaks, dds), total in _totals[n].items():
+        if kind != KIND_EXTERIOR_PDD:
+            # the down step into the right pad 0 classifies p_n
+            peaks, dds = (peaks + 1, dds) if up else (peaks, dds + 1)
+        if kind == KIND_CARLITZ:
+            key: tuple[int, ...] = (peaks - 1, dds, peaks - 1, n + 1 - 2 * peaks - dds)
+        else:
+            key = (peaks, dds)
+        counts[key] = counts.get(key, 0) + total
+    return counts
 
 
 def table_to_poly(table: StatTable) -> LaurentPolynomial:

@@ -10,7 +10,9 @@ corner cases of the accepted language and ``mutated_argv`` draws more.
 
 with the standard library only: it prints every argv of the corpus, and of
 5000 mutated ones, that the two read differently, and exits 1 if there is
-one.  It is not imported by the package.
+one.  Argvs in a corner of ``CHANGED_CORNERS`` are compared only where the
+installed argparse still reads it as 3.11 does.  It is not imported by the
+package.
 """
 
 from __future__ import annotations
@@ -174,6 +176,28 @@ CORPUS = [
 ]
 
 
+#: The corners that argparse 3.13 releases read differently from 3.10 to
+#: 3.12.1, whose reading ``cli._parse`` keeps on every interpreter
+#: (``test_cli_parser`` pins it): a probe argv, its old reading, and a test
+#: for the argvs in the corner.
+CHANGED_CORNERS = [
+    # Text stuck to -h is more short options, all of which must be -h; 3.13.0 reads -hx as -h.
+    (["-hx"], ("error",), lambda argv: any(arg[:2] == "-h" and arg != "-h" for arg in argv)),
+    # "--=x" is an ambiguous prefix of every long option; later 3.13 releases read an unknown one.
+    (["-h", "--=x"], ("error",), lambda argv: any(arg[:3] == "--=" for arg in argv)),
+    # "--" before the command goes to the subparser; later 3.13 releases drop it.
+    (["--", *_TABLE], ("error",), lambda argv: argv[:1] == ["--"]),
+]
+_READ_ANEW = [in_corner for probe, old, in_corner in CHANGED_CORNERS if reference(probe) != old]
+
+
+def compared(argv: list[str]) -> bool:
+    """Whether the installed argparse reads ``argv`` as 3.11 does, so that
+    ``cli._parse`` must read it the same: it is in no corner that this
+    argparse, asked the corner's probe, reads anew."""
+    return not any(in_corner(argv) for in_corner in _READ_ANEW)
+
+
 #: Valid argvs to mutate, and the arguments to mutate them with: commands,
 #: option strings, their prefixes and near misses, and values.  ``OPTIONS``
 #: are also joined to ``VALUES`` by ``=``; ``--`` is never such a value (see
@@ -214,15 +238,20 @@ def mutated_argv(choose) -> list[str]:
 def main() -> int:
     import random
 
-    argvs = CORPUS + [mutated_argv(random.Random(seed).choice) for seed in range(5000)]
-    differ = [argv for argv in argvs if parsed(argv) != reference(argv)]
-    for argv in differ:
-        print(f"{argv!r}\n  argparse: {reference(argv)!r}\n  cli:      {parsed(argv)!r}")
+    mutated = [mutated_argv(random.Random(seed).choice) for seed in range(5000)]
+    found, counts = 0, []
+    for name, argvs in (("corpus", CORPUS), ("mutated", mutated)):
+        argvs = [argv for argv in argvs if compared(argv)]
+        differ = [argv for argv in argvs if parsed(argv) != reference(argv)]
+        for argv in differ:
+            print(f"{argv!r}\n  argparse: {reference(argv)!r}\n  cli:      {parsed(argv)!r}")
+        found += len(differ)
+        counts.append(f"{len(differ)} of {len(argvs)} {name} argvs")
     print(
-        f"Python {sys.version.split()[0]}: {len(differ)} of {len(CORPUS)} corpus argvs "
-        f"and 5000 mutated ones read differently"
+        f"Python {sys.version.split()[0]}: {' and '.join(counts)} read differently; "
+        f"{len(CHANGED_CORNERS) - len(_READ_ANEW)} of {len(CHANGED_CORNERS)} changed corners compared"
     )
-    return 1 if differ else 0
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

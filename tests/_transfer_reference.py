@@ -1,11 +1,11 @@
 """The per-table transfer recurrence, kept as a test reference.
 
-This is the ``count_table`` that ``gramcalc._transfer`` had before one grown
-pass served every table: each call regrows the permutation from one letter
-up to n and classifies the last letter for its own kind.  It is copied
-unchanged apart from this docstring and the function's;
-``test_transfer_differential`` compares the package's tables against it.  It
-is not imported by the package.
+This is the ``count_table`` that the transfer pass, now in
+``gramcalc.permstat``, had before one grown pass served every table: each
+call regrows the permutation from one letter up to n and classifies the last
+letter for its own kind.  It is copied unchanged apart from this docstring
+and the function's; ``test_transfer_differential`` compares the package's
+tables against it.  It is not imported by the package.
 """
 
 from __future__ import annotations

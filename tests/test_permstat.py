@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +146,43 @@ def test_table_cap():
         with pytest.raises(ValueError, match="^n must be nonnegative$"):
             stat_table(-1, kind)
         assert sum(stat_table(25, kind).counts.values()) == factorial(25)
+
+
+_REBIND_COUNT_TABLE = """
+import sys
+import gramcalc.cli, gramcalc.verify
+from gramcalc import permstat
+
+original = permstat._kernel.count_table
+calls = []
+
+def replacement(*args):
+    calls.append(args)
+    return original(*args)
+
+for name, module in list(sys.modules.items()):
+    if name.startswith("gramcalc") and module:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                setattr(module, attr, replacement)
+counts = permstat.stat_table(5, "peak_dd").counts
+print(calls, sum(counts.values()))
+"""
+
+
+def test_rebound_count_table_serves_stat_table():
+    # perfbench's tracer times the table engine by rebinding every alias of
+    # permstat._kernel.count_table in the loaded gramcalc modules; the table
+    # stat_table builds must come through that name, or the tracer reads 0 calls.
+    result = subprocess.run(
+        [sys.executable, "-c", _REBIND_COUNT_TABLE],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout == "[(5, 'peak_dd')] 120\n"
 
 
 def test_unknown_kind():

@@ -1,10 +1,10 @@
-"""The one-pass transfer tables against the per-table reference.
+"""The one-pass transfer tables of ``permstat`` against the per-table reference.
 
 ``_transfer_reference.count_table`` regrows the permutation for every
-``(n, kind)``; the package grows one pass per process and serves every table
-from the levels it has passed.  The pass depends on the order in which tables
-are asked for, so each order runs in a fresh interpreter, where the pass
-starts from one letter.
+``(n, kind)``; ``gramcalc.permstat`` grows one pass per process and serves
+every table from the levels it has passed.  The pass depends on the order in
+which tables are asked for, so each order runs in a fresh interpreter, where
+the pass starts from one letter.
 """
 
 import json
@@ -55,14 +55,14 @@ def test_one_pass_matches_reference_in_a_fresh_process(order):
 _THREADS = """
 import importlib, json, sys, threading
 import _transfer_reference as ref
-from gramcalc import _transfer
+from gramcalc import permstat
 from gramcalc.permstat import stat_table
 
 sys.setswitchinterval(1e-6)
 sizes = json.loads(sys.argv[1])
 wrong = []
 for trial in range(8):
-    importlib.reload(_transfer)  # a pass that starts again from one letter
+    importlib.reload(permstat)  # a pass that starts again from one letter
     start = threading.Barrier(len(sizes))
     got = {}
 
