@@ -42,8 +42,6 @@ _LEGS = {
         "CLOSED_FORMS",
         "EvalPoint",
         "InadmissiblePointError",
-        "LAURENT",
-        "RATIONALS",
         "TruncatedSeries",
         "closed_form",
         "exp_series",

@@ -47,6 +47,16 @@ MAX_VARIABLES = 64
 #: took 8.5-10 s to convert (2-vCPU VM, Python 3.11 with the limit off).
 MAX_LITERAL_DIGITS = 4300
 
+#: The most 64-bit words (rounded down) of the common denominator of a
+#: polynomial in that term syntax, counted once per term, as every term
+#: stores its numerator over it, and summed over a ``.gram`` document's
+#: polynomials.  Uncounted, k distinct 4300-digit denominators took time
+#: cubic in k to read (86 s for k = 100).  Each denominator grows term by
+#: term and the term that passes the limit is refused, so a refused word
+#: costs no more than an accepted one.  21 such denominators fit, read in
+#: 0.4 s (2-vCPU VM, Python 3.11); one under 64 bits counts nothing.
+MAX_DENOMINATOR_WORDS = 100_000
+
 BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")
 
 TABLE_KINDS = ("exterior_pdd", "peak_dd", "carlitz_quadruple")

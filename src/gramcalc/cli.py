@@ -276,26 +276,28 @@ def _parse_point(text: str | None, root: str | None) -> EvalPoint | None:
     return EvalPoint(assignment, root_value)
 
 
-def _check_digits(values) -> None:
-    """Refuse the first ``(name, integer)`` of ``values`` with more than
-    ``MAX_OUTPUT_DIGITS`` digits.  It is measured against a power of ten, as
-    the text of such an integer is what an interpreter may refuse to build."""
+def _check_digits(values, name) -> None:
+    """Refuse the first ``(key, integer)`` of ``values`` with more than
+    ``MAX_OUTPUT_DIGITS`` digits, named by ``name(key)``: only that one name is
+    formatted.  It is measured against a power of ten, as the text of such an
+    integer is what an interpreter may refuse to build."""
     limit = 10**MAX_OUTPUT_DIGITS
-    for name, value in values:
+    for key, value in values:
         if not -limit < value < limit:
             raise CliError(
-                f"{name} has more than {MAX_OUTPUT_DIGITS} digits (cli.MAX_OUTPUT_DIGITS)"
+                f"{name(key)} has more than {MAX_OUTPUT_DIGITS} digits (cli.MAX_OUTPUT_DIGITS)"
             )
 
 
 def _printable_terms(poly, what: str) -> list:
     """``poly.sorted_terms()``, which text and JSON print, once every integer in
     it (numerator, denominator, then exponents of each term) passes ``_check_digits``."""
-    terms, coeff = poly.sorted_terms(), f"a coefficient of {what}"
+    terms = poly.sorted_terms()
     _check_digits(
-        named for mono, c in terms
-        for named in [(coeff, c.numerator), (coeff, c.denominator),
-                      *((f"the exponent of {name} in {what}", e) for name, e in mono)]
+        # A coefficient's parts are keyed None, an exponent by its variable.
+        ((key, value) for mono, c in terms
+         for key, value in ((None, c.numerator), (None, c.denominator), *mono)),
+        lambda key: f"the exponent of {key} in {what}" if key else f"a coefficient of {what}",
     )
     return terms
 
@@ -376,9 +378,9 @@ def _cmd_series(args) -> tuple[int, list[str]]:
     values = series.egf_coefficients() if args.egf else list(series.coeffs)
     kind = "EGF coefficient" if args.egf else "coefficient"
     _check_digits(
-        (f"the {kind} of t^{n}", part)
-        for n, value in enumerate(values)
-        for part in (value.numerator, value.denominator)
+        ((n, part) for n, value in enumerate(values)
+         for part in (value.numerator, value.denominator)),
+        lambda n: f"the {kind} of t^{n}",
     )
     if args.format == "json":
         payload = {

@@ -18,7 +18,11 @@ start word must be declared under ``vars:`` or ``inert:``.  A document declares,
 and a polynomial uses, at most ``MAX_VARIABLES`` (64) variables: every term
 stores one exponent per variable of its polynomial.  An integer literal (a
 coefficient's numerator or denominator, an exponent, ``n:``) has at most
-``MAX_LITERAL_DIGITS`` (4300) digits.
+``MAX_LITERAL_DIGITS`` (4300) digits.  Every term stores its numerator over
+the common denominator of its polynomial's coefficients, so the 64-bit words
+of that denominator, counted once per term and summed over the polynomials
+of a document, are at most ``MAX_DENOMINATOR_WORDS``: each denominator grows
+term by term, and the term that passes the limit is refused.
 
 All rejections carry the line number and the offending token.
 """
@@ -27,9 +31,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
-from ._names import MAX_LITERAL_DIGITS, MAX_VARIABLES
+from ._names import MAX_DENOMINATOR_WORDS, MAX_LITERAL_DIGITS, MAX_VARIABLES
 from .grammar import Grammar
 from .laurent import LaurentPolynomial
 
@@ -179,18 +184,30 @@ def _parse_term(
             return coeff, factors
 
 
-def _parse_poly(line: _Line, allowed: set[str] | None) -> LaurentPolynomial:
-    """A polynomial that runs to the end of the line."""
+def _parse_poly(
+    line: _Line, allowed: set[str] | None, spent: int = 0
+) -> tuple[LaurentPolynomial, int]:
+    """A polynomial that runs to the end of the line, and ``spent`` plus the
+    words of its common denominator once per term (see ``MAX_DENOMINATOR_WORDS``)."""
     if line.peek() is None:
         raise line.fail("expected a polynomial")
     terms = []
     seen: set[str] = set()
+    den = 1  # the common denominator of the terms so far
     sign = line.accept("+") or line.accept("-")
     while True:
+        head = line.peek()
         coeff, factors = _parse_term(line, allowed, seen)
+        den *= coeff.denominator // gcd(den, coeff.denominator)
+        words = spent + (len(terms) + 1) * (den.bit_length() // 64)
+        if words > MAX_DENOMINATOR_WORDS:
+            raise line.fail(
+                f"common denominators of more than {MAX_DENOMINATOR_WORDS} words, "
+                "counted once per term (gdsl.MAX_DENOMINATOR_WORDS)", head.column
+            )
         terms.append((factors, -coeff if sign and sign.kind == "-" else coeff))
         if line.peek() is None:
-            return LaurentPolynomial(terms)
+            return LaurentPolynomial(terms), words
         sign = line.accept("+") or line.accept("-")
         if sign is None:
             raise line.fail("expected '+' or '-' between terms")
@@ -198,7 +215,7 @@ def _parse_poly(line: _Line, allowed: set[str] | None) -> LaurentPolynomial:
 
 def parse_poly(text: str, allowed: set[str] | None = None) -> LaurentPolynomial:
     """Parse a standalone polynomial written in the DSL term syntax; errors name line 1."""
-    return _parse_poly(_Line(text, 1), allowed)
+    return _parse_poly(_Line(text, 1), allowed)[0]
 
 
 def parse_grammar(text: str) -> GrammarSpec:
@@ -208,6 +225,7 @@ def parse_grammar(text: str) -> GrammarSpec:
     rules: list[tuple[str, LaurentPolynomial]] = []
     rule_for: dict[str, int] = {}
     once: dict[str, object] = {}  # the 'start:' word and the 'n:' count
+    words = 0  # the denominator words of the polynomials so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _Line(raw, line_no)
         head = line.peek()
@@ -239,10 +257,11 @@ def parse_grammar(text: str) -> GrammarSpec:
                     lhs.column,
                 )
             line.expect("arrow")
-            rules.append((lhs.text, _parse_poly(line, declared.keys() | inert.keys())))
+            image, words = _parse_poly(line, declared.keys() | inert.keys(), words)
+            rules.append((lhs.text, image))
             rule_for[lhs.text] = line_no
         elif keyword == "start":
-            once[keyword] = _parse_poly(line, declared.keys() | inert.keys())
+            once[keyword], words = _parse_poly(line, declared.keys() | inert.keys(), words)
         else:
             once[keyword] = line.integer(line.expect("int"))
         trailing = line.peek()

@@ -112,14 +112,20 @@ class LaurentPolynomial:
         for name in names:
             check_variable_name(name)
         variables = tuple(sorted(names))
-        den = lcm(*(c.denominator for _, c in collected))
-        num: dict[Exponents, int] = {}
+        sums: dict[Exponents, Fraction] = {}
         for exps, c in collected:
             key = tuple([exps.get(name, 0) for name in variables])
-            num[key] = num.get(key, 0) + c.numerator * (den // c.denominator)
-        self._vars, self._num, self._den = _reduce(
-            variables, {k: c for k, c in num.items() if c}, den
-        )
+            sums[key] = sums[key] + c if key in sums else c
+        sums = {k: c for k, c in sums.items() if c}
+        # Each sum is in lowest terms, so every prime of their lcm leaves some
+        # numerator over it: ``_reduce``, given 1, skips the gcd chain over the
+        # terms, which costs time cubic in the count of distinct denominators.
+        scale = dict.fromkeys(c.denominator for c in sums.values())
+        den = lcm(*scale)
+        scale = {d: den // d for d in scale}
+        num = {k: c.numerator * scale[c.denominator] for k, c in sums.items()}
+        self._vars, self._num, _ = _reduce(variables, num, 1)
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 

@@ -1,34 +1,30 @@
-"""Truncated exponential generating series over an exact coefficient ring.
+"""Truncated exponential generating series with exact coefficients.
 
 A ``TruncatedSeries`` holds the coefficients of ``t^0 .. t^order`` of a formal
-power series in ``t``, over one of two exact rings: the rationals
-(``RATIONALS``) or Laurent polynomials (``LAURENT``).  Every series is kept in
-one form: EGF numerators ``b[n]`` and two positive integer scales ``E`` and
-``Q``, with the n-th coefficient equal to ``b[n] / (E * n! * Q^n)``.  The
-numerators are ``int``s over ``RATIONALS`` and ``LaurentPolynomial``s over
-``LAURENT``.
+power series in ``t``.  Every series is kept in one form: EGF numerators
+``b[n]`` and two positive integer scales ``E`` and ``Q``, with the n-th
+coefficient equal to ``b[n] / (E * n! * Q^n)``.  A numerator is an ``int`` or
+a ``LaurentPolynomial``, and the series takes whichever numbers it is given:
+the closed forms run on ``int``s alone, and a polynomial coefficient, scalar
+or ``exp_series`` rate makes every numerator it meets a polynomial.
 
-Each operation has one algorithm for both rings.  ``exp(p/q * t)`` is
-``b[n] = p^n`` with ``Q = q``; sums rescale both operands to the lcm of their
-scales, and a scalar joins a sum as a constant series; a product is the
-binomial convolution ``sum C(n,k) a[k] b[n-k]``, one ``Ring.dot`` per
-coefficient; a reciprocal runs Knuth's recurrence on the numerators;
-``derivative()`` drops ``b[0]`` and multiplies ``E`` by ``Q``, and
-``truncate()`` is a slice.  Only these points depend on the ring:
-
-* the numerator type (``Ring.one``) and ``Ring.dot``: an integer ``sum`` of
-  products over ``RATIONALS``, ``laurent.dot`` over ``LAURENT``;
-* the reciprocal's last step: over the integers it folds ``|b[0]|`` into
-  ``E`` and ``Q``; over polynomials it multiplies by powers of ``b[0]**-1``,
-  so the constant term must be a single term;
-* scalar operands, which may be polynomials only over ``LAURENT``.
+Each operation has one algorithm.  ``exp(p/q * t)`` is ``b[n] = p^n`` with
+``Q = q``; sums rescale both operands to the lcm of their scales, and a
+scalar joins a sum as a constant series; a product is the binomial
+convolution ``sum C(n,k) a[k] b[n-k]``, one ``sum(map(mul, ...))`` per
+coefficient; a reciprocal runs Knuth's recurrence on the numerators, and
+``derivative()`` drops ``b[0]`` and multiplies ``E`` by ``Q``.  Only the
+reciprocal's last step reads its constant term ``b[0]``: an ``int`` folds
+``|b[0]|`` into ``E`` and ``Q``, and a polynomial multiplies by powers of
+``b[0]**-1``, so it must be a single term.
 
 Nothing is reduced until the coefficients are read, and they are reduced
 again on each read: ``coeffs``, ``egf_coefficients()``, ``==`` and ``repr``
-multiply each numerator by ``Fraction(1, denominator)``, which gives
-``Fraction``s over ``RATIONALS`` and polynomials over ``LAURENT``.  There is
-no floating point anywhere: a float coefficient or scalar, added to or
-multiplied into a series or passed to ``exp_series``, raises ``TypeError``.
+multiply each numerator by ``Fraction(1, denominator)``, which gives a
+``Fraction`` for an ``int`` numerator and a polynomial for a polynomial one.
+There is no floating point anywhere: a float coefficient or scalar, added to
+or multiplied into a series or passed to ``exp_series``, raises
+``TypeError``.
 
 ``gen_series(p, g, order)`` is the exponential generating series of the
 iterated derivatives of ``p`` under the grammar ``g``: its EGF numerators are
@@ -47,11 +43,11 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import factorial, lcm
 from operator import add, mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._names import CLOSED_FORMS
 from .grammar import Grammar, derive_n
-from .laurent import LaurentPolynomial, exact_scalar, dot as _laurent_dot
+from .laurent import LaurentPolynomial, exact_scalar
 
 #: The largest order ``closed_form`` expands to; the work grows faster than
 #: cubically in the order.  At order 300 the slowest forms (``gen_z``,
@@ -64,38 +60,15 @@ class InadmissiblePointError(ValueError):
     """A closed form was asked for at a point it cannot be evaluated at."""
 
 
-class Ring(NamedTuple):
-    """The numerators of a series: ``RATIONALS`` or ``LAURENT``, no other.
+def _scalar(value) -> tuple:
+    """``value`` as a numerator over a positive integer denominator.
 
-    ``one`` is the numerator 1, and ``dot(xs, ys)`` is the sum of the
-    products ``xs[i] * ys[i]`` of two iterables of numerators.
+    A polynomial is its own numerator; floats raise ``TypeError``.
     """
-
-    name: str
-    one: object
-    dot: Callable[[Iterable, Iterable], object]
-
-
-RATIONALS = Ring(name="rationals", one=1, dot=lambda xs, ys: sum(map(mul, xs, ys)))
-
-LAURENT = Ring(name="laurent", one=LaurentPolynomial.one(), dot=_laurent_dot)
-
-
-def _scalar(ring: Ring, value) -> tuple:
-    """``value`` as a numerator of ``ring`` over a positive integer denominator.
-
-    Only a ``LAURENT`` series takes polynomial scalars; floats raise ``TypeError``.
-    """
-    if ring is LAURENT and isinstance(value, LaurentPolynomial):
+    if isinstance(value, LaurentPolynomial):
         return value, 1
     c = exact_scalar(value)
-    return ring.one * c.numerator, c.denominator
-
-
-def _check_ring(ring: Ring) -> None:
-    # The ring-dependent steps test for these two by identity.
-    if ring is not RATIONALS and ring is not LAURENT:
-        raise ValueError("a series ring must be series.RATIONALS or series.LAURENT")
+    return c.numerator, c.denominator
 
 
 def _check_order(order: int) -> None:
@@ -118,22 +91,21 @@ class TruncatedSeries:
     docstring); ``coeffs`` is computed from them on each read.
     """
 
-    __slots__ = ("ring", "_nums", "_e", "_q")
+    __slots__ = ("_nums", "_e", "_q")
 
-    def __init__(self, ring: Ring, coeffs: Sequence):
-        _check_ring(ring)
-        scalars = [_scalar(ring, c) for c in coeffs]
+    def __init__(self, coeffs: Sequence):
+        scalars = [_scalar(c) for c in coeffs]
         if not scalars:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
         e = lcm(*(den for _, den in scalars))
         nums = [num * (factorial(n) * e // den) for n, (num, den) in enumerate(scalars)]
-        self.ring, self._nums, self._e, self._q = ring, nums, e, 1
+        self._nums, self._e, self._q = nums, e, 1
 
     @classmethod
-    def _of(cls, ring: Ring, nums: list, e: int, q: int) -> "TruncatedSeries":
+    def _of(cls, nums: list, e: int, q: int) -> "TruncatedSeries":
         """The series with n-th coefficient ``nums[n] / (e * n! * q^n)``."""
         self = cls.__new__(cls)
-        self.ring, self._nums, self._e, self._q = ring, nums, e, q
+        self._nums, self._e, self._q = nums, e, q
         return self
 
     def _values(self, steps: Iterable[int]) -> list:
@@ -151,20 +123,15 @@ class TruncatedSeries:
         return len(self._nums) - 1
 
     @classmethod
-    def constant(cls, value, order: int, ring: Ring = RATIONALS) -> "TruncatedSeries":
+    def constant(cls, value, order: int) -> "TruncatedSeries":
         """``value`` times ``exp(0 * t) = 1``."""
-        return exp_series(0, order, ring) * value
+        return exp_series(0, order) * value
 
     # -- arithmetic ----------------------------------------------------------
 
     def _match(self, other: "TruncatedSeries") -> None:
-        if self.ring is not other.ring:
-            raise ValueError(f"series rings differ ({self.ring.name} vs {other.ring.name})")
         if self.order != other.order:
-            raise ValueError(
-                f"series orders differ ({self.order} vs {other.order}); "
-                "truncate one of them first"
-            )
+            raise ValueError(f"series orders differ ({self.order} vs {other.order})")
 
     def _rescaled(self, e: int, q: int) -> list:
         """The numerators over the scales ``e`` and ``q``, multiples of ``_e`` and ``_q``."""
@@ -173,20 +140,20 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.order, self.ring)
+            other = TruncatedSeries.constant(other, self.order)
         self._match(other)
         e, q = lcm(self._e, other._e), lcm(self._q, other._q)
         nums = list(map(add, self._rescaled(e, q), other._rescaled(e, q)))
-        return TruncatedSeries._of(self.ring, nums, e, q)
+        return TruncatedSeries._of(nums, e, q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._of(self.ring, [-b for b in self._nums], self._e, self._q)
+        return TruncatedSeries._of([-b for b in self._nums], self._e, self._q)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.order, self.ring)
+            other = TruncatedSeries.constant(other, self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -194,14 +161,16 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            num, den = _scalar(self.ring, other)
-            nums = [b * num for b in self._nums]
-            return TruncatedSeries._of(self.ring, nums, self._e * den, self._q)
+            num, den = _scalar(other)
+            return TruncatedSeries._of([b * num for b in self._nums], self._e * den, self._q)
         self._match(other)
-        q, dot = lcm(self._q, other._q), self.ring.dot
+        q = lcm(self._q, other._q)
         a, b = self._rescaled(self._e, q), other._rescaled(other._e, q)
-        nums = [dot(map(mul, row, a), b[n::-1]) for n, row in enumerate(_pascal_rows(self.order))]
-        return TruncatedSeries._of(self.ring, nums, self._e * other._e, q)
+        nums = [
+            sum(map(mul, map(mul, row, a), b[n::-1]))
+            for n, row in enumerate(_pascal_rows(self.order))
+        ]
+        return TruncatedSeries._of(nums, self._e * other._e, q)
 
     __rmul__ = __mul__
 
@@ -212,32 +181,26 @@ class TruncatedSeries:
         # gamma[n] = -sum_{k>=1} C(n,k) * b[k] * beta^(k-1) * gamma[n-k].  An
         # integer beta's |beta| folds into the scales, leaving h its sign; a
         # polynomial beta must be one term, or beta**-1 raises ValueError.
-        beta, dot = self._nums[0], self.ring.dot
+        beta = self._nums[0]
         if beta == 0:
             raise ValueError("series constant term vanishes; reciprocal does not exist")
-        if self.ring is RATIONALS:
+        if isinstance(beta, int):
             h, e, q = (1 if beta > 0 else -1), abs(beta), self._q * abs(beta)
         else:
             h, e, q = beta ** -1, 1, self._q
         powers = accumulate(repeat(beta, self.order - 1), mul, initial=1)
         scaled = list(map(mul, self._nums[1:], powers))
-        gamma = [self.ring.one]
+        gamma = [1]
         for row in islice(_pascal_rows(self.order), 1, None):
-            gamma.append(-dot(map(mul, row[1:], scaled), reversed(gamma)))
+            gamma.append(-sum(map(mul, map(mul, row[1:], scaled), reversed(gamma))))
         heads = accumulate(repeat(h, self.order), mul, initial=h * self._e)
-        return TruncatedSeries._of(self.ring, list(map(mul, gamma, heads)), e, q)
+        return TruncatedSeries._of(list(map(mul, gamma, heads)), e, q)
 
     def derivative(self) -> "TruncatedSeries":
         """d/dt, one order lower."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries._of(self.ring, self._nums[1:], self._e * self._q, self._q)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        _check_order(order)
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries._of(self.ring, self._nums[: order + 1], self._e, self._q)
+        return TruncatedSeries._of(self._nums[1:], self._e * self._q, self._q)
 
     def egf_coefficients(self) -> list:
         """The underlying EGF data: n! times the n-th coefficient."""
@@ -256,18 +219,16 @@ class TruncatedSeries:
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
 
-def exp_series(alpha, order: int, ring: Ring = RATIONALS) -> TruncatedSeries:
+def exp_series(alpha, order: int) -> TruncatedSeries:
     """exp(alpha * t) truncated: the n-th coefficient is alpha^n / n!."""
-    _check_ring(ring)
     _check_order(order)
-    num, den = _scalar(ring, alpha)
-    powers = accumulate(repeat(num, order), mul, initial=ring.one)
-    return TruncatedSeries._of(ring, list(powers), 1, den)
+    num, den = _scalar(alpha)
+    return TruncatedSeries._of(list(accumulate(repeat(num, order), mul, initial=1)), 1, den)
 
 
 def gen_series(p: LaurentPolynomial, g: Grammar, order: int) -> TruncatedSeries:
     """The generating series of p under g, with polynomial coefficients."""
-    return TruncatedSeries._of(LAURENT, list(derive_n(p, g, order).items), 1, 1)
+    return TruncatedSeries._of(list(derive_n(p, g, order).items), 1, 1)
 
 
 class _EvalPointFields(NamedTuple):
@@ -354,7 +315,7 @@ def closed_form(
             raise InadmissiblePointError("closed form 'no_pdd_U0' takes no point")
         # 1 / sum over n = 0, 1 mod 3 of (-1)^n t^n / n!
         nums = [(1, -1, 0)[n % 3] for n in range(order + 1)]
-        return TruncatedSeries._of(RATIONALS, nums, 1, 1).inverse()
+        return TruncatedSeries._of(nums, 1, 1).inverse()
 
     if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r} (choose from {CLOSED_FORMS})")

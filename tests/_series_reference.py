@@ -7,9 +7,10 @@ products and reciprocals one ``Ring.dot`` per output coefficient.  Over
 ``_rational_dot``; over ``LAURENT`` they are polynomials, ``dot`` is
 ``laurent.dot`` and the reciprocal inverts the constant term with
 ``p ** -1``.  ``TruncatedSeries``, ``exp_series``, ``gen_series``,
-``closed_form`` and both rings are copied unchanged;
-``test_series_differential`` compares the package against them.  It is not
-imported by the package.
+``closed_form`` and both rings are copied unchanged, but for two edits that
+follow the package: ``truncate()`` is gone, and so is the order-mismatch
+message's hint to call it.  ``test_series_differential`` compares the package
+against them.  It is not imported by the package.
 """
 
 from __future__ import annotations
@@ -99,10 +100,7 @@ class TruncatedSeries:
 
     def _match(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
-            raise ValueError(
-                f"series orders differ ({self.order} vs {other.order}); "
-                "truncate one of them first"
-            )
+            raise ValueError(f"series orders differ ({self.order} vs {other.order})")
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -162,11 +160,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self.ring, [(n + 1) * self.coeffs[n + 1] for n in range(self.order)]
         )
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
 
     def egf_coefficients(self) -> list:
         """The underlying EGF data: n! times the n-th coefficient."""

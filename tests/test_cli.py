@@ -287,6 +287,31 @@ def test_derive_output_digits_are_judged_at_the_order_printed(tmp_path, capsys):
     assert run(capsys, "derive", "--grammar", str(path), "--n", "3") == (0, "0\n", "")
 
 
+def test_output_bound_formats_only_the_name_it_refuses():
+    # The bound once formatted a name for every exponent of every printed
+    # term, about 1450 for D^18 of z under paper_G, to show at most one.
+    from gramcalc import cli
+    from gramcalc.grammar import builtin_grammar, derive_n
+    from gramcalc.laurent import LaurentPolynomial as LP
+
+    formatted = []
+
+    class What:
+        def __format__(self, spec):
+            formatted.append(spec)
+            return "the word"
+
+    d18 = derive_n(LP.variable("z"), builtin_grammar("paper_G"), 18).items[18]
+    assert cli._printable_terms(d18, What()) == d18.sorted_terms()
+    assert formatted == []
+    with pytest.raises(cli.CliError) as exc:
+        cli._printable_terms(d18 + LP.term(1, {"x": 10**4300}), What())
+    assert str(exc.value) == (
+        "the exponent of x in the word has more than 4300 digits (cli.MAX_OUTPUT_DIGITS)"
+    )
+    assert formatted == [""]
+
+
 @pytest.mark.parametrize("egf", [(), ("--egf",)], ids=["raw", "egf"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_series_output_digits_are_bounded(capsys, monkeypatch, egf, fmt):

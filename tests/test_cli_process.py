@@ -71,6 +71,29 @@ def test_child_matches_main(capsys, argv):
     )
 
 
+def test_large_denominators_are_refused_within_seconds(tmp_path):
+    # A start line of 100 terms over distinct 4300-digit denominators took
+    # 86 s to read at --n 0: reducing it took a gcd chain cubic in the terms.
+    # The denominator now grows term by term, and the 22nd term passes
+    # gdsl.MAX_DENOMINATOR_WORDS.
+    n = 10**4299
+    terms = [f"1/{n + 2 * i + 1}*x^{i}*z^{100 - i}" for i in range(100)]
+    path = tmp_path / "bigden.gram"
+    path.write_text(
+        f"vars: x z\nrule x -> x*z\nrule z -> x\nstart: {' + '.join(terms)}\n", encoding="utf-8"
+    )
+    child = subprocess.run(
+        [sys.executable, "-m", "gramcalc.cli", "derive", "--grammar", str(path), "--n", "0"],
+        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=20,
+    )
+    column = len("start: " + " + ".join(terms[:21]) + " + ") + 1
+    assert (child.returncode, child.stdout) == (1, b"")
+    assert child.stderr.decode() == (
+        f"gramcalc: error: line 4, column {column}: common denominators of more than "
+        "100000 words, counted once per term (gdsl.MAX_DENOMINATOR_WORDS)\n"
+    )
+
+
 def test_write_to_closed_pipe_exits_1():
     read_end, write_end = os.pipe()
     os.close(read_end)

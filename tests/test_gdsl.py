@@ -182,6 +182,48 @@ def test_literal_at_the_digit_limit_parses():
     assert spec.default_n == 10 ** 4300 - 1
 
 
+DEN = 2**12800  # 12801 bits: 200 64-bit words, rounded down
+DEN_WORDS = (
+    "common denominators of more than 100000 words, counted once per term "
+    "(gdsl.MAX_DENOMINATOR_WORDS)"
+)
+
+
+def test_denominator_words_are_counted_once_per_term():
+    # Every term stores its numerator over the common denominator, a term
+    # without a denominator of its own too: 500 terms over 200 words fit.
+    assert gdsl.MAX_DENOMINATOR_WORDS == 100_000
+    word = f"1/{DEN}*x^0" + "".join(f" + x^{i}" for i in range(1, 500))
+    assert len(parse_poly(word)) == 500
+    with pytest.raises(GrammarSyntaxError) as exc:
+        parse_poly(word + " - 2*x^500")
+    assert str(exc.value) == f"line 1, column {len(word) + 4}: {DEN_WORDS}"
+
+
+def test_denominator_words_are_summed_over_a_document():
+    image = f"1/{DEN}*x" + "".join(f" + x^{i}" for i in range(2, 251))
+    text = f"vars: x y\nrule x -> {image}\nrule y -> {image.replace('x', 'y')}\n"
+    # A denominator under 64 bits counts nothing.
+    assert parse_grammar(text + "start: 1/3*x\n").start == LP.term(Fraction(1, 3), {"x": 1})
+    with pytest.raises(GrammarSyntaxError) as exc:
+        parse_grammar(text + f"start: 1/{DEN}*x\n")
+    assert str(exc.value) == f"line 4, column 8: {DEN_WORDS}"
+
+
+def test_denominator_words_refuse_a_later_rule_at_its_term():
+    # The first rule's 21 denominators of 4300 digits take 98385 words; the
+    # next rule's third term passes the limit.
+    n = 10**4299
+    first = " + ".join(f"1/{n + 2 * i + 1}*x^{i}" for i in range(21))
+    second = [f"1/{n + 2 * i + 43}*y^{i}" for i in range(3)]
+    text = f"vars: x y\nrule x -> {first}\nrule y -> {' + '.join(second)}\n"
+    with pytest.raises(GrammarSyntaxError) as exc:
+        parse_grammar(text)
+    column = len("rule y -> " + " + ".join(second[:2]) + " + ") + 1
+    assert str(exc.value) == f"line 3, column {column}: {DEN_WORDS}"
+    assert len(parse_grammar(text.replace(" + " + second[2], "")).rules) == 2
+
+
 def test_juxtaposition_rejected():
     with pytest.raises(GrammarSyntaxError):
         parse_poly("2x")

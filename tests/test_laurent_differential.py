@@ -76,6 +76,26 @@ def test_ring_operations_agree(terms_a, terms_b, scalar):
     assert (a == scalar) == (ra == scalar)
 
 
+# Few monomials and denominators sharing factors, so that terms merge and
+# partial sums cancel.
+merging_terms = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from("xy"), st.integers(-1, 1), max_size=2),
+        st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 12])),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(merging_terms)
+def test_construction_agrees_and_is_in_lowest_terms(terms):
+    a, ra = pair(terms)
+    assert_same(a, ra)
+    # Times 1, the fields are reduced again; equality compares the fields.
+    assert a * 1 == a
+
+
 @settings(max_examples=60, deadline=None)
 @given(term_lists, st.integers(0, 3))
 def test_powers_agree(terms, k):

@@ -24,9 +24,7 @@ HOMES = {
     "GrammarSpec": "gdsl",
     "GrammarSyntaxError": "gdsl",
     "InadmissiblePointError": "series",
-    "LAURENT": "series",
     "LaurentPolynomial": "laurent",
-    "RATIONALS": "series",
     "StatTable": "permstat",
     "TruncatedSeries": "series",
     "builtin_grammar": "grammar",

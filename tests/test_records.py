@@ -15,7 +15,6 @@ from gramcalc import (
     builtin_grammar,
 )
 from gramcalc.gdsl import _Token
-from gramcalc.series import RATIONALS, Ring
 
 X = LP.variable("x")
 Y = LP.variable("y")
@@ -69,12 +68,7 @@ def test_derivative_sequence_fields():
     assert seq.grammar is g
 
 
-def test_ring_and_token_fields():
-    ring = Ring("r", 1, RATIONALS.dot)
-    assert ring.dot is RATIONALS.dot
-    assert ring.dot([2, 3], [5, 7]) == 31
-    assert ring == Ring(name="r", one=1, dot=RATIONALS.dot)
-    assert Ring._fields == ("name", "one", "dot")
+def test_token_fields():
     token = _Token("ident", "x", 5)
     assert token == _Token(kind="ident", text="x", column=5)
     assert token.column == 5

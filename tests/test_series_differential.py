@@ -1,13 +1,15 @@
 """The package's series against the coefficient-tuple reference.
 
 ``_series_reference`` keeps the earlier representation, one coefficient per
-power of ``t``: a ``Fraction`` over ``RATIONALS`` and a polynomial over
-``LAURENT``.  Every operation here runs on both, from the same coefficients,
-and the results must agree through ``coeffs``, ``egf_coefficients()``,
-``==`` and ``repr``; errors must agree in type, and in message except where
-a test says otherwise.  Operands are built from plain coefficients and from
-exponentials, reciprocals and scalar multiples, so that sums and products
-meet numerators over different scales.
+power of ``t`` over one of two rings: a ``Fraction`` over ``ref.RATIONALS``
+and a polynomial over ``ref.LAURENT``.  The package has no rings; its
+numerators are ``int``s or polynomials, as given.  Every operation here runs
+on both, from the same coefficients, and the results must agree through
+``coeffs``, ``egf_coefficients()``, ``==`` and ``repr``; errors must agree in
+type, and in message except where a test says otherwise.  Operands are built
+from plain coefficients and from exponentials, reciprocals and scalar
+multiples, so that sums and products meet numerators over different scales,
+and integer numerators meet polynomial ones.
 """
 
 from fractions import Fraction
@@ -21,8 +23,6 @@ from gramcalc._names import BUILTIN_GRAMMAR_NAMES
 from gramcalc.grammar import builtin_grammar
 from gramcalc.laurent import LaurentPolynomial as LP
 from gramcalc.series import (
-    LAURENT,
-    RATIONALS,
     EvalPoint,
     InadmissiblePointError,
     TruncatedSeries,
@@ -45,7 +45,6 @@ def outcome(compute):
 
 def assert_same(new, old):
     assert isinstance(new, TruncatedSeries)
-    assert new.ring is RATIONALS
     assert new.order == old.order
     assert new.coeffs == old.coeffs
     assert all(type(c) is Fraction for c in new.coeffs)
@@ -53,7 +52,7 @@ def assert_same(new, old):
     assert egf == old.egf_coefficients()
     assert all(type(c) is Fraction for c in egf)
     assert repr(new) == repr(old)
-    assert new == TruncatedSeries(RATIONALS, old.coeffs)
+    assert new == TruncatedSeries(old.coeffs)
 
 
 def assert_same_outcome(compute_new, compute_old):
@@ -73,7 +72,7 @@ def operands(draw, order):
         alpha = draw(rationals)
         return exp_series(alpha, order), ref.exp_series(alpha, order)
     values = draw(st.lists(coefficients, min_size=order + 1, max_size=order + 1))
-    new, old = TruncatedSeries(RATIONALS, values), ref.TruncatedSeries(ref.RATIONALS, values)
+    new, old = TruncatedSeries(values), ref.TruncatedSeries(ref.RATIONALS, values)
     if kind == "inverse" and values[0]:
         return new.inverse(), old.inverse()
     if kind == "scaled":
@@ -124,14 +123,14 @@ def test_exp_series_matches_reference(alpha, order):
 @given(st.lists(rationals, min_size=1, max_size=41))
 def test_zero_constant_term_raises_the_same_error(values):
     values[0] = Fraction(0)
-    new = TruncatedSeries(RATIONALS, values)
+    new = TruncatedSeries(values)
     old = ref.TruncatedSeries(ref.RATIONALS, values)
     assert_same_outcome(new.inverse, old.inverse)
     assert outcome(new.inverse)[0] == "ValueError"
 
 
 def test_errors_match_reference():
-    a = TruncatedSeries(RATIONALS, [Fraction(1, 2), 3])
+    a = TruncatedSeries([Fraction(1, 2), 3])
     a_ref = ref.TruncatedSeries(ref.RATIONALS, [Fraction(1, 2), 3])
     b = exp_series(2, 2)
     b_ref = ref.exp_series(2, 2)
@@ -228,15 +227,20 @@ laurent_scalars = st.one_of(st.integers(-5, 5), small_rationals, polys)
 
 
 def assert_same_laurent(new, old):
+    # A coefficient is a Fraction where its numerator is an int.
     assert isinstance(new, TruncatedSeries)
-    assert new.ring is LAURENT
     assert new.order == old.order
     assert new.coeffs == old.coeffs
     egf = new.egf_coefficients()
     assert egf == old.egf_coefficients()
-    assert all(type(c) is LP for c in new.coeffs + tuple(egf))
+    assert all(type(c) in (LP, Fraction) for c in new.coeffs + tuple(egf))
     assert repr(new) == repr(old)
-    assert new == TruncatedSeries(LAURENT, old.coeffs)
+    assert new == TruncatedSeries(old.coeffs)
+
+
+def laurent_reference(values):
+    """The reference series over ``ref.LAURENT`` with coefficients ``values``."""
+    return ref.TruncatedSeries(ref.LAURENT, [LP.one() * v for v in values])
 
 
 def assert_same_laurent_outcome(compute_new, compute_old):
@@ -254,24 +258,23 @@ def laurent_operands(draw, order):
     kind = draw(st.sampled_from(("plain", "exp", "inverse", "scaled", "derivative")))
     if kind == "exp":
         alpha = draw(laurent_scalars)
-        return exp_series(alpha, order, LAURENT), ref.exp_series(alpha, order, ref.LAURENT)
-    # Scalar coefficients give numerators over a scale E > 1; the reference
-    # takes them as constant polynomials.
-    entries = st.one_of(polys, small_rationals)
-    values = draw(st.lists(entries, min_size=order + 2, max_size=order + 2))
+        return exp_series(alpha, order), ref.exp_series(alpha, order, ref.LAURENT)
+    # Scalar coefficients give integer numerators over a scale E > 1; the
+    # reference takes them as constant polynomials.
+    size = order + 2 if kind == "derivative" else order + 1
+    values = draw(st.lists(st.one_of(polys, small_rationals), min_size=size, max_size=size))
     if kind == "inverse":
         values[0] = draw(st.one_of(single_terms, nonzero_small))
-    new = TruncatedSeries(LAURENT, values)
-    old = ref.TruncatedSeries(ref.LAURENT, [LP.one() * v for v in values])
+    new, old = TruncatedSeries(values), laurent_reference(values)
     if kind == "inverse":
-        new, old = new.inverse(), old.inverse()
-    elif kind == "scaled":
+        return new.inverse(), old.inverse()
+    if kind == "scaled":
         c, alpha = draw(laurent_scalars), draw(small_rationals)
-        new = new * c + exp_series(alpha, order + 1, LAURENT)
-        old = old * c + ref.exp_series(alpha, order + 1, ref.LAURENT)
-    elif kind == "derivative":
+        new = new * c + exp_series(alpha, order)
+        return new, old * c + ref.exp_series(alpha, order, ref.LAURENT)
+    if kind == "derivative":
         return new.derivative(), old.derivative()
-    return new.truncate(order), old.truncate(order)
+    return new, old
 
 
 @st.composite
@@ -299,12 +302,10 @@ def test_laurent_operations_match_reference(pair, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 5).flatmap(laurent_operands), st.data())
-def test_laurent_derivative_and_truncate_match_reference(pair, data):
+@given(st.integers(0, 5).flatmap(laurent_operands))
+def test_laurent_derivative_matches_reference(pair):
     a, a_ref = pair
     assert_same_laurent_outcome(a.derivative, a_ref.derivative)
-    k = data.draw(st.integers(0, a.order))
-    assert_same_laurent(a.truncate(k), a_ref.truncate(k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,7 +325,7 @@ def test_laurent_inverse_matches_reference(pair, head, multi):
             )
         elif new[0] == "ok":
             assert_same_laurent(new[1], old[1])
-            assert b * new[1] == TruncatedSeries.constant(1, a.order, LAURENT)
+            assert b * new[1] == TruncatedSeries.constant(1, a.order)
         else:
             assert new == old
             assert len(c) > 1
@@ -333,7 +334,7 @@ def test_laurent_inverse_matches_reference(pair, head, multi):
 @settings(max_examples=40, deadline=None)
 @given(laurent_scalars, st.integers(0, 8))
 def test_laurent_exp_series_matches_reference(alpha, order):
-    new, old = exp_series(alpha, order, LAURENT), ref.exp_series(alpha, order, ref.LAURENT)
+    new, old = exp_series(alpha, order), ref.exp_series(alpha, order, ref.LAURENT)
     assert_same_laurent(new, old)
 
 
@@ -355,11 +356,63 @@ def test_gen_series_matches_reference(name, words, order):
 
 
 def test_laurent_coefficients_are_polynomials():
+    # The type of each coefficient follows its numerator: a polynomial for a
+    # polynomial, a Fraction for an int.
     x = LP.variable("x")
-    a = TruncatedSeries(LAURENT, [1, Fraction(-1, 2), x])
+    a = TruncatedSeries([1, Fraction(-1, 2), x])
     assert a.coeffs == (1, Fraction(-1, 2), x)
-    assert all(type(c) is LP for c in a.coeffs + tuple(a.egf_coefficients()))
+    assert [type(c) for c in a.coeffs] == [Fraction, Fraction, LP]
+    assert [type(c) for c in a.egf_coefficients()] == [Fraction, Fraction, LP]
+    assert all(type(c) is LP for c in (a * LP.one()).coeffs + (a + x).coeffs)
     assert repr(a) == "TruncatedSeries([1, -1/2, x], order=2)"
-    assert TruncatedSeries.constant(3, 2, LAURENT).coeffs == (3, 0, 0)
+    assert TruncatedSeries.constant(3, 2).coeffs == (3, 0, 0)
     with pytest.raises(TypeError, match="float"):
-        TruncatedSeries(LAURENT, [x, 0.5])
+        TruncatedSeries([x, 0.5])
+
+
+# -- integer numerators meet polynomial ones ---------------------------------------------
+
+
+@st.composite
+def mixed_pairs(draw):
+    """A series of integer numerators and one of polynomial numerators, of one order."""
+    order = draw(st.integers(0, 5))
+    a, a_ref = draw(operands(order))
+    b, b_ref = draw(laurent_operands(order))
+    # Times the polynomial 1, every numerator of b is a polynomial.
+    return (a, laurent_reference(a_ref.coeffs)), (b * LP.one(), b_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_pairs())
+def test_integer_and_polynomial_numerators_mix(pair):
+    # At the parent, each sum and product here raised "series rings differ".
+    (a, a_ref), (b, b_ref) = pair
+    assert all(type(c) is Fraction for c in a.coeffs)
+    assert all(type(c) is LP for c in b.coeffs)
+    for new, old in ((a, a_ref), (b, b_ref)):
+        assert_same_laurent(new, old)
+    assert_same_laurent(a + b, a_ref + b_ref)
+    assert_same_laurent(b + a, b_ref + a_ref)
+    assert_same_laurent(a - b, a_ref - b_ref)
+    assert_same_laurent(b - a, b_ref - a_ref)
+    assert_same_laurent(a * b, a_ref * b_ref)
+    assert_same_laurent(b * a, b_ref * a_ref)
+    assert (a == b) == (a_ref == b_ref)
+
+
+@pytest.mark.parametrize(
+    "head, tail",
+    [(nonzero_small, polys), (single_terms, small_rationals)],
+    ids=["int_head", "polynomial_head"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mixed_reciprocals_match_reference(head, tail, data):
+    # An integer constant term folds into the scales over polynomial
+    # numerators; a one-term polynomial one is inverted over integer ones.
+    order = data.draw(st.integers(0, 5))
+    values = [data.draw(head), *data.draw(st.lists(tail, min_size=order, max_size=order))]
+    new, old = TruncatedSeries(values), laurent_reference(values)
+    assert_same_laurent(new.inverse(), old.inverse())
+    assert new * new.inverse() == TruncatedSeries.constant(1, order)
