@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 #: Each public name, grouped under the leg that defines it.
 _LEGS = {
-    "gdsl": ("GrammarSpec", "GrammarSyntaxError", "parse_grammar", "parse_poly"),
+    "gdsl": ("GrammarSyntaxError", "parse_grammar", "parse_poly"),
     "grammar": (
         "BUILTIN_GRAMMAR_NAMES",
         "DerivativeSequence",

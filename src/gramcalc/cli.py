@@ -22,7 +22,6 @@ from . import __version__
 from ._names import BUILTIN_GRAMMAR_NAMES, CHECK_IDS, CLOSED_FORMS, TABLE_KINDS, TRIANGLES
 
 if TYPE_CHECKING:
-    from .gdsl import GrammarSpec
     from .grammar import Grammar
     from .series import EvalPoint
 
@@ -200,11 +199,11 @@ def _help(command: str | None) -> str:
     return "\n".join(lines)
 
 
-def _load_grammar(source: str) -> tuple[Grammar, GrammarSpec | None]:
+def _load_grammar(source: str) -> Grammar:
     if source in BUILTIN_GRAMMAR_NAMES:
         from .grammar import builtin_grammar
 
-        return builtin_grammar(source), None
+        return builtin_grammar(source)
     if source.endswith(".gram") or os.path.exists(source):
         from .gdsl import parse_grammar
 
@@ -214,8 +213,7 @@ def _load_grammar(source: str) -> tuple[Grammar, GrammarSpec | None]:
             raise CliError(
                 f"grammar file '{source}' exceeds the limit of {MAX_GRAMMAR_BYTES} bytes"
             )
-        spec = parse_grammar(data.decode("utf-8-sig"))
-        return spec.to_grammar(name=os.path.basename(source)), spec
+        return parse_grammar(data.decode("utf-8-sig"))._replace(name=os.path.basename(source))
     raise CliError(
         f"unknown grammar '{source}': not a builtin "
         f"({', '.join(BUILTIN_GRAMMAR_NAMES)}) and not a file"
@@ -310,36 +308,31 @@ def _cmd_derive(args) -> tuple[int, list[str]]:
     from .grammar import iter_derive
     from .laurent import format_terms
 
-    grammar, spec = _load_grammar(args.grammar)
+    grammar = _load_grammar(args.grammar)
     # A builtin grammar has no file to add a default to.
-    hint = "" if spec is None else " or add '{}:' to the .gram file"
+    hint = "" if args.grammar in BUILTIN_GRAMMAR_NAMES else " or add '{}:' to the .gram file"
+    start = grammar.start
     if args.start is not None:
         from .gdsl import parse_poly
 
-        allowed = set(grammar.rules) | set(grammar.inert)
-        start = parse_poly(args.start, allowed)
-    elif spec is not None and spec.start is not None:
-        start = spec.start
-    else:
+        start = parse_poly(args.start, set(grammar.rules) | grammar.inert)
+    if start is None:
         raise CliError("no start word: pass --start" + hint.format("start"))
-    n = args.n
-    if n is None and spec is not None:
-        n = spec.default_n
+    n = grammar.default_n if args.n is None else args.n
     if n is None:
         raise CliError("no order: pass --n" + hint.format("n"))
     for result in iter_derive(start, grammar, n):  # only D^n is kept
         pass
-    order = grammar.display_order()
     terms = _printable_terms(result, f"the order-{n} derivative")
     if args.format == "json":
         payload = {
             "grammar": grammar.name,
-            "start": format_terms(_printable_terms(start, "the start word"), order),
+            "start": format_terms(_printable_terms(start, "the start word"), grammar.var_order),
             "n": n,
             "derivative": [{"coeff": str(c), "exps": dict(mono)} for mono, c in terms],
         }
         return 0, [_json(payload)]
-    return 0, [format_terms(terms, order)]
+    return 0, [format_terms(terms, grammar.var_order)]
 
 
 def _cmd_table(args) -> tuple[int, list[str]]:

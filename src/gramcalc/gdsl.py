@@ -24,7 +24,10 @@ of that denominator, counted once per term and summed over the polynomials
 of a document, are at most ``MAX_DENOMINATOR_WORDS``: each denominator grows
 term by term, and the term that passes the limit is refused.
 
-All rejections carry the line number and the offending token.
+``parse_grammar`` returns the ``grammar.Grammar`` the document declares,
+the same record a builtin grammar is, with the declaration order as its
+``var_order`` and the ``start:`` word and ``n:`` count as its ``start`` and
+``default_n``.  All rejections carry the line number and the offending token.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from ._names import MAX_DENOMINATOR_WORDS, MAX_LITERAL_DIGITS, MAX_VARIABLES
 from .grammar import Grammar
@@ -48,34 +50,18 @@ class GrammarSyntaxError(ValueError):
         self.column = column
 
 
-class GrammarSpec(NamedTuple):
-    """A parsed grammar document."""
-
-    declared_vars: tuple[str, ...]
-    inert_vars: tuple[str, ...] = ()
-    rules: tuple[tuple[str, LaurentPolynomial], ...] = ()
-    start: LaurentPolynomial | None = None
-    default_n: int | None = None
-
-    def var_order(self) -> tuple[str, ...]:
-        return self.declared_vars + self.inert_vars
-
-    def to_grammar(self, name: str | None = None) -> Grammar:
-        return Grammar(
-            rules=dict(self.rules),
-            inert=frozenset(self.inert_vars),
-            name=name,
-            var_order=self.var_order(),
-        )
-
-
+# One match per token, with the space and comments before it.  Every other
+# character starts a match: the first one that starts no token is ``bad``, and
+# its match takes the rest of the text, so no later token is read.  The space
+# at the end matches ``$``, so no search starts inside it.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#.*)
-      | (?P<arrow>->)
+    r"""(?:\s|\#.*)*(?:
+        (?P<arrow>->)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
       | (?P<int>[0-9]+)
       | (?P<sym>[*/^+\-:])
+      | (?P<bad>\S(?s:.*))
+      | $)
     """,
     re.VERBOSE,
 )
@@ -84,11 +70,9 @@ _KEYWORDS = ("vars", "inert", "rule", "start", "n")
 
 _TOO_MANY_VARIABLES = f"more than {MAX_VARIABLES} variables (gdsl.MAX_VARIABLES)"
 
-
-class _Token(NamedTuple):
-    kind: str  # "ident", "int", "arrow", or the symbol itself
-    text: str
-    column: int
+#: A token: its kind ("ident", "int", "arrow" or the symbol itself), its text
+#: and its column.  It is a plain tuple, as a 1 MiB line holds 800 000 tokens.
+_Token = tuple[str, str, int]
 
 
 class _Line:
@@ -96,29 +80,26 @@ class _Line:
 
     def __init__(self, text: str, line_no: int):
         self.line_no = line_no
-        self.tokens: list[_Token] = []
         self.pos = 0
-        column = 0
-        while column < len(text):
-            match = _TOKEN_RE.match(text, column)
-            if match is None:
-                raise self.fail(f"unexpected character {text[column]!r}", column + 1)
-            kind = match.lastgroup
-            if kind not in ("ws", "comment"):
-                token = match.group()
-                self.tokens.append(_Token(token if kind == "sym" else kind, token, column + 1))
-            column = match.end()
+        self.tokens: list[_Token] = [
+            (token if kind == "sym" else kind, token, m.start(kind) + 1)
+            for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup)
+            for token in (m[kind],)
+        ]
+        if self.tokens and self.tokens[-1][0] == "bad":
+            _, rest, column = self.tokens[-1]
+            raise self.fail(f"unexpected character {rest[0]!r}", column)
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def accept(self, kind: str) -> _Token | None:
         """Consume and return the next token if it is of ``kind``."""
-        token = self.peek()
-        if token is None or token.kind != kind:
-            return None
-        self.pos += 1
-        return token
+        pos = self.pos
+        if pos < len(self.tokens) and self.tokens[pos][0] == kind:
+            self.pos = pos + 1
+            return self.tokens[pos]
+        return None
 
     def expect(self, kind: str) -> _Token:
         token = self.accept(kind)
@@ -128,21 +109,22 @@ class _Line:
 
     def integer(self, token: _Token) -> int:
         """The value of an ``int`` token, refused past ``MAX_LITERAL_DIGITS``."""
-        if len(token.text) > MAX_LITERAL_DIGITS:
+        _, text, column = token
+        if len(text) > MAX_LITERAL_DIGITS:
             raise self.fail(
-                f"more than {MAX_LITERAL_DIGITS} digits (gdsl.MAX_LITERAL_DIGITS)", token.column
+                f"more than {MAX_LITERAL_DIGITS} digits (gdsl.MAX_LITERAL_DIGITS)", column
             )
-        return int(token.text)
+        return int(text)
 
     def fail(self, message: str, column: int | None = None) -> GrammarSyntaxError:
         """The rejection at ``column``, or else at the next token, which it names."""
         if column is None:
             token = self.peek()
             if token is not None:
-                message, column = f"{message}, found {token.text!r}", token.column
+                message, column = f"{message}, found {token[1]!r}", token[2]
             else:
-                last = self.tokens[-1] if self.tokens else _Token("", "", 1)
-                message, column = message + " at end of line", last.column + len(last.text)
+                _, text, last = self.tokens[-1] if self.tokens else ("", "", 1)
+                message, column = message + " at end of line", last + len(text)
         return GrammarSyntaxError(message, self.line_no, column)
 
 
@@ -153,33 +135,34 @@ def _parse_term(
 
     ``seen`` collects the variables of the polynomial so far.
     """
-    coeff = Fraction(1)
     factors: list[tuple[str, int]] = []
-    numerator = line.accept("int")
-    if numerator is not None:
-        coeff = Fraction(line.integer(numerator))
+    token = line.accept("int")
+    if token is None:
+        coeff = Fraction(1)
+    else:
+        numerator, denominator = line.integer(token), 1
         if line.accept("/"):
             token = line.expect("int")
             denominator = line.integer(token)
             if not denominator:
-                raise line.fail("zero denominator in coefficient", token.column)
-            coeff /= denominator
+                raise line.fail("zero denominator in coefficient", token[2])
+        coeff = Fraction(numerator, denominator)
         if not line.accept("*"):
             return coeff, factors
     while True:
-        token = line.expect("ident")
-        if allowed is not None and token.text not in allowed:
-            raise line.fail(f"undeclared variable '{token.text}'", token.column)
-        seen.add(token.text)
+        _, name, column = line.expect("ident")
+        if allowed is not None and name not in allowed:
+            raise line.fail(f"undeclared variable '{name}'", column)
+        seen.add(name)
         if len(seen) > MAX_VARIABLES:
-            raise line.fail(_TOO_MANY_VARIABLES, token.column)
+            raise line.fail(_TOO_MANY_VARIABLES, column)
         exp = 1
         if line.accept("^"):
             negative = line.accept("-")
             exp = line.integer(line.expect("int"))
             if negative:
                 exp = -exp
-        factors.append((token.text, exp))
+        factors.append((name, exp))
         if not line.accept("*"):
             return coeff, factors
 
@@ -203,9 +186,9 @@ def _parse_poly(
         if words > MAX_DENOMINATOR_WORDS:
             raise line.fail(
                 f"common denominators of more than {MAX_DENOMINATOR_WORDS} words, "
-                "counted once per term (gdsl.MAX_DENOMINATOR_WORDS)", head.column
+                "counted once per term (gdsl.MAX_DENOMINATOR_WORDS)", head[2]
             )
-        terms.append((factors, -coeff if sign and sign.kind == "-" else coeff))
+        terms.append((factors, -coeff if sign and sign[0] == "-" else coeff))
         if line.peek() is None:
             return LaurentPolynomial(terms), words
         sign = line.accept("+") or line.accept("-")
@@ -218,55 +201,55 @@ def parse_poly(text: str, allowed: set[str] | None = None) -> LaurentPolynomial:
     return _parse_poly(_Line(text, 1), allowed)[0]
 
 
-def parse_grammar(text: str) -> GrammarSpec:
-    """Parse a grammar document, validating declarations and rule coverage."""
+def parse_grammar(text: str) -> Grammar:
+    """The unnamed ``Grammar`` a document declares, validating declarations
+    and rule coverage."""
     declared: dict[str, int] = {}  # each variable and the line declaring it
     inert: dict[str, int] = {}
-    rules: list[tuple[str, LaurentPolynomial]] = []
+    rules: dict[str, LaurentPolynomial] = {}
     rule_for: dict[str, int] = {}
     once: dict[str, object] = {}  # the 'start:' word and the 'n:' count
     words = 0  # the denominator words of the polynomials so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _Line(raw, line_no)
-        head = line.peek()
-        if head is None:
+        if line.peek() is None:
             continue
-        if head.kind != "ident" or head.text not in _KEYWORDS:
+        kind, keyword, column = line.peek()
+        if kind != "ident" or keyword not in _KEYWORDS:
             raise line.fail("expected 'vars:', 'inert:', 'rule', 'start:' or 'n:'")
-        keyword = line.expect("ident").text
+        line.expect("ident")
         if keyword != "rule":
             line.expect(":")
         if keyword in once:
-            raise line.fail(f"duplicate '{keyword}:' line", head.column)
+            raise line.fail(f"duplicate '{keyword}:' line", column)
         if keyword in ("vars", "inert"):
             while line.peek() is not None:
-                token = line.expect("ident")
-                if token.text in declared or token.text in inert:
-                    raise line.fail(f"variable '{token.text}' declared twice", token.column)
+                _, name, column = line.expect("ident")
+                if name in declared or name in inert:
+                    raise line.fail(f"variable '{name}' declared twice", column)
                 if len(declared) + len(inert) == MAX_VARIABLES:
-                    raise line.fail(_TOO_MANY_VARIABLES, token.column)
-                (declared if keyword == "vars" else inert)[token.text] = line_no
+                    raise line.fail(_TOO_MANY_VARIABLES, column)
+                (declared if keyword == "vars" else inert)[name] = line_no
         elif keyword == "rule":
-            lhs = line.expect("ident")
-            if lhs.text not in declared:
-                raise line.fail(f"undeclared variable '{lhs.text}'", lhs.column)
-            if lhs.text in rule_for:
+            _, name, column = line.expect("ident")
+            if name not in declared:
+                raise line.fail(f"undeclared variable '{name}'", column)
+            if name in rule_for:
                 raise line.fail(
-                    f"duplicate rule for variable '{lhs.text}' "
-                    f"(first given on line {rule_for[lhs.text]})",
-                    lhs.column,
+                    f"duplicate rule for variable '{name}' "
+                    f"(first given on line {rule_for[name]})",
+                    column,
                 )
             line.expect("arrow")
-            image, words = _parse_poly(line, declared.keys() | inert.keys(), words)
-            rules.append((lhs.text, image))
-            rule_for[lhs.text] = line_no
+            rules[name], words = _parse_poly(line, declared.keys() | inert.keys(), words)
+            rule_for[name] = line_no
         elif keyword == "start":
             once[keyword], words = _parse_poly(line, declared.keys() | inert.keys(), words)
         else:
             once[keyword] = line.integer(line.expect("int"))
         trailing = line.peek()
         if trailing is not None:
-            raise line.fail(f"trailing input {trailing.text!r}", trailing.column)
+            raise line.fail(f"trailing input {trailing[1]!r}", trailing[2])
 
     for name, line_no in declared.items():
         if name not in rule_for:
@@ -276,10 +259,10 @@ def parse_grammar(text: str) -> GrammarSpec:
                 line_no,
             )
 
-    return GrammarSpec(
-        declared_vars=tuple(declared),
-        inert_vars=tuple(inert),
-        rules=tuple(rules),
+    return Grammar(
+        rules,
+        frozenset(inert),
+        var_order=(*declared, *inert),
         start=once.get("start"),
         default_n=once.get("n"),
     )

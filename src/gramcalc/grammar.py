@@ -6,13 +6,13 @@ on Laurent polynomials that satisfies the product rule and agrees with the
 grammar on variables.  Variables carried by the grammar's ``inert`` set, and
 any variable with no rule at all, behave as constants (``D(v) = 0``).
 
-This module holds the grammar's semantics: the rule record, the builtin
-grammars, and the order bound ``MAX_N``.  The product-rule step itself is ring
-arithmetic: ``laurent.derivatives`` takes each step as one ``laurent.dot`` of
-the images ``D(v) / v`` with the copies of the last derivative weighted by
-``v d/dv``, and charges it against ``MAX_DERIVE_WORK`` before it runs.
-``derive``, ``derive_n`` and every other caller take their steps from
-``iter_derive``, which refuses an order past ``MAX_N``.
+This module holds the grammar's semantics: the one grammar record, which a
+builtin and a parsed ``.gram`` document both are, the builtin grammars, and
+the order bound ``MAX_N``.  The product-rule step itself is ring arithmetic:
+``laurent.derivatives`` takes each step as one ``laurent.dot`` of the images
+``D(v) / v`` with the copies of the last derivative weighted by ``v d/dv``,
+and charges it against ``MAX_DERIVE_WORK`` before it runs.  Every caller
+takes its steps from ``iter_derive``, which refuses an order past ``MAX_N``.
 """
 
 from __future__ import annotations
@@ -30,14 +30,17 @@ class _GrammarFields(NamedTuple):
     rules: Mapping[str, LaurentPolynomial]
     inert: frozenset[str]
     name: str | None
-    var_order: tuple[str, ...] | None
+    var_order: tuple[str, ...]
+    start: LaurentPolynomial | None = None
+    default_n: int | None = None
 
 
 class Grammar(_GrammarFields):
     """An immutable set of substitution rules, plus declared constants.
 
-    ``var_order`` is an optional display hint (typically the declaration
-    order); it never affects the derivative.
+    ``var_order`` is the display order (a document's declaration order, else
+    the sorted names); it never affects the derivative.  ``start`` and
+    ``default_n`` are a document's optional ``start:`` word and ``n:`` count.
     """
 
     __slots__ = ()
@@ -49,6 +52,8 @@ class Grammar(_GrammarFields):
         inert: frozenset[str] = frozenset(),
         name: str | None = None,
         var_order: tuple[str, ...] | None = None,
+        start: LaurentPolynomial | None = None,
+        default_n: int | None = None,
     ):
         for var in rules:
             check_variable_name(var)
@@ -63,12 +68,9 @@ class Grammar(_GrammarFields):
                     f"rule for '{var}' uses undeclared variable "
                     f"'{sorted(stray)[0]}' (add a rule or declare it inert)"
                 )
-        return super().__new__(cls, rules, inert, name, var_order)
-
-    def display_order(self) -> tuple[str, ...]:
-        if self.var_order is not None:
-            return self.var_order
-        return tuple(sorted(set(self.rules) | self.inert))
+        if var_order is None:
+            var_order = tuple(sorted(known))
+        return super().__new__(cls, rules, inert, name, var_order, start, default_n)
 
 
 class DerivativeSequence(NamedTuple):
@@ -94,13 +96,14 @@ def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[La
 
 
 def derive(p: LaurentPolynomial, g: Grammar) -> LaurentPolynomial:
-    """Apply the formal derivative once, returning a canonical polynomial."""
+    """D(p), canonical; kept only because ``perfbench`` traces it."""
     _, first = iter_derive(p, g, 1)
     return first
 
 
 def derive_n(p: LaurentPolynomial, g: Grammar, n: int) -> DerivativeSequence:
-    """Compute ``D^0(p) .. D^n(p)`` by iterated single derivatives, n <= MAX_N."""
+    """``D^0(p) .. D^n(p)``, n <= MAX_N; it and ``DerivativeSequence`` are
+    kept only because ``perfbench`` reads them."""
     return DerivativeSequence(start=p, items=tuple(iter_derive(p, g, n)), grammar=g)
 
 

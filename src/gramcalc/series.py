@@ -46,7 +46,7 @@ from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._names import CLOSED_FORMS
-from .grammar import Grammar, derive_n
+from .grammar import Grammar, iter_derive
 from .laurent import LaurentPolynomial, exact_scalar
 
 #: The largest order ``closed_form`` expands to; the work grows faster than
@@ -102,7 +102,7 @@ class TruncatedSeries:
         self._nums, self._e, self._q = nums, e, 1
 
     @classmethod
-    def _of(cls, nums: list, e: int, q: int) -> "TruncatedSeries":
+    def _of(cls, nums: Sequence, e: int, q: int) -> "TruncatedSeries":
         """The series with n-th coefficient ``nums[n] / (e * n! * q^n)``."""
         self = cls.__new__(cls)
         self._nums, self._e, self._q = nums, e, q
@@ -228,7 +228,7 @@ def exp_series(alpha, order: int) -> TruncatedSeries:
 
 def gen_series(p: LaurentPolynomial, g: Grammar, order: int) -> TruncatedSeries:
     """The generating series of p under g, with polynomial coefficients."""
-    return TruncatedSeries._of(list(derive_n(p, g, order).items), 1, 1)
+    return TruncatedSeries._of(tuple(iter_derive(p, g, order)), 1, 1)
 
 
 class _EvalPointFields(NamedTuple):

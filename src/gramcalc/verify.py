@@ -2,9 +2,9 @@
 
 Every check computes its two sides through disjoint code paths (symbolic
 derivative vs. permutation statistic tables vs. closed-form series), reports the
-smallest failing index, and is deterministic.  A check that compares D^n(z) or
-D^n(y) takes them as ``Derivatives``, which derive each order when it is first
-read, so ``run_checks`` derives each word once for every check it runs.
+smallest failing index, and is deterministic.  Every check takes its
+derivatives as ``Derivatives``, which derive each order when it is first read;
+``run_checks`` shares D^n(z) and D^n(y), so it derives each word once.
 
 Each check is one stream of ``(label, got, expected)`` comparisons, yielded
 lazily and in order.  The first difference wins: the check fails with
@@ -20,7 +20,7 @@ from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from ._names import CHECK_IDS, MAX_N
-from .grammar import Grammar, builtin_grammar, derive, derive_n, iter_derive
+from .grammar import Grammar, builtin_grammar, iter_derive
 from .laurent import LaurentPolynomial, dot
 from .permstat import (
     KIND_CARLITZ,
@@ -179,10 +179,10 @@ def check_invariants(grammar: Grammar | None = None) -> CheckReport:
     xz_inv = _X ** -1 * _Z ** -1
 
     def cases():
-        zx_items = derive_n(zx_inv, g, 10).items
-        yield "D(w - y)", derive(w_minus_y, g), 0
-        yield "D((w+y)^2 - 4xz)", derive(delta, g), 0
-        yield "D(x^-1)", derive(_X ** -1, g), -(_X ** -1 * _Y)
+        zx_items = Derivatives(zx_inv, g)
+        yield "D(w - y)", Derivatives(w_minus_y, g)[1], 0
+        yield "D((w+y)^2 - 4xz)", Derivatives(delta, g)[1], 0
+        yield "D(x^-1)", Derivatives(_X ** -1, g)[1], -(_X ** -1 * _Y)
         yield "D(z*x^-1)", zx_items[1], zx_inv * w_minus_y
         # Each expected side below is an earlier one times one factor, taken
         # only once the comparison before it has passed.
@@ -191,7 +191,7 @@ def check_invariants(grammar: Grammar | None = None) -> CheckReport:
             if n:
                 expected *= w_minus_y
             yield f"D^{n}(z*x^-1)", zx_items[n], expected
-        items = derive_n(xz_inv, g, 12).items
+        items = Derivatives(xz_inv, g)
         yield "D^0(x^-1*z^-1)", items[0], xz_inv
         # D^n(x^-1*z^-1) is a head of n's parity times delta^((n-1)//2).
         by_parity = [None, None]
@@ -303,7 +303,7 @@ def check_classical_grammars(
     g, eulerian, exterior = map(get, ("paper_G", "eulerian", "exterior_peak"))
 
     def cases():
-        items = derive_n(_X, eulerian, max_n).items
+        items = Derivatives(_X, eulerian)
         for n in range(max_n + 1):
             yield f"eulerian row sum, n={n}", items[n].eval({"x": 1, "y": 1}), factorial(n)
         for name, image in g.rules.items():
@@ -311,7 +311,7 @@ def check_classical_grammars(
             yield f"relabeled rule for '{name}'", image.subst(_TO_EULERIAN), expected
             expected = exterior.rules[_TO_EXTERIOR[name]]
             yield f"relabeled (exterior) rule for '{name}'", image.subst(_TO_EXTERIOR), expected
-        ep_items = derive_n(_X, exterior, max_n).items
+        ep_items = Derivatives(_X, exterior)
         for n in range(max_n + 1):
             rows = specialize_triangle(stat_table(n, KIND_EXTERIOR_PDD), "T")
             expected = LaurentPolynomial.from_dense(
@@ -321,9 +321,9 @@ def check_classical_grammars(
             label = _Bare(f"relabeled D^{n}(z) differs from the exterior-peak derivative")
             yield label, dz[n].subst(_TO_EXTERIOR), ep_items[n]
         for name, golden in (("andre", _ANDRE_GOLDEN), ("ramanujan", _RAMANUJAN_GOLDEN)):
-            seq = derive_n(_X, get(name), min(max_n, len(golden) - 1)).items
-            for n, poly in enumerate(seq):
-                yield f"{name} D^{n}(x)", f"'{poly.format(('x', 'y'))}'", f"'{golden[n]}'"
+            seq = Derivatives(_X, get(name))
+            for n in range(min(max_n, len(golden) - 1) + 1):
+                yield f"{name} D^{n}(x)", f"'{seq[n].format(('x', 'y'))}'", f"'{golden[n]}'"
 
     return _report("classical_grammars", max_n, cases())
 

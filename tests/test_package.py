@@ -21,7 +21,6 @@ HOMES = {
     "DerivativeSequence": "grammar",
     "EvalPoint": "series",
     "Grammar": "grammar",
-    "GrammarSpec": "gdsl",
     "GrammarSyntaxError": "gdsl",
     "InadmissiblePointError": "series",
     "LaurentPolynomial": "laurent",

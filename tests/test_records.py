@@ -9,34 +9,34 @@ from gramcalc import (
     DerivativeSequence,
     EvalPoint,
     Grammar,
-    GrammarSpec,
     LaurentPolynomial as LP,
     StatTable,
     builtin_grammar,
 )
-from gramcalc.gdsl import _Token
 
 X = LP.variable("x")
 Y = LP.variable("y")
 T = LP.variable("t")
 
 
-def test_grammar_spec_defaults_and_keywords():
-    spec = GrammarSpec(("x",))
-    assert spec.inert_vars == () and spec.rules == ()
-    assert spec.start is None and spec.default_n is None
-    assert spec == GrammarSpec(
-        declared_vars=("x",), inert_vars=(), rules=(), start=None, default_n=None
+def test_grammar_start_and_default_n_defaults_and_keywords():
+    g = Grammar({"x": X * T}, frozenset({"t"}))
+    assert g.start is None and g.default_n is None
+    assert g.var_order == ("t", "x")  # sorted when none is given
+    assert g == Grammar(
+        rules={"x": X * T}, inert=frozenset({"t"}), name=None, var_order=("t", "x"),
+        start=None, default_n=None,
     )
-    assert spec != GrammarSpec(("x",), default_n=3)
-    assert repr(spec) == (
-        "GrammarSpec(declared_vars=('x',), inert_vars=(), rules=(), "
+    assert g != Grammar({"x": X * T}, frozenset({"t"}), default_n=3)
+    assert g != Grammar({"x": X * T}, frozenset({"t"}), start=X)
+    full = Grammar({"x": X * T}, frozenset({"t"}), "g", ("x", "t"), X, 4)
+    assert (full.start, full.default_n) == (X, 4)
+    assert full == Grammar(
+        {"x": X * T}, frozenset({"t"}), name="g", var_order=("x", "t"), start=X, default_n=4
+    )
+    assert repr(Grammar({})) == (
+        "Grammar(rules={}, inert=frozenset(), name=None, var_order=(), "
         "start=None, default_n=None)"
-    )
-    full = GrammarSpec(("x",), ("t",), (("x", X * T),), X, 4)
-    assert full.var_order() == ("x", "t")
-    assert full.to_grammar("g") == Grammar(
-        {"x": X * T}, frozenset({"t"}), "g", ("x", "t")
     )
 
 
@@ -68,23 +68,17 @@ def test_derivative_sequence_fields():
     assert seq.grammar is g
 
 
-def test_token_fields():
-    token = _Token("ident", "x", 5)
-    assert token == _Token(kind="ident", text="x", column=5)
-    assert token.column == 5
-
-
 def test_grammar_equality_compares_fields():
     rules = {"x": X * Y, "y": X}
     g = Grammar(rules)
-    assert g.inert == frozenset() and g.name is None and g.var_order is None
+    assert g.inert == frozenset() and g.name is None and g.var_order == ("x", "y")
     assert g == Grammar(rules=dict(rules), inert=frozenset(), name=None, var_order=None)
+    assert g == Grammar(rules, var_order=("x", "y")) != Grammar(rules, var_order=("y", "x"))
     assert g != Grammar(rules, name="g")
     assert g != Grammar({"x": X * Y, "y": Y})
     assert Grammar({"x": X * T}, frozenset({"t"}), "g", ("x", "t")) == Grammar(
         rules={"x": X * T}, inert=frozenset({"t"}), name="g", var_order=("x", "t")
     )
-    assert g.display_order() == ("x", "y")
 
 
 def test_eval_point_compares_fields_and_is_unhashable():
@@ -102,6 +96,7 @@ def test_eval_point_compares_fields_and_is_unhashable():
     [
         (Grammar({"x": X}), "name"),
         (Grammar({"x": X}), "rules"),
+        (Grammar({"x": X}), "start"),
         (EvalPoint({"x": 2}, 3), "assignment"),
         (EvalPoint({"x": 2}, 3), "discriminant_root"),
         (StatTable(2, "peak_dd", {(1, 0): 2}), "counts"),

@@ -237,13 +237,18 @@ def _tamper(items, n, extra):
 def _patch_derive(monkeypatch, word, n, extra):
     import gramcalc.verify as verify_module
 
-    real = verify_module.derive_n
+    class Tampered(verify_module.Derivatives):
+        """Adds ``extra`` to item ``n`` of the derivatives of ``word``."""
 
-    def tampered(p, g, order):
-        seq = real(p, g, order)
-        return seq._replace(items=_tamper(seq.items, n, extra)) if p == word else seq
+        def __init__(self, p, g):
+            super().__init__(p, g)
+            self.tampered = p == word
 
-    monkeypatch.setattr(verify_module, "derive_n", tampered)
+        def __getitem__(self, m):
+            item = super().__getitem__(m)
+            return item + extra if self.tampered and m == n else item
+
+    monkeypatch.setattr(verify_module, "Derivatives", Tampered)
 
 
 def _patch_triangle(monkeypatch, which, n):
