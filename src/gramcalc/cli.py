@@ -315,7 +315,7 @@ def _cmd_derive(args) -> tuple[int, list[str]]:
     if args.start is not None:
         from .gdsl import parse_poly
 
-        start = parse_poly(args.start, set(grammar.rules) | grammar.inert)
+        start = parse_poly(args.start, dict(grammar.rules).keys() | grammar.inert)
     if start is None:
         raise CliError("no start word: pass --start" + hint.format("start"))
     n = grammar.default_n if args.n is None else args.n

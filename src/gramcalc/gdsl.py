@@ -81,14 +81,15 @@ class _Line:
     def __init__(self, text: str, line_no: int):
         self.line_no = line_no
         self.pos = 0
-        self.tokens: list[_Token] = [
-            (token if kind == "sym" else kind, token, m.start(kind) + 1)
-            for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup)
-            for token in (m[kind],)
-        ]
-        if self.tokens and self.tokens[-1][0] == "bad":
-            _, rest, column = self.tokens[-1]
-            raise self.fail(f"unexpected character {rest[0]!r}", column)
+        self.tokens: list[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:  # the space at the end
+                continue
+            token, column = m[kind], m.start(kind) + 1
+            if kind == "bad":
+                raise self.fail(f"unexpected character {token[0]!r}", column)
+            self.tokens.append((token if kind == "sym" else kind, token, column))
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -96,9 +97,12 @@ class _Line:
     def accept(self, kind: str) -> _Token | None:
         """Consume and return the next token if it is of ``kind``."""
         pos = self.pos
-        if pos < len(self.tokens) and self.tokens[pos][0] == kind:
-            self.pos = pos + 1
-            return self.tokens[pos]
+        if pos < len(self.tokens):
+            token = self.tokens[pos]
+            next_kind, _, _ = token
+            if next_kind == kind:
+                self.pos = pos + 1
+                return token
         return None
 
     def expect(self, kind: str) -> _Token:
@@ -121,7 +125,8 @@ class _Line:
         if column is None:
             token = self.peek()
             if token is not None:
-                message, column = f"{message}, found {token[1]!r}", token[2]
+                _, text, column = token
+                message = f"{message}, found {text!r}"
             else:
                 _, text, last = self.tokens[-1] if self.tokens else ("", "", 1)
                 message, column = message + " at end of line", last + len(text)
@@ -145,7 +150,8 @@ def _parse_term(
             token = line.expect("int")
             denominator = line.integer(token)
             if not denominator:
-                raise line.fail("zero denominator in coefficient", token[2])
+                _, _, column = token
+                raise line.fail("zero denominator in coefficient", column)
         coeff = Fraction(numerator, denominator)
         if not line.accept("*"):
             return coeff, factors
@@ -177,22 +183,23 @@ def _parse_poly(
     terms = []
     seen: set[str] = set()
     den = 1  # the common denominator of the terms so far
-    sign = line.accept("+") or line.accept("-")
+    negative = line.accept("+") is None and line.accept("-") is not None
     while True:
         head = line.peek()
         coeff, factors = _parse_term(line, allowed, seen)
         den *= coeff.denominator // gcd(den, coeff.denominator)
         words = spent + (len(terms) + 1) * (den.bit_length() // 64)
         if words > MAX_DENOMINATOR_WORDS:
+            _, _, column = head
             raise line.fail(
                 f"common denominators of more than {MAX_DENOMINATOR_WORDS} words, "
-                "counted once per term (gdsl.MAX_DENOMINATOR_WORDS)", head[2]
+                "counted once per term (gdsl.MAX_DENOMINATOR_WORDS)", column
             )
-        terms.append((factors, -coeff if sign and sign[0] == "-" else coeff))
+        terms.append((factors, -coeff if negative else coeff))
         if line.peek() is None:
             return LaurentPolynomial(terms), words
-        sign = line.accept("+") or line.accept("-")
-        if sign is None:
+        negative = line.accept("-") is not None
+        if not negative and line.accept("+") is None:
             raise line.fail("expected '+' or '-' between terms")
 
 
@@ -249,7 +256,8 @@ def parse_grammar(text: str) -> Grammar:
             once[keyword] = line.integer(line.expect("int"))
         trailing = line.peek()
         if trailing is not None:
-            raise line.fail(f"trailing input {trailing[1]!r}", trailing[2])
+            _, text, column = trailing
+            raise line.fail(f"trailing input {text!r}", column)
 
     for name, line_no in declared.items():
         if name not in rule_for:

@@ -18,7 +18,7 @@ takes its steps from ``iter_derive``, which refuses an order past ``MAX_N``.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # MAX_DERIVE_WORK is re-exported: it is the public name of the bound that
 # ``laurent.derivatives`` keeps.
@@ -27,7 +27,7 @@ from .laurent import LaurentPolynomial, check_variable_name, derivatives
 
 
 class _GrammarFields(NamedTuple):
-    rules: Mapping[str, LaurentPolynomial]
+    rules: tuple[tuple[str, LaurentPolynomial], ...]
     inert: frozenset[str]
     name: str | None
     var_order: tuple[str, ...]
@@ -38,29 +38,31 @@ class _GrammarFields(NamedTuple):
 class Grammar(_GrammarFields):
     """An immutable set of substitution rules, plus declared constants.
 
-    ``var_order`` is the display order (a document's declaration order, else
-    the sorted names); it never affects the derivative.  ``start`` and
-    ``default_n`` are a document's optional ``start:`` word and ``n:`` count.
+    ``rules`` are ``(name, image)`` pairs in the order given (a mapping or
+    pairs).  ``var_order`` is the display order (a document's declaration
+    order, else the sorted names); neither order affects the derivative.
+    ``start`` and ``default_n`` are a document's ``start:`` and ``n:`` lines.
     """
 
     __slots__ = ()
-    __hash__ = None  # the rules are a dict of unhashable polynomials
+    __hash__ = None  # polynomials are unhashable
 
     def __new__(
         cls,
-        rules: Mapping[str, LaurentPolynomial],
+        rules: Mapping[str, LaurentPolynomial] | Iterable[tuple[str, LaurentPolynomial]],
         inert: frozenset[str] = frozenset(),
         name: str | None = None,
         var_order: tuple[str, ...] | None = None,
         start: LaurentPolynomial | None = None,
         default_n: int | None = None,
     ):
+        rules = dict(rules)
         for var in rules:
             check_variable_name(var)
-        overlap = inert & set(rules)
+        overlap = inert & rules.keys()
         if overlap:
             raise ValueError(f"variables {sorted(overlap)} are both ruled and inert")
-        known = set(rules) | inert
+        known = rules.keys() | inert
         for var, image in rules.items():
             stray = image.variables() - known
             if stray:
@@ -70,7 +72,7 @@ class Grammar(_GrammarFields):
                 )
         if var_order is None:
             var_order = tuple(sorted(known))
-        return super().__new__(cls, rules, inert, name, var_order, start, default_n)
+        return super().__new__(cls, tuple(rules.items()), inert, name, var_order, start, default_n)
 
 
 class DerivativeSequence(NamedTuple):
@@ -92,7 +94,7 @@ def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[La
         raise ValueError("derivative order must be nonnegative")
     if n > MAX_N:
         raise ValueError(f"derivative order {n} exceeds the limit {MAX_N}")
-    yield from islice(derivatives(p, g.rules), n + 1)
+    yield from islice(derivatives(p, dict(g.rules)), n + 1)
 
 
 def derive(p: LaurentPolynomial, g: Grammar) -> LaurentPolynomial:

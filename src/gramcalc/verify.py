@@ -306,10 +306,10 @@ def check_classical_grammars(
         items = Derivatives(_X, eulerian)
         for n in range(max_n + 1):
             yield f"eulerian row sum, n={n}", items[n].eval({"x": 1, "y": 1}), factorial(n)
-        for name, image in g.rules.items():
-            expected = eulerian.rules[_TO_EULERIAN[name]]
+        for name, image in g.rules:
+            expected = dict(eulerian.rules)[_TO_EULERIAN[name]]
             yield f"relabeled rule for '{name}'", image.subst(_TO_EULERIAN), expected
-            expected = exterior.rules[_TO_EXTERIOR[name]]
+            expected = dict(exterior.rules)[_TO_EXTERIOR[name]]
             yield f"relabeled (exterior) rule for '{name}'", image.subst(_TO_EXTERIOR), expected
         ep_items = Derivatives(_X, exterior)
         for n in range(max_n + 1):

@@ -40,11 +40,11 @@ def _derive_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolyn
     image's exponent vectors minus the unit vector ``i``, so the product
     rule adds that shift to the term's vector and scales by the exponent.
     """
-    names = p.variables().union(*(image.variables() for image in g.rules.values()))
+    names = p.variables().union(*(image.variables() for _, image in g.rules))
     names = tuple(sorted(names))
     images = {
         names.index(var): dense(image, names)
-        for var, image in g.rules.items()
+        for var, image in g.rules
         if var in names and image != 0
     }
     rden = math.lcm(*(d for _, d in images.values()))

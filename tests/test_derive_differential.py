@@ -66,14 +66,14 @@ X, B, T, U = LP.variable("a"), LP.variable("b"), LP.variable("t"), LP.variable("
 @example((Grammar({"a": B, "b": X}, frozenset("t")), X * B + T))
 def test_derivatives_agree_with_the_reference(case):
     g, p = case
-    assert_same(list(islice(derivatives(p, g.rules), ORDER + 1)), ref._derive_steps(p, g, ORDER))
+    assert_same(list(islice(derivatives(p, dict(g.rules)), ORDER + 1)), ref._derive_steps(p, g, ORDER))
     assert_same(list(derive_n(p, g, ORDER).items), ref._derive_steps(p, g, ORDER))
 
 
 @pytest.mark.parametrize("name", BUILTIN_GRAMMAR_NAMES)
 def test_builtins_agree_with_the_reference_up_to_max_n(name):
     g = builtin_grammar(name)
-    words = [LP.variable(var) for var in sorted(g.rules)]
+    words = [LP.variable(var) for var in sorted(dict(g.rules))]
     every = LP.one()
     for word in words:
         every = every * word

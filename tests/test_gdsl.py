@@ -24,9 +24,10 @@ n: 8
 
 def document(g: Grammar) -> str:
     """``g`` as ``.gram`` text, written by the reference's ``format_grammar``."""
-    declared = tuple(v for v in g.var_order if v in g.rules)
+    rules = dict(g.rules)
+    declared = tuple(v for v in g.var_order if v in rules)
     inert = tuple(v for v in g.var_order if v in g.inert)
-    rules = tuple((v, g.rules[v]) for v in declared)
+    rules = tuple((v, rules[v]) for v in declared)
     return format_grammar(GrammarSpec(declared, inert, rules, g.start, g.default_n))
 
 
@@ -66,8 +67,16 @@ def test_grammar_variable_count_is_bounded():
 
 def test_self_rule_is_valid():
     g = parse_grammar("vars: x\nrule x -> x\n")
-    assert g.rules == {"x": LP.variable("x")}
+    assert g.rules == (("x", LP.variable("x")),)
     assert g.start is None and g.default_n is None
+
+
+def test_rules_are_pairs_in_rule_line_order():
+    g = parse_grammar("vars: x y\nrule y -> x\nrule x -> y\n")
+    assert [(name, image) for name, image in g.rules] == [
+        ("y", LP.variable("x")), ("x", LP.variable("y")),
+    ]
+    assert g.var_order == ("x", "y")
 
 
 def test_undeclared_rule_variable():

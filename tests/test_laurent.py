@@ -322,7 +322,7 @@ def test_a_negative_number_is_charged_by_its_size(monkeypatch):
     import gramcalc.laurent as laurent_module
 
     monkeypatch.setattr(laurent_module, "MAX_DERIVE_WORK", 0)
-    rules = builtin_grammar("eulerian").rules
+    rules = dict(builtin_grammar("eulerian").rules)
     for coeff, charge in [(1, 10), (2**64, 11), (-(2**64), 11), (-(2**63) + 1, 10)]:
         steps = derivatives(LP.term(coeff, {"x": 1}), rules)
         next(steps)

@@ -35,7 +35,7 @@ def test_grammar_start_and_default_n_defaults_and_keywords():
         {"x": X * T}, frozenset({"t"}), name="g", var_order=("x", "t"), start=X, default_n=4
     )
     assert repr(Grammar({})) == (
-        "Grammar(rules={}, inert=frozenset(), name=None, var_order=(), "
+        "Grammar(rules=(), inert=frozenset(), name=None, var_order=(), "
         "start=None, default_n=None)"
     )
 
@@ -79,6 +79,17 @@ def test_grammar_equality_compares_fields():
     assert Grammar({"x": X * T}, frozenset({"t"}), "g", ("x", "t")) == Grammar(
         rules={"x": X * T}, inert=frozenset({"t"}), name="g", var_order=("x", "t")
     )
+
+
+def test_grammar_rules_are_pairs_in_the_order_given():
+    g = Grammar({"y": X, "x": X * Y})
+    assert g.rules == (("y", X), ("x", X * Y))
+    assert g.var_order == ("x", "y")
+    assert Grammar(g.rules) == g
+    assert dict(g.rules) == {"x": X * Y, "y": X}
+    assert g != Grammar({"x": X * Y, "y": X})
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 def test_eval_point_compares_fields_and_is_unhashable():

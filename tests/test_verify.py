@@ -115,8 +115,8 @@ def test_broken_grammar_reports_smallest_failure():
 
 def _single_swap_mutants(g: Grammar):
     """Every grammar obtained by moving one variable's exponent onto another."""
-    names = sorted(g.rules)
-    for var, image in g.rules.items():
+    names = sorted(dict(g.rules))
+    for var, image in g.rules:
         ((mono, coeff),) = list(image.items())
         for src, exp in mono:
             for dst in names:
