@@ -419,7 +419,7 @@ def derivatives(
         products = len(p._num) * sum([len(rules[v]._num) for v in p._vars if v in rules])
         size = _bits([p._den], p._num.values()) // 64 * (factor_bits // 64 + 32) // 32
         den = (p._den.bit_length() + image_den_bits) // 64
-        work += products * (len(names) + 8 + size + den * den // 32)
+        work += products * (len(names) + 8 + size + den * den // 18)
         if work > MAX_DERIVE_WORK:
             raise ValueError(
                 f"derivative order {order} needs up to {work} units of work, "

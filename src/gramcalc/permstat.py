@@ -34,22 +34,19 @@ The kinds differ only in how the last letter is classified: ``exterior_pdd``
 never classifies p_n, and the peak-based kinds classify it with the down step
 into the right pad 0.  Valleys and double rises are not tracked: with both
 pads, peaks = valleys + 1 and the four classes add up to n.  So the pass that
-reaches n letters serves every table up to n.  It is grown once per process,
-only as far as the largest n asked for so far, and keeps, for every level m
-it passed, the number of permutations of {1..m} in each (direction, key)
-state, and the by-j counts of its last level, from which the next level
-grows.  One lock is held while the pass grows, and a level is stored whole
-before it is read, so the pass is a cache of a fixed function: sharing it
-between callers, threads included, changes no result.  No table is cached,
-and every call returns a new ``counts`` dict that the caller may change.  The
-tests check every table against brute force over S_n, which reads the
-definitions above off each permutation.
+reaches n letters serves every table up to n.  Level m is a pure function of
+m, cached and built from level m - 1 only, so each level up to the largest n
+asked for is built once per process and kept, and callers, threads included,
+that share it get the same result.  No table is cached, and every call
+returns a new ``counts`` dict that the caller may change.  The tests check
+every table against brute force over S_n, which reads the definitions above
+off each permutation.
 """
 
 from __future__ import annotations
 
 import sys
-from _thread import allocate_lock
+from functools import cache
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -66,35 +63,24 @@ _kernel = sys.modules[__name__]
 
 KIND_EXTERIOR_PDD, KIND_PEAK_DD, KIND_CARLITZ = TABLE_KINDS
 
-# State: (step into the last letter is up, peaks, double descents).
-# _totals[m] maps each state of level m to its number of permutations of {1..m};
-# _totals[0] is unused, since ``stat_table`` answers n = 0 itself.
-_totals: list[dict[tuple[bool, int, int], int]] = [{}, {(True, 0, 0): 1}]
-# The states of the last level reached -> counts by the 0-based rank of the last letter.
-_front: dict[tuple[bool, int, int], list[int]] = {(True, 0, 0): [1]}
-_growing = allocate_lock()
 
-
-def _merge(groups: dict, key: tuple, counts: list[int]) -> None:
-    have = groups.get(key)
-    groups[key] = counts if have is None else [a + b for a, b in zip(have, counts)]
-
-
-def _grow(n: int) -> None:
-    """Extend the pass one letter at a time until it has reached level n."""
-    global _front
-    with _growing:
-        while len(_totals) <= n:
-            grown: dict[tuple[bool, int, int], list[int]] = {}
-            for (up, peaks, dds), by_rank in _front.items():
-                # a new letter at 0-based rank r steps up from every j < r, down from j >= r
-                below = list(accumulate(by_rank, initial=0))
-                total = below[-1]
-                _merge(grown, (True, peaks, dds), below)
-                fall = (False, peaks + 1, dds) if up else (False, peaks, dds + 1)
-                _merge(grown, fall, [total - b for b in below])
-            _front = grown
-            _totals.append({state: sum(by_rank) for state, by_rank in grown.items()})
+@cache
+def _level(m: int) -> dict[tuple[bool, int, int], list[int]]:
+    """Each state (step into the last letter is up, peaks, double descents) of
+    the permutations of {1..m}, m >= 1 -> its counts by the 0-based rank of the
+    last letter.  The dict and its lists are new and are never changed.
+    """
+    if m == 1:
+        return {(True, 0, 0): [1]}
+    level: dict[tuple[bool, int, int], list[int]] = {}
+    for (up, peaks, dds), by_rank in _level(m - 1).items():
+        # a new letter at 0-based rank r steps up from every j < r, down from j >= r
+        below = list(accumulate(by_rank, initial=0))
+        fall = (False, peaks + 1, dds) if up else (False, peaks, dds + 1)
+        for state, counts in ((True, peaks, dds), below), (fall, [below[-1] - b for b in below]):
+            have = level.get(state)
+            level[state] = counts if have is None else [a + b for a, b in zip(have, counts)]
+    return level
 
 
 class StatTable(NamedTuple):
@@ -131,9 +117,8 @@ def count_table(n: int, kind: str) -> dict[tuple[int, ...], int]:
     ``stat_table`` is the caller; it checks ``n`` and ``kind``.  Every call
     returns a new dict.
     """
-    _grow(n)
     counts: dict[tuple[int, ...], int] = {}
-    for (up, peaks, dds), total in _totals[n].items():
+    for (up, peaks, dds), by_rank in _level(n).items():
         if kind != KIND_EXTERIOR_PDD:
             # the down step into the right pad 0 classifies p_n
             peaks, dds = (peaks + 1, dds) if up else (peaks, dds + 1)
@@ -141,7 +126,7 @@ def count_table(n: int, kind: str) -> dict[tuple[int, ...], int]:
             key: tuple[int, ...] = (peaks - 1, dds, peaks - 1, n + 1 - 2 * peaks - dds)
         else:
             key = (peaks, dds)
-        counts[key] = counts.get(key, 0) + total
+        counts[key] = counts.get(key, 0) + sum(by_rank)
     return counts
 
 
