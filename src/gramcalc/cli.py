@@ -213,7 +213,15 @@ def _load_grammar(source: str) -> Grammar:
             raise CliError(
                 f"grammar file '{source}' exceeds the limit of {MAX_GRAMMAR_BYTES} bytes"
             )
-        return parse_grammar(data.decode("utf-8-sig"))._replace(name=os.path.basename(source))
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            # The decoder reports a position after a byte order mark it strips.
+            at = exc.start + len(data) - len(exc.object)
+            raise CliError(
+                f"grammar file '{source}' is not UTF-8 text ({exc.reason} at byte {at})"
+            ) from None
+        return parse_grammar(text)._replace(name=os.path.basename(source))
     raise CliError(
         f"unknown grammar '{source}': not a builtin "
         f"({', '.join(BUILTIN_GRAMMAR_NAMES)}) and not a file"

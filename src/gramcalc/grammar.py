@@ -112,7 +112,8 @@ def derive_n(p: LaurentPolynomial, g: Grammar, n: int) -> DerivativeSequence:
 def _make_builtin(name: str, rule_exps: dict[str, dict[str, int]]) -> Grammar:
     """A builtin whose variables display in the order its rules are given."""
     rules = {
-        var: LaurentPolynomial.term(1, exps) for var, exps in rule_exps.items()
+        var: LaurentPolynomial.from_dense(tuple(exps), {tuple(exps.values()): 1})
+        for var, exps in rule_exps.items()
     }
     return Grammar(rules=rules, name=name, var_order=tuple(rule_exps))
 

@@ -21,9 +21,9 @@ of ``derivatives``, the iterated derivation of the ring (the formal
 derivative of a grammar).  ``derivatives`` also prices each step from the
 sizes of its operands and refuses one that would pass ``MAX_DERIVE_WORK``,
 so the charge sits beside the loop it models.  No other module reads a
-polynomial's exponent tuples or numerators.
-``LaurentPolynomial.from_dense`` is the one constructor that takes integer
-terms from outside.
+polynomial's exponent tuples or numerators.  A polynomial is built by
+``LaurentPolynomial(terms)`` (``LaurentPolynomial()`` is 0), ``.variable(name)``
+or ``.from_dense``, the one constructor that takes integer terms from outside.
 
 ``Fraction`` appears only at the edge.  ``items()`` and ``sorted_terms()``
 give ``Fraction`` coefficients on monomials, where a monomial is a tuple of
@@ -77,16 +77,6 @@ def check_variable_name(name: str) -> str:
     return name
 
 
-def monomial(exponents: Mapping[str, int]) -> Monomial:
-    """Canonical monomial from an exponent map (zero exponents dropped)."""
-    items = []
-    for name, exp in exponents.items():
-        check_variable_name(name)
-        if exp:
-            items.append((name, index(exp)))
-    return tuple(sorted(items))
-
-
 class LaurentPolynomial:
     """An immutable Laurent polynomial with exact rational coefficients."""
 
@@ -130,25 +120,9 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return _ONE
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "LaurentPolynomial":
-        return cls({(): value})
-
-    @classmethod
     def variable(cls, name: str) -> "LaurentPolynomial":
         check_variable_name(name)
         return _make((name,), {(1,): 1}, 1)
-
-    @classmethod
-    def term(cls, coeff: Scalar, exponents: Mapping[str, int]) -> "LaurentPolynomial":
-        return cls({monomial(exponents): coeff})
 
     @classmethod
     def from_dense(
@@ -206,10 +180,6 @@ class LaurentPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._num:
-            return self
-        if not self._num:
-            return other
         return dot((self, other), (_ONE, _ONE))
 
     __radd__ = __add__
@@ -497,7 +467,7 @@ def _coerce(value: object):
     if isinstance(value, LaurentPolynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return LaurentPolynomial.constant(value)
+        return _make((), {(): value.numerator}, value.denominator) if value else _ZERO
     return NotImplemented
 
 

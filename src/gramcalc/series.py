@@ -6,17 +6,17 @@ power series in ``t``.  Every series is kept in one form: EGF numerators
 coefficient equal to ``b[n] / (E * n! * Q^n)``.  A numerator is an ``int`` or
 a ``LaurentPolynomial``, and the series takes whichever numbers it is given:
 the closed forms run on ``int``s alone, and a polynomial coefficient, scalar
-or ``exp_series`` rate makes every numerator it meets a polynomial.
+or ``exp_series`` rate makes every numerator it meets a polynomial.  A
+series is built by ``TruncatedSeries(coeffs)`` or ``exp_series(alpha, order)``.
 
 Each operation has one algorithm.  ``exp(p/q * t)`` is ``b[n] = p^n`` with
 ``Q = q``; sums rescale both operands to the lcm of their scales, and a
-scalar joins a sum as a constant series; a product is the binomial
-convolution ``sum C(n,k) a[k] b[n-k]``, one ``sum(map(mul, ...))`` per
-coefficient; a reciprocal runs Knuth's recurrence on the numerators, and
-``derivative()`` drops ``b[0]`` and multiplies ``E`` by ``Q``.  Only the
-reciprocal's last step reads its constant term ``b[0]``: an ``int`` folds
-``|b[0]|`` into ``E`` and ``Q``, and a polynomial multiplies by powers of
-``b[0]**-1``, so it must be a single term.
+scalar ``c`` joins a sum as ``exp_series(0, order) * c``; a product is the
+binomial convolution ``sum C(n,k) a[k] b[n-k]``, one ``sum(map(mul, ...))``
+per coefficient; and a reciprocal runs Knuth's recurrence on the numerators.
+Only the reciprocal's last step reads its constant term ``b[0]``: an ``int``
+folds ``|b[0]|`` into ``E`` and ``Q``, and a polynomial multiplies by powers
+of ``b[0]**-1``, so it must be a single term.
 
 Nothing is reduced until the coefficients are read, and they are reduced
 again on each read: ``coeffs``, ``egf_coefficients()``, ``==`` and ``repr``
@@ -122,11 +122,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self._nums) - 1
 
-    @classmethod
-    def constant(cls, value, order: int) -> "TruncatedSeries":
-        """``value`` times ``exp(0 * t) = 1``."""
-        return exp_series(0, order) * value
-
     # -- arithmetic ----------------------------------------------------------
 
     def _match(self, other: "TruncatedSeries") -> None:
@@ -140,7 +135,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.order)
+            other = exp_series(0, self.order) * other
         self._match(other)
         e, q = lcm(self._e, other._e), lcm(self._q, other._q)
         nums = list(map(add, self._rescaled(e, q), other._rescaled(e, q)))
@@ -153,7 +148,7 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.order)
+            other = exp_series(0, self.order) * other
         return self + (-other)
 
     def __rsub__(self, other):
@@ -195,12 +190,6 @@ class TruncatedSeries:
             gamma.append(-sum(map(mul, map(mul, row[1:], scaled), reversed(gamma))))
         heads = accumulate(repeat(h, self.order), mul, initial=h * self._e)
         return TruncatedSeries._of(list(map(mul, gamma, heads)), e, q)
-
-    def derivative(self) -> "TruncatedSeries":
-        """d/dt, one order lower."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries._of(self._nums[1:], self._e * self._q, self._q)
 
     def egf_coefficients(self) -> list:
         """The underlying EGF data: n! times the n-th coefficient."""

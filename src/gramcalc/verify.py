@@ -37,7 +37,7 @@ _X = LaurentPolynomial.variable("x")
 _Y = LaurentPolynomial.variable("y")
 _Z = LaurentPolynomial.variable("z")
 _W = LaurentPolynomial.variable("w")
-_ONE = LaurentPolynomial.one()
+_ONE = LaurentPolynomial({(): 1})
 
 
 class CheckReport(NamedTuple):
@@ -245,7 +245,7 @@ def check_closed_forms(
     D^n(z).  Every comparison runs for all n up to ``order``.
     """
     carlitz_items = _Lazy(lambda n: table_to_poly(stat_table(n, KIND_CARLITZ)))
-    carlitz_items[0] = LaurentPolynomial.zero()
+    carlitz_items[0] = LaurentPolynomial()
 
     def cases():
         for pt in SHIPPED_POINTS if points is None else points:

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from gramcalc._names import MAX_VARIABLES
 from gramcalc.grammar import Grammar
-from gramcalc.laurent import LaurentPolynomial, monomial
+from gramcalc.laurent import LaurentPolynomial
 
 
 class GrammarSyntaxError(ValueError):
@@ -212,7 +212,7 @@ def _parse_poly(stream: _TokenStream, allowed: set[str] | None) -> LaurentPolyno
         sign = -1 if token.kind == "-" else 1
     while True:
         coeff, exponents = _parse_term(stream, allowed, seen)
-        terms.append((monomial(exponents), sign * coeff))
+        terms.append((tuple(exponents.items()), sign * coeff))
         token = stream.peek()
         if token is None:
             return LaurentPolynomial(terms)

@@ -7,9 +7,9 @@ products and reciprocals one ``Ring.dot`` per output coefficient.  Over
 ``_rational_dot``; over ``LAURENT`` they are polynomials, ``dot`` is
 ``laurent.dot`` and the reciprocal inverts the constant term with
 ``p ** -1``.  ``TruncatedSeries``, ``exp_series``, ``gen_series``,
-``closed_form`` and both rings are copied unchanged, but for two edits that
-follow the package: ``truncate()`` is gone, and so is the order-mismatch
-message's hint to call it.  ``test_series_differential`` compares the package
+``closed_form`` and both rings are copied unchanged, but for three edits that
+follow the package: ``truncate()`` and ``derivative()`` are gone, and so is
+the order-mismatch message's hint to call ``truncate()``.  ``test_series_differential`` compares the package
 against them.  It is not imported by the package.
 """
 
@@ -63,8 +63,8 @@ RATIONALS = Ring(
 
 LAURENT = Ring(
     name="laurent",
-    zero=LaurentPolynomial.zero(),
-    one=LaurentPolynomial.one(),
+    zero=LaurentPolynomial(),
+    one=LaurentPolynomial({(): 1}),
     invert=lambda p: p ** -1,
     dot=_laurent_dot,
 )
@@ -152,14 +152,6 @@ class TruncatedSeries:
         for n in range(1, self.order + 1):
             out.append(-head * dot(c[1 : n + 1], out[n - 1 :: -1]))
         return TruncatedSeries(self.ring, out)
-
-    def derivative(self) -> "TruncatedSeries":
-        """d/dt, one order lower."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(
-            self.ring, [(n + 1) * self.coeffs[n + 1] for n in range(self.order)]
-        )
 
     def egf_coefficients(self) -> list:
         """The underlying EGF data: n! times the n-th coefficient."""

@@ -14,7 +14,7 @@ from _permstat_reference import stat_profile
 from gramcalc.gdsl import parse_poly
 from gramcalc.grammar import builtin_grammar, derive, derive_n
 from gramcalc.laurent import LaurentPolynomial as LP
-from gramcalc.laurent import dot, monomial
+from gramcalc.laurent import dot
 from gramcalc.permstat import (
     KIND_CARLITZ,
     KIND_EXTERIOR_PDD,
@@ -51,8 +51,8 @@ def test_criterion_2_peak_distribution_polynomials():
     for n in range(1, 9):
         assert items_y[n] == table_to_poly(stat_table(n, KIND_PEAK_DD)), n
     d4z = derive_n(Z, G, 4).items[4]
-    assert dict(d4z.items())[monomial({"x": 1, "y": 1, "z": 2, "w": 1})] == 6
-    assert dict(items_y[4].items())[monomial({"x": 2, "y": 1, "z": 2})] == 8
+    assert dict(d4z.items())[(("w", 1), ("x", 1), ("y", 1), ("z", 2))] == 6
+    assert dict(items_y[4].items())[(("x", 2), ("y", 1), ("z", 2))] == 8
     _passed(2, "derivatives of y match enumeration for n <= 8, spot coefficients 6 and 8")
 
 
@@ -200,10 +200,10 @@ def test_criterion_9_property_suite():
     rng = random.Random(682347)
 
     def random_poly():
-        result = LP.zero()
+        result = LP()
         for _ in range(rng.randint(1, 3)):
             exps = {v: rng.randint(0, 2) for v in "xyzw"}
-            result = result + LP.term(rng.randint(-5, 5), exps)
+            result = result + LP({tuple(exps.items()): rng.randint(-5, 5)})
         return result
 
     for _ in range(100):
@@ -232,6 +232,6 @@ def test_criterion_9_property_suite():
 
     gz = gen_series(Z, G, order)
     gy = gen_series(Y, G, order)
-    assert gy * gz + (W - Y) * gz == gen_series(Z, G, order + 1).derivative()
+    assert gy * gz + (W - Y) * gz == gen_series(derive(Z, G), G, order)
     assert gz == gen_series(Z * X ** -1, G, order) * gen_series(X, G, order)
     _passed(9, "Leibniz on 100 random triples, profile laws on S_1..S_8, series identities")

@@ -218,6 +218,24 @@ def test_bad_grammar_source(capsys):
     assert "unknown grammar" in err
 
 
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"\xff\xfe" + MAIN_GRAMMAR_TEXT.encode("utf-16-le"), "invalid start byte at byte 0"),
+        # The byte order mark counts: the offset is of the file, not of its text.
+        (b"\xef\xbb\xbfvars: x\xc3\n", "invalid continuation byte at byte 10"),
+        (MAIN_GRAMMAR_TEXT.encode() + b"\xe2\x82", "unexpected end of data at byte 84"),
+    ],
+    ids=["utf-16", "after-bom", "truncated"],
+)
+def test_gram_file_that_is_not_utf8_is_named(tmp_path, monkeypatch, capsys, data, reason):
+    monkeypatch.chdir(tmp_path)
+    Path("c.gram").write_bytes(data)
+    code, out, err = run(capsys, "derive", "--grammar", "c.gram", "--start", "x", "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == f"gramcalc: error: grammar file 'c.gram' is not UTF-8 text ({reason})\n"
+
+
 def test_gram_file_syntax_error_is_diagnosed(tmp_path, capsys):
     path = tmp_path / "broken.gram"
     path.write_text("vars: x\nrule x -> x*\n", encoding="utf-8")
@@ -305,7 +323,7 @@ def test_output_bound_formats_only_the_name_it_refuses():
     assert cli._printable_terms(d18, What()) == d18.sorted_terms()
     assert formatted == []
     with pytest.raises(cli.CliError) as exc:
-        cli._printable_terms(d18 + LP.term(1, {"x": 10**4300}), What())
+        cli._printable_terms(d18 + LP({(("x", 10**4300),): 1}), What())
     assert str(exc.value) == (
         "the exponent of x in the word has more than 4300 digits (cli.MAX_OUTPUT_DIGITS)"
     )

@@ -229,7 +229,7 @@ def test_denominator_words_are_summed_over_a_document():
     image = f"1/{DEN}*x" + "".join(f" + x^{i}" for i in range(2, 251))
     text = f"vars: x y\nrule x -> {image}\nrule y -> {image.replace('x', 'y')}\n"
     # A denominator under 64 bits counts nothing.
-    assert parse_grammar(text + "start: 1/3*x\n").start == LP.term(Fraction(1, 3), {"x": 1})
+    assert parse_grammar(text + "start: 1/3*x\n").start == LP({(("x", 1),): Fraction(1, 3)})
     with pytest.raises(GrammarSyntaxError) as exc:
         parse_grammar(text + f"start: 1/{DEN}*x\n")
     assert str(exc.value) == f"line 4, column 8: {DEN_WORDS}"
@@ -287,7 +287,7 @@ def test_two_line_document_for_inert_only_spec():
 
 
 def test_minus_one_coefficient_formats_bare():
-    text = document(Grammar({"x": LP.term(-1, {"x": 1})}))
+    text = document(Grammar({"x": LP({(("x", 1),): -1})}))
     assert "rule x -> -x" in text
     assert "-1*x" not in text
 
@@ -297,8 +297,8 @@ def test_poly_syntax_directly():
     assert dict(p.items()) == {(("x", -1), ("y", 2)): Fraction(-2, 3), (("z", 1),): 1}
     assert len(p) == 2
     assert parse_poly("0") == 0
-    assert parse_poly("7") == LP.constant(7)
-    assert parse_poly("x^0") == LP.one()
+    assert parse_poly("7") == LP({(): 7})
+    assert parse_poly("x^0") == LP({(): 1})
     assert parse_poly("+x") == LP.variable("x")
 
 
@@ -320,9 +320,10 @@ def specs(draw):
     pool = set(declared)
     rules = []
     for var in declared:
-        poly = LP.zero()
-        for coeff, exps in draw(images):
-            poly = poly + LP.term(coeff, {k: v for k, v in exps.items() if k in pool})
+        poly = LP([
+            (tuple((k, v) for k, v in exps.items() if k in pool), coeff)
+            for coeff, exps in draw(images)
+        ])
         rules.append((var, poly))
     start = None
     if draw(st.booleans()):

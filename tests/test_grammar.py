@@ -23,7 +23,7 @@ G = builtin_grammar("paper_G")
 
 def test_derive_base_cases():
     assert derive(Z, G) == Z * W
-    assert derive(LP.constant(7), G) == 0
+    assert derive(LP({(): 7}), G) == 0
     assert derive(X ** -1, G) == -(X ** -1 * Y)
     assert derive(W - Y, G) == 0
     assert derive((W + Y) ** 2 - 4 * X * Z, G) == 0
@@ -61,7 +61,7 @@ def leibniz_holds(u, v, g, n):
 
 def test_leibniz_examples():
     assert leibniz_holds(Z, W, G, 3)
-    assert leibniz_holds(LP.one(), parse_poly("x*y^2 - 3*z"), G, 4)
+    assert leibniz_holds(LP({(): 1}), parse_poly("x*y^2 - 3*z"), G, 4)
 
 
 def test_derive_order_limits():
@@ -136,9 +136,9 @@ def test_builtin_rules():
     assert dict(G.rules)["x"] == X * Y
     assert dict(builtin_grammar("eulerian").rules)["x"] == X * Y
     assert dict(builtin_grammar("andre").rules)["y"] == X
-    assert dict(builtin_grammar("ramanujan").rules)["x"] == LP.term(1, {"x": 3, "y": 1})
+    assert dict(builtin_grammar("ramanujan").rules)["x"] == LP({(("x", 3), ("y", 1)): 1})
     assert dict(builtin_grammar("exterior_peak").rules)["y"] == X * X
-    assert derive(X, builtin_grammar("ramanujan")) == LP.term(1, {"x": 3, "y": 1})
+    assert derive(X, builtin_grammar("ramanujan")) == LP({(("x", 3), ("y", 1)): 1})
 
 
 def test_unknown_builtin():
@@ -209,15 +209,14 @@ def test_grammar_is_declared_unhashable():
 
 def reference_derive(p, g):
     """One derivative by the product rule, written with polynomial operators."""
-    result = LP.zero()
+    result = LP()
     for mono, coeff in p.items():
         for i, (name, exp) in enumerate(mono):
             image = dict(g.rules).get(name)
             if image is None:
                 continue
-            rest = dict(mono[:i] + mono[i + 1:])
-            rest[name] = exp - 1
-            result = result + LP.term(coeff * exp, rest) * image
+            rest = mono[:i] + mono[i + 1:] + ((name, exp - 1),)
+            result = result + LP({rest: coeff * exp}) * image
     return result
 
 
@@ -247,8 +246,8 @@ def test_derive_n_matches_product_rule_on_builtins(name):
     for var, _ in g.rules:
         assert_matches_reference(LP.variable(var), g, 7)
     variables = sorted(dict(g.rules))
-    word = LP.term(Fraction(-7, 3), {variables[0]: -2, variables[-1]: 1})
-    word = word + LP.term(Fraction(5, 4), {variables[-1]: -1}) + 2
+    word = LP({((variables[0], -2), (variables[-1], 1)): Fraction(-7, 3)})
+    word = word + LP({((variables[-1], -1),): Fraction(5, 4)}) + 2
     assert_matches_reference(word, g, 6)
 
 
@@ -262,7 +261,7 @@ def test_derive_n_matches_product_rule_with_rational_rules_and_inert():
 def test_derive_n_order_zero_and_zero_word():
     word = parse_poly("-2/3*x^-1*z^2 + 5*y*w^-2")
     assert derive_n(word, G, 0).items == (word,)
-    assert derive_n(LP.zero(), G, 3).items == (LP.zero(),) * 4
+    assert derive_n(LP(), G, 3).items == (LP(),) * 4
     assert derive(word, G) == reference_derive(word, G)
 
 
@@ -276,10 +275,7 @@ term_lists = st.lists(
 
 @st.composite
 def polys(draw):
-    result = LP.zero()
-    for coeff, exps in draw(term_lists):
-        result = result + LP.term(coeff, exps)
-    return result
+    return LP([(tuple(exps.items()), coeff) for coeff, exps in draw(term_lists)])
 
 
 @given(polys(), polys())
@@ -296,5 +292,5 @@ def test_leibniz_identity_random(u, v, n):
 
 @given(st.integers(-4, 4).filter(bool), exponents)
 def test_inverse_rule(coeff, exps):
-    u = LP.term(coeff, {k: v for k, v in exps.items() if v} or {"x": 1})
+    u = LP({tuple((k, v) for k, v in exps.items() if v) or (("x", 1),): coeff})
     assert derive(u * u ** -1, G) == 0

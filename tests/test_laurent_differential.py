@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import _laurent_reference as ref
 from gramcalc.grammar import BUILTIN_GRAMMAR_NAMES, builtin_grammar, derive_n
 from gramcalc.laurent import LaurentPolynomial as LP
-from gramcalc.laurent import monomial
 
 NAMES = "wxyz"
 
@@ -36,7 +35,7 @@ points = st.dictionaries(
 
 def pair(terms):
     """The same polynomial in both representations."""
-    canonical = [(monomial(exps), c) for exps, c in terms]
+    canonical = [(ref.monomial(exps), c) for exps, c in terms]
     return LP(canonical), ref.LaurentPolynomial(canonical)
 
 

@@ -136,3 +136,47 @@ def test_benchmark_tracer_targets_resolve():
             assert hasattr(owner, attr), f"{span}: {module} has no {'.'.join(attrs)}"
             owner = getattr(owner, attr)
         assert callable(owner), span
+
+
+def test_benchmark_imports_resolve():
+    # The benchmark's own code imports names from the package and reads
+    # attributes of them (``permstat.KERNEL_IS_COMPILED``, ``cli.main``,
+    # ``LaurentPolynomial.variable``); tier-1 runs none of it, so each such
+    # name is resolved here.  The files are read, not imported.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    checked = 0
+    for path in sorted(perfbench.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gramcalc":
+                owner = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(owner, alias.name):
+                        # ``from package import module`` imports the submodule.
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    where = f"{path.name}:{node.lineno}: {node.module}"
+                    assert hasattr(owner, alias.name), f"{where} has no {alias.name}"
+                    bound[alias.asname or alias.name] = getattr(owner, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound:
+                where = f"{path.name}:{node.lineno}: {node.value.id}"
+                assert hasattr(bound[node.value.id], node.attr), f"{where} has no {node.attr}"
+        checked += len(bound)
+    assert checked >= 10
+
+
+def test_value_types_have_one_constructor_each_way():
+    # A polynomial is built by LaurentPolynomial(terms), .variable or
+    # .from_dense, and a series by TruncatedSeries(coeffs) or exp_series;
+    # the public attributes are pinned so that no alias of these returns.
+    from gramcalc.laurent import LaurentPolynomial
+    from gramcalc.series import TruncatedSeries
+
+    def public(cls):
+        return sorted(name for name in dir(cls) if not name.startswith("_"))
+
+    assert public(LaurentPolynomial) == [
+        "eval", "format", "from_dense", "items", "sorted_terms", "subst", "variable", "variables",
+    ]
+    assert public(TruncatedSeries) == ["coeffs", "egf_coefficients", "inverse", "order"]

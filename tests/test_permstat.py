@@ -257,7 +257,7 @@ def test_triangle_poly():
     from fractions import Fraction
 
     assert triangle_poly(3, "T") == parse_poly("1 + 5*x")
-    assert triangle_poly(0, "T") == LP.one()
+    assert triangle_poly(0, "T") == LP({(): 1})
     assert triangle_poly(3, "T").eval({"x": Fraction(1, 2)}) == Fraction(7, 2)
 
 

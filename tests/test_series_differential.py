@@ -221,7 +221,7 @@ small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 nonzero_small = small_rationals.filter(bool)
 laurent_exponents = st.dictionaries(st.sampled_from("xyzw"), st.integers(-2, 2), max_size=2)
 monomials = laurent_exponents.map(lambda exps: tuple(exps.items()))
-single_terms = st.builds(LP.term, nonzero_small, laurent_exponents)
+single_terms = st.builds(lambda c, mono: LP({mono: c}), nonzero_small, monomials)
 polys = st.lists(st.tuples(monomials, small_rationals), max_size=3).map(LP)
 laurent_scalars = st.one_of(st.integers(-5, 5), small_rationals, polys)
 
@@ -240,28 +240,19 @@ def assert_same_laurent(new, old):
 
 def laurent_reference(values):
     """The reference series over ``ref.LAURENT`` with coefficients ``values``."""
-    return ref.TruncatedSeries(ref.LAURENT, [LP.one() * v for v in values])
-
-
-def assert_same_laurent_outcome(compute_new, compute_old):
-    new, old = outcome(compute_new), outcome(compute_old)
-    assert new[0] == old[0]
-    if new[0] == "ok":
-        assert_same_laurent(new[1], old[1])
-    else:
-        assert new[1] == old[1]
+    return ref.TruncatedSeries(ref.LAURENT, [LP({(): 1}) * v for v in values])
 
 
 @st.composite
 def laurent_operands(draw, order):
     """The same polynomial series in both representations, with varied scales."""
-    kind = draw(st.sampled_from(("plain", "exp", "inverse", "scaled", "derivative")))
+    kind = draw(st.sampled_from(("plain", "exp", "inverse", "scaled")))
     if kind == "exp":
         alpha = draw(laurent_scalars)
         return exp_series(alpha, order), ref.exp_series(alpha, order, ref.LAURENT)
     # Scalar coefficients give integer numerators over a scale E > 1; the
     # reference takes them as constant polynomials.
-    size = order + 2 if kind == "derivative" else order + 1
+    size = order + 1
     values = draw(st.lists(st.one_of(polys, small_rationals), min_size=size, max_size=size))
     if kind == "inverse":
         values[0] = draw(st.one_of(single_terms, nonzero_small))
@@ -272,8 +263,6 @@ def laurent_operands(draw, order):
         c, alpha = draw(laurent_scalars), draw(small_rationals)
         new = new * c + exp_series(alpha, order)
         return new, old * c + ref.exp_series(alpha, order, ref.LAURENT)
-    if kind == "derivative":
-        return new.derivative(), old.derivative()
     return new, old
 
 
@@ -302,13 +291,6 @@ def test_laurent_operations_match_reference(pair, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 5).flatmap(laurent_operands))
-def test_laurent_derivative_matches_reference(pair):
-    a, a_ref = pair
-    assert_same_laurent_outcome(a.derivative, a_ref.derivative)
-
-
-@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 5).flatmap(laurent_operands), single_terms, polys)
 def test_laurent_inverse_matches_reference(pair, head, multi):
     a, a_ref = pair
@@ -325,7 +307,7 @@ def test_laurent_inverse_matches_reference(pair, head, multi):
             )
         elif new[0] == "ok":
             assert_same_laurent(new[1], old[1])
-            assert b * new[1] == TruncatedSeries.constant(1, a.order)
+            assert b * new[1] == exp_series(0, a.order)
         else:
             assert new == old
             assert len(c) > 1
@@ -349,10 +331,9 @@ def test_laurent_exp_series_matches_reference(alpha, order):
 )
 def test_gen_series_matches_reference(name, words, order):
     g = builtin_grammar(name)
-    p = sum((LP.term(c, exps) for exps, c in words), LP.zero())
+    p = LP([(tuple(exps.items()), c) for exps, c in words])
     new, old = gen_series(p, g, order), ref.gen_series(p, g, order)
     assert_same_laurent(new, old)
-    assert_same_laurent_outcome(new.derivative, old.derivative)
 
 
 def test_laurent_coefficients_are_polynomials():
@@ -363,9 +344,9 @@ def test_laurent_coefficients_are_polynomials():
     assert a.coeffs == (1, Fraction(-1, 2), x)
     assert [type(c) for c in a.coeffs] == [Fraction, Fraction, LP]
     assert [type(c) for c in a.egf_coefficients()] == [Fraction, Fraction, LP]
-    assert all(type(c) is LP for c in (a * LP.one()).coeffs + (a + x).coeffs)
+    assert all(type(c) is LP for c in (a * LP({(): 1})).coeffs + (a + x).coeffs)
     assert repr(a) == "TruncatedSeries([1, -1/2, x], order=2)"
-    assert TruncatedSeries.constant(3, 2).coeffs == (3, 0, 0)
+    assert (exp_series(0, 2) * 3).coeffs == (3, 0, 0)
     with pytest.raises(TypeError, match="float"):
         TruncatedSeries([x, 0.5])
 
@@ -380,7 +361,7 @@ def mixed_pairs(draw):
     a, a_ref = draw(operands(order))
     b, b_ref = draw(laurent_operands(order))
     # Times the polynomial 1, every numerator of b is a polynomial.
-    return (a, laurent_reference(a_ref.coeffs)), (b * LP.one(), b_ref)
+    return (a, laurent_reference(a_ref.coeffs)), (b * LP({(): 1}), b_ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -415,4 +396,4 @@ def test_mixed_reciprocals_match_reference(head, tail, data):
     values = [data.draw(head), *data.draw(st.lists(tail, min_size=order, max_size=order))]
     new, old = TruncatedSeries(values), laurent_reference(values)
     assert_same_laurent(new.inverse(), old.inverse())
-    assert new * new.inverse() == TruncatedSeries.constant(1, order)
+    assert new * new.inverse() == exp_series(0, order)

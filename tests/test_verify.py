@@ -126,11 +126,11 @@ def _single_swap_mutants(g: Grammar):
                 del exps[src]
                 exps[dst] = exps.get(dst, 0) + exp
                 rules = dict(g.rules)
-                rules[var] = LP.term(coeff, exps)
+                rules[var] = LP({tuple(exps.items()): coeff})
                 yield f"{var} -> {rules[var]}", Grammar(rules=rules, name=g.name)
         # and a coefficient mutation
         rules = dict(g.rules)
-        rules[var] = LP.term(2 * coeff, dict(mono))
+        rules[var] = LP({mono: 2 * coeff})
         yield f"{var} -> {rules[var]}", Grammar(rules=rules, name=g.name)
 
 
