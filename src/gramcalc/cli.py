@@ -245,9 +245,10 @@ def _rational(text: str, flag: str):
     from fractions import Fraction
 
     try:
-        if "e" in text.lower():  # 1e9999999 would build a huge integer
+        stray = set(text.strip()) - set("0123456789+-./")
+        if stray and stray <= {"e", "E"}:  # 1e9999999 would build a huge integer
             raise ValueError("exponent notation is not accepted")
-        if set(text.strip()) - set("0123456789+-./"):
+        if stray:
             raise ValueError("expected p, p/q or a plain decimal")
         value = Fraction(text)
         if max(abs(value.numerator), value.denominator) >= 10**MAX_POINT_DIGITS:

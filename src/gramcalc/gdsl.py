@@ -70,13 +70,14 @@ _KEYWORDS = ("vars", "inert", "rule", "start", "n")
 
 _TOO_MANY_VARIABLES = f"more than {MAX_VARIABLES} variables (gdsl.MAX_VARIABLES)"
 
-#: A token: its kind ("ident", "int", "arrow" or the symbol itself), its text
-#: and its column.  It is a plain tuple, as a 1 MiB line holds 800 000 tokens.
+#: A token: its kind ("ident", "int", "arrow", "end" or the symbol itself), its
+#: text and its column: a plain tuple, as a 1 MiB line holds 800 000 tokens.
 _Token = tuple[str, str, int]
 
 
 class _Line:
-    """A cursor over the tokens of one line."""
+    """A cursor over the tokens of one line, which end in an ``("end", "", column)``
+    token at the column just after the last one (1 on an empty line)."""
 
     def __init__(self, text: str, line_no: int):
         self.line_no = line_no
@@ -90,19 +91,19 @@ class _Line:
             if kind == "bad":
                 raise self.fail(f"unexpected character {token[0]!r}", column)
             self.tokens.append((token if kind == "sym" else kind, token, column))
+        _, text, column = self.tokens[-1] if self.tokens else ("", "", 1)
+        self.tokens.append(("end", "", column + len(text)))
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def accept(self, kind: str) -> _Token | None:
         """Consume and return the next token if it is of ``kind``."""
-        pos = self.pos
-        if pos < len(self.tokens):
-            token = self.tokens[pos]
-            next_kind, _, _ = token
-            if next_kind == kind:
-                self.pos = pos + 1
-                return token
+        token = self.tokens[self.pos]
+        next_kind, _, _ = token
+        if next_kind == kind:
+            self.pos += 1
+            return token
         return None
 
     def expect(self, kind: str) -> _Token:
@@ -123,13 +124,8 @@ class _Line:
     def fail(self, message: str, column: int | None = None) -> GrammarSyntaxError:
         """The rejection at ``column``, or else at the next token, which it names."""
         if column is None:
-            token = self.peek()
-            if token is not None:
-                _, text, column = token
-                message = f"{message}, found {text!r}"
-            else:
-                _, text, last = self.tokens[-1] if self.tokens else ("", "", 1)
-                message, column = message + " at end of line", last + len(text)
+            kind, text, column = self.peek()
+            message += " at end of line" if kind == "end" else f", found {text!r}"
         return GrammarSyntaxError(message, self.line_no, column)
 
 
@@ -178,7 +174,7 @@ def _parse_poly(
 ) -> tuple[LaurentPolynomial, int]:
     """A polynomial that runs to the end of the line, and ``spent`` plus the
     words of its common denominator once per term (see ``MAX_DENOMINATOR_WORDS``)."""
-    if line.peek() is None:
+    if line.peek()[0] == "end":
         raise line.fail("expected a polynomial")
     terms = []
     seen: set[str] = set()
@@ -196,7 +192,7 @@ def _parse_poly(
                 "counted once per term (gdsl.MAX_DENOMINATOR_WORDS)", column
             )
         terms.append((factors, -coeff if negative else coeff))
-        if line.peek() is None:
+        if line.peek()[0] == "end":
             return LaurentPolynomial(terms), words
         negative = line.accept("-") is not None
         if not negative and line.accept("+") is None:
@@ -219,9 +215,9 @@ def parse_grammar(text: str) -> Grammar:
     words = 0  # the denominator words of the polynomials so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _Line(raw, line_no)
-        if line.peek() is None:
-            continue
         kind, keyword, column = line.peek()
+        if kind == "end":
+            continue
         if kind != "ident" or keyword not in _KEYWORDS:
             raise line.fail("expected 'vars:', 'inert:', 'rule', 'start:' or 'n:'")
         line.expect("ident")
@@ -230,7 +226,7 @@ def parse_grammar(text: str) -> Grammar:
         if keyword in once:
             raise line.fail(f"duplicate '{keyword}:' line", column)
         if keyword in ("vars", "inert"):
-            while line.peek() is not None:
+            while line.peek()[0] != "end":
                 _, name, column = line.expect("ident")
                 if name in declared or name in inert:
                     raise line.fail(f"variable '{name}' declared twice", column)
@@ -254,10 +250,9 @@ def parse_grammar(text: str) -> Grammar:
             once[keyword], words = _parse_poly(line, declared.keys() | inert.keys(), words)
         else:
             once[keyword] = line.integer(line.expect("int"))
-        trailing = line.peek()
-        if trailing is not None:
-            _, text, column = trailing
-            raise line.fail(f"trailing input {text!r}", column)
+        kind, trailing, column = line.peek()
+        if kind != "end":
+            raise line.fail(f"trailing input {trailing!r}", column)
 
     for name, line_no in declared.items():
         if name not in rule_for:

@@ -57,8 +57,9 @@ class Grammar(_GrammarFields):
         default_n: int | None = None,
     ):
         rules = dict(rules)
-        for var in rules:
+        for var in (*rules, *inert):
             check_variable_name(var)
+        inert = frozenset(inert)
         overlap = inert & rules.keys()
         if overlap:
             raise ValueError(f"variables {sorted(overlap)} are both ruled and inert")

@@ -9,10 +9,12 @@ integers, possibly negative.  Inside, a polynomial is three fields:
   numerator,
 * one common positive denominator.
 
-Values are immutable and kept in canonical form: no stored numerator is
-zero, every listed variable has a nonzero exponent in some term, and the
-numerators and the denominator are coprime.  Equality is therefore plain
-field equality.  Operations on polynomials over different variables first
+Values are immutable and kept in canonical form: no stored numerator is zero,
+every listed variable has a nonzero exponent in some term, and the numerators
+and the denominator are coprime.  Equality is therefore plain field equality.
+``_reduce`` is the one canonicalizer: every constructor and operation hands it
+raw sums, and only it drops zero numerators, divides by the gcd and drops
+unused variables.  Operations on polynomials over different variables first
 re-embed both into the union of their variables; products, powers, sums,
 evaluation and renaming run in integer arithmetic.  ``dot`` sums many
 products into one dict, and it is the one place where two terms are
@@ -97,8 +99,7 @@ class LaurentPolynomial:
             for name, exp in mono:
                 exps[name] = exps.get(name, 0) + index(exp)
             names.update(exps)
-            if coeff:
-                collected.append((exps, coeff))
+            collected.append((exps, coeff))
         for name in names:
             check_variable_name(name)
         variables = tuple(sorted(names))
@@ -106,7 +107,6 @@ class LaurentPolynomial:
         for exps, c in collected:
             key = tuple([exps.get(name, 0) for name in variables])
             sums[key] = sums[key] + c if key in sums else c
-        sums = {k: c for k, c in sums.items() if c}
         # Each sum is in lowest terms, so every prime of their lcm leaves some
         # numerator over it: ``_reduce``, given 1, skips the gcd chain over the
         # terms, which costs time cubic in the count of distinct denominators.
@@ -152,7 +152,7 @@ class LaurentPolynomial:
         if ordered != variables:
             embed = _embedder(variables, ordered)
             numerators = {embed(k): c for k, c in numerators.items()}
-        return _make(ordered, {k: c for k, c in numerators.items() if c}, denominator)
+        return _make(ordered, numerators, denominator)
 
     # -- inspection --------------------------------------------------------
 
@@ -198,8 +198,6 @@ class LaurentPolynomial:
 
     def __mul__(self, other: object) -> "LaurentPolynomial":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return _ZERO
             p, q = other.numerator, other.denominator
             return _make(self._vars, {k: c * p for k, c in self._num.items()}, self._den * q)
         if not isinstance(other, LaurentPolynomial):
@@ -288,7 +286,7 @@ class LaurentPolynomial:
         for key, c in self._num.items():
             k = tuple([sum([key[i] for i in group]) for group in groups])
             num[k] = num.get(k, 0) + c
-        return _make(renamed, {k: c for k, c in num.items() if c}, self._den)
+        return _make(renamed, num, self._den)
 
     # -- ordering, display, serialization ------------------------------------
 
@@ -337,9 +335,7 @@ def dot(
     xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial]
 ) -> LaurentPolynomial:
     """``sum(x * y for x, y in zip(xs, ys))``, accumulated as integers in one dict."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if x._num and y._num]
-    if not pairs:
-        return _ZERO
+    pairs = list(zip(xs, ys))
     names = _union([p for pair in pairs for p in pair])
     den = lcm(*(x._den * y._den for x, y in pairs))
     num: dict[Exponents, int] = {}
@@ -352,7 +348,7 @@ def dot(
             for kb, cb in b:
                 k = tuple(map(add, ka, kb))
                 num[k] = get(k, 0) + ca * cb
-    return _make(names, {k: c for k, c in num.items() if c}, den)
+    return _make(names, num, den)
 
 
 def derivatives(
@@ -382,7 +378,7 @@ def derivatives(
     work = 0
     # Every operand of a step's ``dot`` is held over ``names``, unreduced, so
     # that ``dot`` embeds none of them; only its result is kept.
-    ruled = [i for i, v in enumerate(names) if v in rules and rules[v]._num]
+    ruled = [i for i, v in enumerate(names) if v in rules]
     images = [rules[names[i]] * LaurentPolynomial.variable(names[i]) ** -1 for i in ruled]
     images = [_raw(names, _embed(image, names), image._den) for image in images]
     for order in count(1):
@@ -410,10 +406,7 @@ def _bits(*numbers: Iterable[int]) -> int:
 
 
 def _union(polys: Iterable[LaurentPolynomial]) -> tuple[str, ...]:
-    names = {p._vars for p in polys}
-    if len(names) == 1:
-        return names.pop()
-    return tuple(sorted(set().union(*names)))
+    return tuple(sorted(set().union(*[p._vars for p in polys])))
 
 
 def _embed(p: LaurentPolynomial, names: tuple[str, ...]) -> dict[Exponents, int]:
@@ -434,8 +427,8 @@ def _embedder(src: tuple[str, ...], dst: tuple[str, ...]):
     return lambda key: pick(key + (0,))
 
 
-def _make(names: tuple[str, ...], num: dict[Exponents, int], den: int) -> LaurentPolynomial:
-    # Internal constructor: ``names`` sorted, numerators nonzero, ``den`` > 0.
+def _make(names: tuple[str, ...], num: Mapping[Exponents, int], den: int) -> LaurentPolynomial:
+    # Internal constructor: ``names`` sorted, ``den`` > 0, any numerators.
     return _raw(*_reduce(names, num, den))
 
 
@@ -446,20 +439,19 @@ def _raw(names: tuple[str, ...], num: dict[Exponents, int], den: int) -> Laurent
     return poly
 
 
-def _reduce(names: tuple[str, ...], num: dict[Exponents, int], den: int) -> tuple:
-    # Reduce to lowest terms and drop the variables that no longer occur.
-    if not num:
-        names, den = (), 1
-    elif den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {k: c // g for k, c in num.items()}
-            den //= g
-    if names:
-        used = [i for i, column in enumerate(zip(*num)) if any(column)]
-        if len(used) < len(names):
-            names = tuple([names[i] for i in used])
-            num = {tuple([k[i] for i in used]): c for k, c in num.items()}
+def _reduce(names: tuple[str, ...], num: Mapping[Exponents, int], den: int) -> tuple:
+    # The one canonicalizer: drop the zero numerators, divide the rest and
+    # ``den`` by their gcd (so 0 is over 1) and drop the variables that no
+    # longer occur.  It always builds a new dict, so no caller's is kept.
+    num = {k: c for k, c in num.items() if c}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
+    used = [i for i, column in enumerate(zip(*num)) if any(column)]
+    if len(used) < len(names):
+        names = tuple([names[i] for i in used])
+        num = {tuple([k[i] for i in used]): c for k, c in num.items()}
     return names, num, den
 
 
@@ -467,9 +459,8 @@ def _coerce(value: object):
     if isinstance(value, LaurentPolynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return _make((), {(): value.numerator}, value.denominator) if value else _ZERO
+        return _make((), {(): value.numerator}, value.denominator)
     return NotImplemented
 
 
-_ZERO = _make((), {}, 1)
 _ONE = _make((), {(): 1}, 1)

@@ -492,6 +492,9 @@ def test_series_accepts_plain_decimals(capsys):
         ("x=3 / 4", "1/2", "'3 / 4' in --point"),
         ("x=\u0663/4", "1/2", "'\u0663/4' in --point"),
         ("x=3/4", "1_0/2_0", "'1_0/2_0' in --root"),
+        # A word with an 'e' in it was once called exponent notation.
+        ("x=3/4", "one", "'one' in --root"),
+        ("x=hello", "1/2", "'hello' in --point"),
     ],
 )
 def test_series_reads_only_ascii_rationals(capsys, point, root, bad):

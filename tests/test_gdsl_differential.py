@@ -124,6 +124,7 @@ def assert_same(new, old):
 @example("x + é", None)
 @example("x y ^ @ z", None)
 @example("x +\n y # up to the newline\n - 2*z\n", {"x", "y", "z"})
+@example("x +  # trailing", None)
 def test_poly_matches_reference(text, allowed):
     assert_same(outcome(gdsl.parse_poly, text), outcome(ref.parse_poly, text))
     assert_same(
@@ -144,5 +145,6 @@ def test_poly_matches_reference(text, allowed):
 @example("vars:\tx\ty\nrule x\t->\tx*y\nrule y -> x\t\n")
 @example("vars: x ñ\nrule x -> x\n")
 @example("vars: x\nrule x -> x x @\n")
+@example("vars: x\nrule x ->   # no image\n")
 def test_document_matches_reference(text):
     assert_same(outcome(gdsl.parse_grammar, text), outcome(reference_grammar, text))

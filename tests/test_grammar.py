@@ -156,6 +156,15 @@ def test_grammar_validation():
         Grammar({"1x": X})
 
 
+def test_inert_names_are_checked_and_frozen():
+    # Inert names once skipped the name check, and the set or list given was kept.
+    with pytest.raises(ValueError, match="invalid variable name '1 bad'"):
+        Grammar({"x": X}, inert={"1 bad"})
+    inert = Grammar({"x": X}, inert={"t"}).inert
+    assert type(inert) is frozenset and inert == {"t"}
+    assert Grammar({"x": X}, inert=["t", "t"]).inert == frozenset({"t"})
+
+
 def test_unruled_variables_are_constants():
     s = LP.variable("s")
     g = Grammar(rules={"x": X * LP.variable("s")}, inert=frozenset({"s"}))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gramcalc.cli import main
 from gramcalc.grammar import builtin_grammar
 from gramcalc.laurent import LaurentPolynomial as LP
-from gramcalc.laurent import _bits, derivatives
+from gramcalc.laurent import _bits, derivatives, dot
 from gramcalc.gdsl import parse_poly
 
 
@@ -51,6 +51,12 @@ def test_zero_and_one():
     assert LP({(): 1}) == 1
     assert len(LP({(): 1})) == 1
     assert LP({(("x", 2),): 0}) == 0
+    # Zero scalars, zero numerators and zero operands give their values with
+    # only the variables that occur.
+    for zero in (X * 0, 0 * X, X * Fraction(0), dot([X, LP()], [LP(), Y])):
+        assert zero == LP() and zero.variables() == frozenset()
+    dense = LP.from_dense("xy", {(1, 0): 0, (0, 1): 2})
+    assert dense == 2 * Y and dense.variables() == {"y"}
 
 
 def test_additive_inverse_cancels():
