@@ -56,6 +56,8 @@ class Grammar(_GrammarFields):
         start: LaurentPolynomial | None = None,
         default_n: int | None = None,
     ):
+        if isinstance(inert, str):
+            raise TypeError(f"inert must be a collection of names, not the str {inert!r}")
         rules = dict(rules)
         for var in (*rules, *inert):
             check_variable_name(var)

@@ -13,10 +13,11 @@ Each operation has one algorithm.  ``exp(p/q * t)`` is ``b[n] = p^n`` with
 ``Q = q``; sums rescale both operands to the lcm of their scales, and a
 scalar ``c`` joins a sum as ``exp_series(0, order) * c``; a product is the
 binomial convolution ``sum C(n,k) a[k] b[n-k]``, one ``sum(map(mul, ...))``
-per coefficient; and a reciprocal runs Knuth's recurrence on the numerators.
-Only the reciprocal's last step reads its constant term ``b[0]``: an ``int``
-folds ``|b[0]|`` into ``E`` and ``Q``, and a polynomial multiplies by powers
-of ``b[0]**-1``, so it must be a single term.
+per coefficient; and a quotient ``a / b`` runs Knuth's reciprocal recurrence
+on the numerators once, with those of ``a`` on its right-hand side, so a
+reciprocal is ``1 / s``.  Only the last step reads the divisor's constant term
+``b[0]``: an ``int`` folds ``|b[0]|`` into ``E`` and ``Q``, and a polynomial
+multiplies by powers of ``b[0]**-1``, so it must be a single term.
 
 Nothing is reduced until the coefficients are read, and they are reduced
 again on each read: ``coeffs``, ``egf_coefficients()``, ``==`` and ``repr``
@@ -32,15 +33,15 @@ the polynomials ``D^n(p)``, with ``E = Q = 1``.  The named closed forms in
 ``closed_form`` produce the same kind of data as exact rational series,
 evaluated at a point where every square root in the formula is itself
 rational (an "admissible" point, supplied together with that root).  A point
-assigns exactly the variables its form reads.  Closed forms are assembled
-purely from exponentials of linear terms, sums, products and series
-inversion.
+assigns exactly the variables its form reads.  Each closed form builds a
+numerator and a denominator from exponentials of linear terms, sums and
+products, and divides once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from math import factorial, lcm
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -50,9 +51,9 @@ from .grammar import Grammar, iter_derive
 from .laurent import LaurentPolynomial, exact_scalar
 
 #: The largest order ``closed_form`` expands to; the work grows faster than
-#: cubically in the order.  At order 300 the slowest forms (``gen_z``,
-#: ``carlitz_F``, ``elizalde_noy_U``) take about 0.2 s each on a 2-vCPU
-#: shared VM with Python 3.11.
+#: cubically in the order.  At order 300 and 10-digit point values the slowest
+#: forms (``gen_z``, ``gen_y``, ``carlitz_F``, ``elizalde_noy_U``) take 1.8-2.2 s
+#: each (medians, as CLI children) on a 2-vCPU shared VM with Python 3.11.
 MAX_ORDER = 300
 
 
@@ -169,27 +170,32 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "TruncatedSeries":
-        """The reciprocal series; the constant term must be invertible."""
-        # With beta = b[0] and h = 1 / beta, the EGF numerators of
-        # 1 / sum(b[n] u^n / n!) are gamma[n] * h^(n+1), where gamma[0] = 1 and
-        # gamma[n] = -sum_{k>=1} C(n,k) * b[k] * beta^(k-1) * gamma[n-k].  An
-        # integer beta's |beta| folds into the scales, leaving h its sign; a
-        # polynomial beta must be one term, or beta**-1 raises ValueError.
-        beta = self._nums[0]
+    def __truediv__(self, other):
+        """The quotient series; the divisor's constant term must be invertible."""
+        # Over a common Q, with numerators a and d, beta = d[0] and h = 1 / beta,
+        # the quotient's numerators are E_d * f[n] * h^(n+1), where f[n] = a[n] *
+        # beta^n - sum_{k>=1} C(n,k) * d[k] * beta^(k-1) * f[n-k].  An integer
+        # beta folds m = |beta| into the scales and leaves h its sign.
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._match(other)
+        q = lcm(self._q, other._q)
+        a, d = self._rescaled(self._e, q), other._rescaled(other._e, q)
+        beta = d[0]
         if beta == 0:
             raise ValueError("series constant term vanishes; reciprocal does not exist")
-        if isinstance(beta, int):
-            h, e, q = (1 if beta > 0 else -1), abs(beta), self._q * abs(beta)
-        else:
-            h, e, q = beta ** -1, 1, self._q
-        powers = accumulate(repeat(beta, self.order - 1), mul, initial=1)
-        scaled = list(map(mul, self._nums[1:], powers))
-        gamma = [1]
-        for row in islice(_pascal_rows(self.order), 1, None):
-            gamma.append(-sum(map(mul, map(mul, row[1:], scaled), reversed(gamma))))
-        heads = accumulate(repeat(h, self.order), mul, initial=h * self._e)
-        return TruncatedSeries._of(list(map(mul, gamma, heads)), e, q)
+        h, m = (1 if beta > 0 else -1, abs(beta)) if isinstance(beta, int) else (beta ** -1, 1)
+        powers = list(accumulate(repeat(beta, self.order), mul, initial=1))
+        scaled = list(map(mul, d[1:], powers))
+        f = []
+        for row, a_n, power in zip(_pascal_rows(self.order), a, powers):
+            f.append(a_n * power - sum(map(mul, map(mul, row[1:], scaled), reversed(f))))
+        heads = accumulate(repeat(h, self.order), mul, initial=h * other._e)
+        return TruncatedSeries._of(list(map(mul, f, heads)), self._e * m, q * m)
+
+    def inverse(self) -> "TruncatedSeries":
+        """The reciprocal series ``1 / self``; the constant term must be invertible."""
+        return exp_series(0, self.order) / self
 
     def egf_coefficients(self) -> list:
         """The underlying EGF data: n! times the n-th coefficient."""
@@ -263,15 +269,6 @@ class EvalPoint(_EvalPointFields):
         return s
 
 
-def _invert_denominator(denom: TruncatedSeries) -> TruncatedSeries:
-    try:
-        return denom.inverse()
-    except ValueError:
-        raise InadmissiblePointError(
-            "denominator constant term vanishes at this point"
-        ) from None
-
-
 #: The variables each closed form's point assigns, no more and no fewer.
 _POINT_VARIABLES = {
     "gen_z": ("x", "y", "z", "w"),
@@ -321,29 +318,29 @@ def closed_form(
     if which in ("gen_z", "gen_y", "carlitz_F"):
         x, y = point.value("x"), point.value("y")
         z, w = point.value("z"), point.value("w")
-        delta = (w + y) ** 2 - 4 * x * z
-        s = point.root_for(delta, "(w+y)^2 - 4xz")
+        s = point.root_for((w + y) ** 2 - 4 * x * z, "(w+y)^2 - 4xz")
         if which == "carlitz_F":
-            u = (y + w + s) / 2
-            v = (y + w - s) / 2
-            exp_u = exp_series(u, order)
-            exp_v = exp_series(v, order)
-            return (exp_v - exp_u) * _invert_denominator(exp_u * v - exp_v * u)
-        exp_s = exp_series(s, order)
-        inv = _invert_denominator((w + y + s) - exp_s * (w + y - s))
-        if which == "gen_z":
-            return exp_series((w - y + s) / 2, order) * inv * (2 * z * s)
-        return (exp_s - 1) * (2 * x * z) * inv + y
-
-    if which == "gessel_T":
+            u, v = (y + w + s) / 2, (y + w - s) / 2
+            exp_u, exp_v = exp_series(u, order), exp_series(v, order)
+            num, denom = exp_v - exp_u, exp_u * v - exp_v * u
+        else:
+            exp_s = exp_series(s, order)
+            denom = (w + y + s) - exp_s * (w + y - s)
+            if which == "gen_z":
+                num = exp_series((w - y + s) / 2, order) * (2 * z * s)
+            else:
+                num = (exp_s - 1) * (2 * x * z) + denom * y
+    elif which == "gessel_T":
         x = point.value("x")
         r = point.root_for(1 - x, "1 - x")
+        num = exp_series(0, order) * (2 * r)
         denom = exp_series(r, order) * (r - 1) + exp_series(-r, order) * (r + 1)
-        return _invert_denominator(denom) * (2 * r)
-
-    # elizalde_noy_U
-    y = point.value("y")
-    q = point.root_for((y - 1) * (y + 3), "(y-1)(y+3)")
-    num = exp_series((1 - y + q) / 2, order) * (2 * q)
-    denom = (1 + y + q) - exp_series(q, order) * (1 + y - q)
-    return num * _invert_denominator(denom)
+    else:  # elizalde_noy_U
+        y = point.value("y")
+        q = point.root_for((y - 1) * (y + 3), "(y-1)(y+3)")
+        num = exp_series((1 - y + q) / 2, order) * (2 * q)
+        denom = (1 + y + q) - exp_series(q, order) * (1 + y - q)
+    try:
+        return num / denom
+    except ValueError:
+        raise InadmissiblePointError("denominator constant term vanishes at this point") from None

@@ -74,6 +74,25 @@ for _which, _point in _FORM_POINTS.items():
     REQUESTS[f"series_{_which}_150_text"] = _argv
     REQUESTS[f"series_{_which}_150_egf_json"] = (*_argv, "--egf", "--format", "json")
 
+# Every closed form at the largest point values a request may give (10-digit
+# parts, ``cli.MAX_POINT_DIGITS``), where the numbers of the series division
+# are largest; pinned before the reciprocal-then-product became one quotient.
+_WIDE_GRAMMAR_POINT = (
+    "--point=x=438271605/2,y=2999999990/3,z=1123456788,w=7/3", "--root=123456789",
+)
+_WIDE_POINTS = {
+    "gen_z": _WIDE_GRAMMAR_POINT,
+    "gen_y": _WIDE_GRAMMAR_POINT,
+    "carlitz_F": _WIDE_GRAMMAR_POINT,
+    "gessel_T": ("--point=x=9845801056/9998200081", "--root=12345/99991"),
+    "elizalde_noy_U": ("--point=y=298440499/243754474", "--root=237298155/243754474"),
+    "no_pdd_U0": (),
+}
+for _which, _point in _WIDE_POINTS.items():
+    _argv = ("series", "--which", _which, *_point, "--order", "40")
+    REQUESTS[f"series_{_which}_40_wide_text"] = _argv
+    REQUESTS[f"series_{_which}_40_wide_egf_json"] = (*_argv, "--egf", "--format", "json")
+
 # Every table kind and every marginal triangle (with the kind it reads) at
 # n = 6, in each output format.
 _TABLES = {
@@ -119,6 +138,18 @@ DIGESTS = {
     "series_elizalde_noy_U_150_egf_json": "7a5ee7ef5b77e1622a14a75318b6938b52a2dc2d47cc3c55797d5a9496de0c0d",
     "series_no_pdd_U0_150_text": "55de3d2a76fcc5a20502ef05b7f757fab10db32769f30bb33280ce1918953ec7",
     "series_no_pdd_U0_150_egf_json": "087cb05fc9f4b377a9997a46888b2cfc7cfc70bcc6edb284c5d450cdd06c52c1",
+    "series_gen_z_40_wide_text": "18d7594356a35e5c8c5190084e2dcf07b72761fdf64f707351ae4077131ea462",
+    "series_gen_z_40_wide_egf_json": "15f059f95a1e29c2cb1c4042609d8500fac79837e497eefc2c5a6bb991b5f517",
+    "series_gen_y_40_wide_text": "6f8bff69a17a83514e0be830c0024d274acdd5c5d73e2110aa388a0c38994852",
+    "series_gen_y_40_wide_egf_json": "757180b6d9ad3804a77c0e0b67d1684a60a80db531c5b28c6fd3c493300719f2",
+    "series_carlitz_F_40_wide_text": "96d5f85d6b919f9539837777a345c524668e35bcde8d44070eda4acac844215c",
+    "series_carlitz_F_40_wide_egf_json": "789f43ab7a9888d44e8203caab6f603e2678edfd53a27fbeb9794421ae12a97b",
+    "series_gessel_T_40_wide_text": "914e6a34769382dae0ece6e9129b120ab01c67b582af13c8a45d96a00ad1fcd0",
+    "series_gessel_T_40_wide_egf_json": "9cf41f3d18d9aafecfea8823bdb241b09d54bd6bda3a569600864e0b9b7342e5",
+    "series_elizalde_noy_U_40_wide_text": "9ac797960ac3b19945eb2f414409db0e6ff8c8d8abd3bdbd1453da6337491abc",
+    "series_elizalde_noy_U_40_wide_egf_json": "eb14c893a0b8f0c0340af53dcb57621d0544247b4ce5801e2fbe475dd14d858e",
+    "series_no_pdd_U0_40_wide_text": "ec2db7a1e4c0d54e120d4c7c2ae4ed18ef8175a35e91465f43c5c73fda084a99",
+    "series_no_pdd_U0_40_wide_egf_json": "fbf919de8df2f6c0e7e55aed940ebc6ae81cd884c0c455fb31eacc67bdeb1d9d",
     "table_exterior_pdd_text": "9e805b16daee2e53f65c2b8ba6aca26532e504775fb8c34e4cb8c28786785d93",
     "table_exterior_pdd_csv": "e2c24874801033d9a258364c755224e98632a696415335b0322314d27dbf8775",
     "table_exterior_pdd_json": "b9072e2b397a1c0e6dd6516ed855d3ffd8502c46b94df517bff36074aa56a1ea",

@@ -165,6 +165,14 @@ def test_inert_names_are_checked_and_frozen():
     assert Grammar({"x": X}, inert=["t", "t"]).inert == frozenset({"t"})
 
 
+def test_inert_string_is_refused_not_split_into_letters():
+    # A str was read as its letters: inert="tu" declared the two constants t and u.
+    t, u = LP.variable("t"), LP.variable("u")
+    with pytest.raises(TypeError, match="inert must be a collection of names, not the str 'tu'"):
+        Grammar({"x": X * t * u}, inert="tu")
+    assert Grammar({"x": X * LP.variable("tu")}, inert=("tu",)).inert == {"tu"}
+
+
 def test_unruled_variables_are_constants():
     s = LP.variable("s")
     g = Grammar(rules={"x": X * LP.variable("s")}, inert=frozenset({"s"}))

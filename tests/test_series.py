@@ -61,6 +61,19 @@ def test_inverse_requires_invertible_constant():
         TruncatedSeries([X + Y, X]).inverse()
 
 
+def test_division_is_one_quotient():
+    a, b = rational_series(3, -1, 4, 1, 5), rational_series(-2, 5, -7, 1, 3)
+    assert (a / b) * b == a
+    assert a / a == exp_series(0, 4)
+    with pytest.raises(ValueError, match="constant term"):
+        a / rational_series(0, 1, order=4)
+    with pytest.raises(ValueError, match="orders differ"):
+        a / rational_series(1, 2)
+    # The divisor is a series; a scalar multiplies by its reciprocal.
+    with pytest.raises(TypeError, match="unsupported operand"):
+        a / 2
+
+
 
 @pytest.mark.parametrize(
     "make",

@@ -98,6 +98,7 @@ def test_series_operations_match_reference(pair):
     assert_same(a * b, a_ref * b_ref)
     assert_same_outcome(a.inverse, a_ref.inverse)
     assert_same_outcome(lambda: a * b.inverse(), lambda: a_ref * b_ref.inverse())
+    assert_same_outcome(lambda: a / b, lambda: a_ref * b_ref.inverse())
     assert (a == b) == (a_ref == b_ref)
 
 
@@ -298,18 +299,24 @@ def test_laurent_inverse_matches_reference(pair, head, multi):
         # Replace the constant term; a multi-term or zero one has no reciprocal.
         b, b_ref = a + (c - a.coeffs[0]), a_ref + (c - a_ref.coeffs[0])
         new, old = outcome(b.inverse), outcome(b_ref.inverse)
-        assert new[0] == old[0]
+        # The quotient, against the reciprocal-then-product it replaces.
+        quotient = outcome(lambda: a / b)
+        old_quotient = outcome(lambda: a_ref * b_ref.inverse())
+        assert new[0] == old[0] == quotient[0] == old_quotient[0]
         if c == 0:
             assert new == ("ValueError", "series constant term vanishes; reciprocal does not exist")
             assert old == (
                 "ValueError",
                 "negative power of a polynomial with 0 terms (only single terms are invertible)",
             )
+            assert quotient == new and old_quotient == old
         elif new[0] == "ok":
             assert_same_laurent(new[1], old[1])
             assert b * new[1] == exp_series(0, a.order)
+            assert_same_laurent(quotient[1], old_quotient[1])
+            assert quotient[1] * b == a
         else:
-            assert new == old
+            assert new == old == quotient == old_quotient
             assert len(c) > 1
 
 
