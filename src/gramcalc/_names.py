@@ -23,16 +23,18 @@ MAX_N = 25
 #: product multiplies by (the steps grow an exponent by a few bits at
 #: most).  Numbers under 64 bits add nothing.  A 4300-digit ``m`` makes
 #: that about 8 units per word of ``c``; with rule images of 4300-digit
-#: coefficients, the costliest shape found, a product took 850 ns (8.5
-#: units at 100 ns) per word of ``c``.  At this limit the slowest request
-#: found took about 3 s (2-vCPU VM, Python 3.11), whatever the number of
-#: variables; the builtins use under 1 % of it.  The gcds that reduce a step
-#: took 1.3 ns per term and squared word of its denominator, and one gcd of
-#: two numbers of 500 to 4000 words 4.4 to 5.4 ns per squared word (Python
-#: 3.10 to 3.13), so a product adds ``d * d / 18`` units (5.6 ns at 100 ns a
-#: unit), ``d`` the words of the last derivative's denominator times the
-#: images': a start word with 20 distinct 4300-digit denominators is refused
-#: under ``paper_G`` before its first step, which took 0.6 s.
+#: coefficients, the costliest shape found, a product took 710 to 780 ns
+#: (about 7.5 units at 100 ns) per word of ``c``: timed on ``rule x ->
+#: (N+1)/N*x`` with N = 10^4299, whose 25 steps from ``x`` take 1.0 s.  At
+#: this limit the slowest request found took about 3 s (2-vCPU VM, Python
+#: 3.11), whatever the number of variables; the builtins use under 1 % of
+#: it.  The gcds that reduce a step took 1.3 ns per term and squared word of
+#: its denominator, and one gcd of two numbers of 500 to 4000 words 4.4 to
+#: 5.4 ns per squared word (Python 3.10 to 3.13), so a product adds
+#: ``d * d / 18`` units (5.6 ns at 100 ns a unit), ``d`` the words of the
+#: last derivative's denominator times the images': a start word with 20
+#: distinct 4300-digit denominators is refused under ``paper_G`` before its
+#: first step, which took 0.45 s.
 MAX_DERIVE_WORK = 30_000_000
 
 #: The most variables a ``.gram`` document declares or a polynomial written

@@ -9,10 +9,11 @@ any variable with no rule at all, behave as constants (``D(v) = 0``).
 This module holds the grammar's semantics: the one grammar record, which a
 builtin and a parsed ``.gram`` document both are, the builtin grammars, and
 the order bound ``MAX_N``.  The product-rule step itself is ring arithmetic:
-``laurent.derivatives`` takes each step as one ``laurent.dot`` of the images
-``D(v) / v`` with the copies of the last derivative weighted by ``v d/dv``,
-and charges it against ``MAX_DERIVE_WORK`` before it runs.  Every caller
-takes its steps from ``iter_derive``, which refuses an order past ``MAX_N``.
+``laurent.derivatives`` builds the images ``D(v) / v`` once, takes each step
+as one loop that sums every term's products with the images of its ruled
+variables, weighted by ``v d/dv``, into one dict, and charges the step
+against ``MAX_DERIVE_WORK`` before it runs.  Every caller takes its steps
+from ``iter_derive``, which refuses an order past ``MAX_N``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Every check computes its two sides through disjoint code paths (symbolic
 derivative vs. permutation statistic tables vs. closed-form series), reports the
 smallest failing index, and is deterministic.  Every check takes its
 derivatives as ``Derivatives``, which derive each order when it is first read;
-``run_checks`` shares D^n(z) and D^n(y), so it derives each word once.
+``run_checks`` shares D^n(z) and D^n(y), so it derives each word once.  It
+shares the statistics oracle too: one store per run builds each table
+polynomial and each triangle once (see ``oracle_store``), and a check called
+without one builds its own.
 
 Each check is one stream of ``(label, got, expected)`` comparisons, yielded
 lazily and in order.  The first difference wins: the check fails with
@@ -19,7 +22,7 @@ from itertools import islice
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
-from ._names import CHECK_IDS, MAX_N
+from ._names import CHECK_IDS, MAX_N, TRIANGLES
 from .grammar import Grammar, builtin_grammar, iter_derive
 from .laurent import LaurentPolynomial, dot
 from .permstat import (
@@ -87,6 +90,23 @@ class _Lazy(dict):
         return self[n]
 
 
+def oracle_store() -> _Lazy:
+    """The statistics oracle of one run: ``store[n, kind]`` is
+    ``table_to_poly(stat_table(n, kind))`` and ``store[n, which]`` is
+    ``triangle_poly(n, which)``, each built when first read and kept.
+
+    The functions are looked up in this module when an entry is built, and
+    nothing outlives the store, so a run sees the functions it runs with.
+    """
+    def build(key):
+        n, name = key
+        if name in TRIANGLES:
+            return triangle_poly(n, name)
+        return table_to_poly(stat_table(n, name))
+
+    return _Lazy(build)
+
+
 class Derivatives(list):
     """``self[n]`` is ``D^n(word)`` under ``grammar``, derived when first read.
 
@@ -126,37 +146,41 @@ ELIZALDE_NOY_POINT = EvalPoint({"y": Fraction(13, 4)}, Fraction(15, 4))
 SHIPPED_POINTS = GRAMMAR_POINTS + (GESSEL_POINT, ELIZALDE_NOY_POINT)
 
 
-def check_joint_ep_pdd(max_n: int, dz) -> CheckReport:
+def check_joint_ep_pdd(max_n: int, dz, oracle: _Lazy | None = None) -> CheckReport:
     """D^n(z) equals the counted (exterior peak, proper double descent) polynomial."""
+    oracle = oracle_store() if oracle is None else oracle
     return _report("joint_ep_pdd", max_n, (
-        (f"n={n}", dz[n], table_to_poly(stat_table(n, KIND_EXTERIOR_PDD)))
-        for n in range(max_n + 1)
+        (f"n={n}", dz[n], oracle[n, KIND_EXTERIOR_PDD]) for n in range(max_n + 1)
     ))
 
 
-def check_peak_dd(max_n: int, dy) -> CheckReport:
+def check_peak_dd(max_n: int, dy, oracle: _Lazy | None = None) -> CheckReport:
     """D^n(y) equals the counted (peak, double descent) polynomial.
 
     It also equals x*z times the counted carlitz_quadruple polynomial.
     """
+    oracle = oracle_store() if oracle is None else oracle
+
     def cases():
+        xz = _X * _Z
         for n in range(1, max_n + 1):
-            yield f"n={n}", dy[n], table_to_poly(stat_table(n, KIND_PEAK_DD))
-            carlitz = table_to_poly(stat_table(n, KIND_CARLITZ))
-            yield f"n={n}, x*z*carlitz_quadruple", dy[n], _X * _Z * carlitz
+            yield f"n={n}", dy[n], oracle[n, KIND_PEAK_DD]
+            yield f"n={n}, x*z*carlitz_quadruple", dy[n], xz * oracle[n, KIND_CARLITZ]
 
     return _report("peak_dd", max_n, cases())
 
 
-def check_recurrence(max_n: int, dz, dy) -> CheckReport:
+def check_recurrence(max_n: int, dz, dy, oracle: _Lazy | None = None) -> CheckReport:
     """The convolution recurrence, symbolically and on the four marginal triangles.
 
     Checks P(n+1) = w P(n) + sum_k C(n,k) P(k) Q(n-k) with Q taken both from
     the derivative engine (self-consistency) and from the statistic tables (cross
     check), then the same shape for the T/R and U/W marginals.
     """
-    q_oracle = _Lazy(lambda m: table_to_poly(stat_table(m, KIND_PEAK_DD)))
-    t, r, u, w = (_Lazy(lambda m, which=which: triangle_poly(m, which)) for which in "TRUW")
+    oracle = oracle_store() if oracle is None else oracle
+    q_oracle, t, r, u, w = (
+        _Lazy(lambda m, name=name: oracle[m, name]) for name in (KIND_PEAK_DD, *"TRUW")
+    )
 
     def cases():
         for n in range(max_n + 1):
@@ -207,7 +231,7 @@ def check_invariants(grammar: Grammar | None = None) -> CheckReport:
     return _report("invariants", 12, cases())
 
 
-def _check_point_forms(pt: EvalPoint, order: int, dz, dy, carlitz_items):
+def _check_point_forms(pt: EvalPoint, order: int, dz, dy, oracle):
     a = dict(pt.assignment)
     tag = "point (" + ", ".join(f"{k}={a[k]}" for k in sorted(a)) + ")"
     if {"x", "y", "z", "w"} <= set(a):
@@ -220,20 +244,21 @@ def _check_point_forms(pt: EvalPoint, order: int, dz, dy, carlitz_items):
         f_series = closed_form("carlitz_F", pt, order)
         egf_f = f_series.egf_coefficients()
         for n in range(order + 1):
-            yield f"{tag}, carlitz_F, n={n}", egf_f[n], carlitz_items[n].eval(a)
+            carlitz = oracle[n, KIND_CARLITZ].eval(a) if n else 0  # F_0 = 0
+            yield f"{tag}, carlitz_F, n={n}", egf_f[n], carlitz
         recombined = f_series * (a["x"] * a["z"]) + a["y"]
         yield _Bare(f"{tag}: gen_y differs from y + xz * carlitz_F"), recombined, gen_y
     elif set(a) in ({"x"}, {"y"}):
         form, which = ("gessel_T", "T") if "x" in a else ("elizalde_noy_U", "U")
         egf = closed_form(form, pt, order).egf_coefficients()
         for n in range(order + 1):
-            yield f"{tag}, {form}, n={n}", egf[n], triangle_poly(n, which).eval(a)
+            yield f"{tag}, {form}, n={n}", egf[n], oracle[n, which].eval(a)
     else:
         raise InadmissiblePointError(f"{tag}: no closed form applies to this assignment")
 
 
 def check_closed_forms(
-    order: int, dz, dy, points: tuple[EvalPoint, ...] | None = None
+    order: int, dz, dy, points: tuple[EvalPoint, ...] | None = None, oracle: _Lazy | None = None
 ) -> CheckReport:
     """Closed-form series against the derivative engine and the statistics oracle.
 
@@ -244,12 +269,11 @@ def check_closed_forms(
     The point-free reciprocal series is checked against a specialization of
     D^n(z).  Every comparison runs for all n up to ``order``.
     """
-    carlitz_items = _Lazy(lambda n: table_to_poly(stat_table(n, KIND_CARLITZ)))
-    carlitz_items[0] = LaurentPolynomial()
+    oracle = oracle_store() if oracle is None else oracle
 
     def cases():
         for pt in SHIPPED_POINTS if points is None else points:
-            yield from _check_point_forms(pt, order, dz, dy, carlitz_items)
+            yield from _check_point_forms(pt, order, dz, dy, oracle)
         u0 = closed_form("no_pdd_U0", None, order).egf_coefficients()
         no_pdd_point = {"x": 1, "y": 0, "z": 1, "w": 1}
         for n in range(order + 1):
@@ -339,7 +363,7 @@ def run_checks(
     compares tables up to ``order``, so both are bounded by ``MAX_N`` and are
     checked before any check runs.  ``D^n(z)`` and ``D^n(y)`` under
     ``paper_G`` are derived once, as far as the selected checks read them,
-    and shared by every check that reads them.
+    and shared by every check that reads them, and so is one ``oracle_store``.
     """
     if not 0 <= max_n < MAX_N:
         raise ValueError(f"--max-n {max_n} is outside 0..{MAX_N - 1}")
@@ -351,12 +375,13 @@ def run_checks(
             raise ValueError(f"unknown check '{check_id}' (choose from {CHECK_IDS})")
     paper_g = builtin_grammar("paper_G")
     dz, dy = Derivatives(_Z, paper_g), Derivatives(_Y, paper_g)
+    oracle = oracle_store()
     runners = {
-        "joint_ep_pdd": lambda: check_joint_ep_pdd(max_n, dz),
-        "peak_dd": lambda: check_peak_dd(max_n, dy),
-        "recurrence": lambda: check_recurrence(max_n, dz, dy),
+        "joint_ep_pdd": lambda: check_joint_ep_pdd(max_n, dz, oracle),
+        "peak_dd": lambda: check_peak_dd(max_n, dy, oracle),
+        "recurrence": lambda: check_recurrence(max_n, dz, dy, oracle),
         "invariants": check_invariants,
-        "closed_forms": lambda: check_closed_forms(order, dz, dy),
+        "closed_forms": lambda: check_closed_forms(order, dz, dy, oracle=oracle),
         "classical_grammars": lambda: check_classical_grammars(min(max_n, 6), dz),
     }
     return [runners[check_id]() for check_id in selected]

@@ -1,12 +1,18 @@
-"""The derivative step as ``gramcalc.grammar`` ran it before the kernel moved.
+"""Two earlier forms of the derivative step, kept as test references.
 
-``_derive_steps`` below is the earlier loop, kept as a test reference: it took
-each polynomial's integer terms through ``LaurentPolynomial.dense`` and handed
-each step back through ``LaurentPolynomial.from_dense``.  ``dense`` is gone
-from the class, so this module rebuilds it from the public ``items()``; the
-loop itself is unchanged apart from calling that function.
-``test_derive_differential`` compares ``laurent.derivatives`` against it.  It
-is not imported by the package.
+``_derive_steps`` is the loop ``gramcalc.grammar`` ran before the kernel
+moved: it took each polynomial's integer terms through
+``LaurentPolynomial.dense`` and handed each step back through
+``LaurentPolynomial.from_dense``.  ``dense`` is gone from the class, so this
+module rebuilds it from the public ``items()``; the loop itself is unchanged
+apart from calling that function.
+
+``_dot_steps`` is the step ``laurent.derivatives`` took next: one
+``laurent.dot`` of the images ``D(v)/v`` with the copies of the last
+derivative weighted by ``v d/dv``, each built as a polynomial.
+
+``test_derive_differential`` compares ``laurent.derivatives`` against both.
+This module is not imported by the package.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 from operator import add
 
 from gramcalc.grammar import Grammar
-from gramcalc.laurent import LaurentPolynomial
+from gramcalc.laurent import LaurentPolynomial, dot
 
 
 def dense(p: LaurentPolynomial, names: tuple[str, ...]) -> tuple[dict[tuple[int, ...], int], int]:
@@ -72,4 +78,24 @@ def _derive_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolyn
         terms = {k: c for k, c in out.items() if c}
         den *= rden
         items.append(LaurentPolynomial.from_dense(names, terms, den))
+    return items
+
+
+def _dot_steps(p: LaurentPolynomial, g: Grammar, n: int) -> list[LaurentPolynomial]:
+    """``D^0(p) .. D^n(p)``, each step one ``dot`` of the images
+    ``rules[v] * v^-1`` with the last derivative's numerators times their
+    exponent of ``v``, over the variables of ``p`` and of all rule images."""
+    rules = dict(g.rules)
+    names = tuple(sorted(p.variables().union(*(image.variables() for image in rules.values()))))
+    ruled = [i for i, var in enumerate(names) if var in rules]
+    images = [rules[names[i]] * LaurentPolynomial.variable(names[i]) ** -1 for i in ruled]
+    items = [p]
+    for _ in range(n):
+        terms, den = dense(p, names)
+        weighted = [
+            LaurentPolynomial.from_dense(names, {k: c * k[i] for k, c in terms.items()}, den)
+            for i in ruled
+        ]
+        p = dot(weighted, images)
+        items.append(p)
     return items

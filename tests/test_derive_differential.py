@@ -1,9 +1,10 @@
-"""``laurent.derivatives`` against the derivative loop it replaced.
+"""``laurent.derivatives`` against the two derivative steps it replaced.
 
 ``_derive_reference`` keeps the step ``grammar`` ran before the product rule
-moved into ``laurent``.  Both run from the same grammar and start word, and
-D^0 .. D^6 must agree exactly, in value and in display; the builtins are
-compared through ``derive_n`` up to ``MAX_N``.
+moved into ``laurent``, and the one ``dot`` per step that ``laurent`` took
+before the step became one fused loop.  All run from the same grammar and
+start word, and D^0 .. D^6 must agree exactly, in value and in display; the
+builtins are compared through ``derive_n`` up to ``MAX_N``.
 """
 
 from fractions import Fraction
@@ -37,7 +38,7 @@ def grammars_and_words(draw):
     ruled = sorted(draw(st.sets(st.sampled_from("abc"))))
     inert = frozenset("t") if draw(st.booleans()) else frozenset()
     known = ruled + sorted(inert)
-    rules = {var: draw(polys(known, 2)) for var in ruled}
+    rules = {var: draw(polys(known, 3)) for var in ruled}
     return Grammar(rules, inert), draw(polys("abctu", 3))
 
 
@@ -50,6 +51,8 @@ def assert_same(new, old):
 
 
 X, B, T, U = LP.variable("a"), LP.variable("b"), LP.variable("t"), LP.variable("u")
+C = LP.variable("c")
+REFERENCES = (ref._derive_steps, ref._dot_steps)
 
 
 @settings(max_examples=150, deadline=None)
@@ -64,10 +67,40 @@ X, B, T, U = LP.variable("a"), LP.variable("b"), LP.variable("t"), LP.variable("
     (Grammar({"a": Fraction(1, 3) * X ** -1 * B, "b": X}), X ** 2 * B ** -1 + Fraction(1, 2) * B)
 )
 @example((Grammar({"a": B, "b": X}, frozenset("t")), X * B + T))
+# A zero image beside a multi-term one, on a word that holds both variables.
+@example((Grammar({"a": LP(), "b": X * B - Fraction(1, 2) * X ** -1}), X ** 2 * B ** 3))
+# Multi-term rational images with distinct denominators.
+@example((
+    Grammar({
+        "a": Fraction(2, 3) * X * B - Fraction(5, 7) * B ** -2 + Fraction(1, 4),
+        "b": Fraction(3, 5) * X ** -1 * B ** 2 + Fraction(7, 2) * X,
+    }),
+    Fraction(1, 6) * X ** 2 * B - Fraction(4, 9) * X ** -1,
+))
+# Inert variables inside the images and the word.
+@example((
+    Grammar(
+        {"a": Fraction(1, 3) * X * T - T ** 2 * B, "b": Fraction(2, 5) * T * X ** -1},
+        frozenset("t"),
+    ),
+    Fraction(3, 4) * X * T ** -1 + B * T ** 2,
+))
+# Ruled variables (b, c) that are missing from the word.
+@example((
+    Grammar({"a": X * B, "b": Fraction(1, 2) * C, "c": X ** -1 - B}),
+    Fraction(5, 3) * X ** 3,
+))
 def test_derivatives_agree_with_the_reference(case):
     g, p = case
-    assert_same(list(islice(derivatives(p, dict(g.rules)), ORDER + 1)), ref._derive_steps(p, g, ORDER))
-    assert_same(list(derive_n(p, g, ORDER).items), ref._derive_steps(p, g, ORDER))
+    got = list(islice(derivatives(p, dict(g.rules)), ORDER + 1))
+    for reference in REFERENCES:
+        expected = reference(p, g, ORDER)
+        assert_same(got, expected)
+        assert_same(list(derive_n(p, g, ORDER).items), expected)
+    # The terms come in the order the ``dot`` step summed them, the order
+    # that the reduction's gcd chain runs in.
+    by_dot = ref._dot_steps(p, g, ORDER)
+    assert [list(a.items()) for a in got] == [list(b.items()) for b in by_dot]
 
 
 @pytest.mark.parametrize("name", BUILTIN_GRAMMAR_NAMES)
@@ -78,4 +111,5 @@ def test_builtins_agree_with_the_reference_up_to_max_n(name):
     for word in words:
         every = every * word
     for word in words + [every, every ** -1]:
-        assert_same(list(derive_n(word, g, MAX_N).items), ref._derive_steps(word, g, MAX_N))
+        for reference in REFERENCES:
+            assert_same(list(derive_n(word, g, MAX_N).items), reference(word, g, MAX_N))

@@ -118,7 +118,7 @@ def test_derive_work_counts_the_size_of_the_numbers():
 
 def test_derive_work_counts_the_reduction_over_a_large_denominator():
     # Each step reduces its result over the lcm of 20 distinct 4300-digit
-    # denominators, a chain of gcds that took about 0.6 s whatever the term
+    # denominators, a chain of gcds that took about 0.45 s whatever the term
     # count.  Uncharged, the steps ran to order 9 and the request took 4.9 s;
     # priced at 5.6 ns per squared word, the first step is refused.
     n = 10**4299

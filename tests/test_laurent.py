@@ -220,8 +220,25 @@ def test_eval_zero_at_negative_exponent():
 def test_eval_rejects_floats():
     with pytest.raises(TypeError, match="float"):
         X.eval({"x": 0.1})
-    with pytest.raises(TypeError, match="float"):
+    # A float is refused with the same message whether or not its variable occurs.
+    message = r"^expected an exact scalar \(int or Fraction\), got float 0\.5$"
+    with pytest.raises(TypeError, match=message):
         Z.eval({"x": 0.5, "z": 1})
+    with pytest.raises(TypeError, match=message):
+        X.eval({"x": 0.5})
+
+
+def test_eval_reads_ints_and_fractions_exactly():
+    p = Fraction(3, 4) * X ** 2 * Z ** -1 - 5 * Y
+    for point in (
+        {"x": 2, "y": Fraction(1, 3), "z": -3},
+        {"x": Fraction(-2, 7), "y": True, "z": Fraction(9, 4)},
+        {"x": Fraction(4, 2), "y": 0, "z": 1, "w": 3},
+    ):
+        value = p.eval(point)
+        assert type(value) is Fraction
+        x, y, z = (Fraction(point[v]) for v in "xyz")
+        assert value == Fraction(3, 4) * x ** 2 / z - 5 * y
 
 
 # -- renaming -------------------------------------------------------------------

@@ -72,6 +72,74 @@ def test_default_run_derives_each_word_once(monkeypatch):
     assert orders("z") == [4] and orders("y") == [3]
 
 
+def test_default_run_counts_each_table_once(monkeypatch):
+    import gramcalc.verify as verify_module
+
+    real_poly, real_triangle = verify_module.table_to_poly, verify_module.triangle_poly
+    builds = []
+
+    def counted_poly(table):
+        builds.append((table.n, table.kind))
+        return real_poly(table)
+
+    def counted_triangle(n, which):
+        builds.append((n, which))
+        return real_triangle(n, which)
+
+    monkeypatch.setattr(verify_module, "table_to_poly", counted_poly)
+    monkeypatch.setattr(verify_module, "triangle_poly", counted_triangle)
+    # Four checks read the oracle; one store per run builds each table
+    # polynomial (n, kind) and each triangle (n, which) once between them.
+    assert all(r.passed for r in run_checks())
+    assert len(builds) == len(set(builds)) == 29 + 42
+    # The store lives for one run: the next run builds everything again.
+    first = list(builds)
+    builds.clear()
+    assert all(r.passed for r in run_checks())
+    assert builds == first
+
+
+def _swapped_carlitz(real):
+    """``stat_table`` with the first and last carlitz_quadruple counts swapped from n = 3 on."""
+    def swapped(n, kind):
+        table = real(n, kind)
+        if kind != "carlitz_quadruple" or n < 3:
+            return table
+        counts = dict(table.counts)
+        first, last = min(counts), max(counts)
+        counts[first], counts[last] = counts[last], counts[first]
+        return table._replace(counts=counts)
+
+    return swapped
+
+
+# Each check as a caller runs it alone, at run_checks' default bounds, with
+# no shared derivatives or oracle store.
+_ALONE = {
+    "joint_ep_pdd": lambda: check_joint_ep_pdd(8, _paper(_z)),
+    "peak_dd": lambda: check_peak_dd(8, _paper(_y)),
+    "recurrence": lambda: check_recurrence(8, _paper(_z), _paper(_y)),
+    "invariants": check_invariants,
+    "closed_forms": lambda: check_closed_forms(12, _paper(_z), _paper(_y)),
+    "classical_grammars": lambda: check_classical_grammars(6, _paper(_z)),
+}
+
+
+@pytest.mark.parametrize("tampered", [False, True], ids=["counted", "swapped_carlitz"])
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_a_check_alone_reports_as_in_the_full_run(monkeypatch, check_id, tampered):
+    import gramcalc.verify as verify_module
+
+    if tampered:
+        monkeypatch.setattr(verify_module, "stat_table", _swapped_carlitz(verify_module.stat_table))
+    full = {r.check_id: r for r in run_checks()}
+    assert [r.passed for r in full.values()] == [
+        not (tampered and name in ("peak_dd", "closed_forms")) for name in CHECK_IDS
+    ]
+    assert run_checks((check_id,)) == [full[check_id]]
+    assert _ALONE[check_id]() == full[check_id]
+
+
 def test_selected_check_and_unknown_id():
     (report,) = run_checks(("invariants",))
     assert report.passed
@@ -170,17 +238,7 @@ def test_wrong_carlitz_table_fails_verify(monkeypatch, capsys):
     import gramcalc.verify as verify_module
     from gramcalc.cli import main
 
-    real = verify_module.stat_table
-
-    def swapped(n, kind):
-        table = real(n, kind)
-        if kind != "carlitz_quadruple" or n < 3:
-            return table
-        counts = dict(table.counts)
-        first, last = min(counts), max(counts)
-        counts[first], counts[last] = counts[last], counts[first]
-        return table._replace(counts=counts)
-
+    swapped = _swapped_carlitz(verify_module.stat_table)
     monkeypatch.setattr(verify_module, "stat_table", swapped)
     for argv in (["verify"], ["verify", "--check", "peak_dd"], ["verify", "--check", "closed_forms"]):
         assert main(argv) == 2, argv
