@@ -136,7 +136,8 @@ class LaurentPolynomial:
 
         ``numerators`` maps exponent tuples over the distinct ``variables``,
         one entry per variable in the order given, to integers; zero
-        numerators are dropped.
+        numerators are dropped.  An exponent must be an integer, as in
+        ``LaurentPolynomial(terms)``.
         """
         variables = tuple(variables)
         for name in variables:
@@ -149,6 +150,8 @@ class LaurentPolynomial:
             )
         if index(denominator) <= 0:
             raise ValueError("the denominator must be positive")
+        for exponent in chain.from_iterable(numerators):
+            index(exponent)
         ordered = tuple(sorted(variables))
         if ordered != variables:
             embed = _embedder(variables, ordered)

@@ -38,9 +38,11 @@ reaches n letters serves every table up to n.  Level m is a pure function of
 m, cached and built from level m - 1 only, so each level up to the largest n
 asked for is built once per process and kept, and callers, threads included,
 that share it get the same result.  No table is cached, and every call
-returns a new ``counts`` dict that the caller may change.  The tests check
-every table against brute force over S_n, which reads the definitions above
-off each permutation.
+returns a new ``counts`` dict that the caller may change.  Only ``stat_table``
+counts: ``table_to_poly``, ``specialize_triangle`` and ``triangle_poly`` read
+a table it returned, so a caller that wants a table's polynomial and its
+marginals counts it once.  The tests check every table against brute force
+over S_n, which reads the definitions above off each permutation.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from __future__ import annotations
 import sys
 from functools import cache
 from itertools import accumulate
+from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ._names import MAX_N, TABLE_KINDS, TRIANGLES
@@ -100,6 +103,7 @@ def stat_table(n: int, kind: str) -> StatTable:
     """
     if kind not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r} (choose from {TABLE_KINDS})")
+    n = index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_N:
@@ -151,7 +155,8 @@ def table_to_poly(table: StatTable) -> LaurentPolynomial:
     return LaurentPolynomial.from_dense("xyzw", terms)
 
 
-_TRIANGLE_SOURCE = {
+#: Each triangle -> the kind of table it is a marginal of, and its key's axis.
+TRIANGLE_SOURCE = {
     "T": (KIND_EXTERIOR_PDD, 0),  # permutations by number of exterior peaks
     "U": (KIND_EXTERIOR_PDD, 1),  # by number of proper double descents
     "R": (KIND_PEAK_DD, 0),       # by number of peaks
@@ -159,15 +164,11 @@ _TRIANGLE_SOURCE = {
 }
 
 
-def _triangle_source(which: str) -> tuple[str, int]:
-    if which not in _TRIANGLE_SOURCE:
-        raise ValueError(f"unknown triangle {which!r} (choose from {TRIANGLES})")
-    return _TRIANGLE_SOURCE[which]
-
-
 def specialize_triangle(table: StatTable, which: str) -> list[tuple[int, int]]:
     """Marginal counts by one statistic: rows (k, count), k ascending."""
-    kind, axis = _triangle_source(which)
+    if which not in TRIANGLE_SOURCE:
+        raise ValueError(f"unknown triangle {which!r} (choose from {TRIANGLES})")
+    kind, axis = TRIANGLE_SOURCE[which]
     if table.kind != kind:
         article = "an" if kind[0] in "aeiou" else "a"
         raise ValueError(f"triangle {which} needs {article} {kind} table, got {table.kind}")
@@ -178,12 +179,11 @@ def specialize_triangle(table: StatTable, which: str) -> list[tuple[int, int]]:
     return sorted(marginal.items())
 
 
-def triangle_poly(n: int, which: str) -> LaurentPolynomial:
-    """The marginal as a univariate polynomial (in x for T and R, y for U and W)."""
+def triangle_poly(table: StatTable, which: str) -> LaurentPolynomial:
+    """The marginal of ``table`` as a univariate polynomial (in x for T and R, y for U and W)."""
     from .laurent import LaurentPolynomial
 
-    kind, _ = _triangle_source(which)
-    rows = specialize_triangle(stat_table(n, kind), which)
+    rows = specialize_triangle(table, which)
     var = "x" if which in ("T", "R") else "y"
     return LaurentPolynomial.from_dense((var,), {(k,): count for k, count in rows})
 

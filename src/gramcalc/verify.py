@@ -5,9 +5,9 @@ derivative vs. permutation statistic tables vs. closed-form series), reports the
 smallest failing index, and is deterministic.  Every check takes its
 derivatives as ``Derivatives``, which derive each order when it is first read;
 ``run_checks`` shares D^n(z) and D^n(y), so it derives each word once.  It
-shares the statistics oracle too: one store per run builds each table
-polynomial and each triangle once (see ``oracle_store``), and a check called
-without one builds its own.
+shares the statistics oracle too: every check that reads the oracle takes
+an ``oracle_store``, which counts each table once and builds each table
+polynomial and each triangle from it once, as the checks first read them.
 
 Each check is one stream of ``(label, got, expected)`` comparisons, yielded
 lazily and in order.  The first difference wins: the check fails with
@@ -29,6 +29,7 @@ from .permstat import (
     KIND_CARLITZ,
     KIND_EXTERIOR_PDD,
     KIND_PEAK_DD,
+    TRIANGLE_SOURCE,
     specialize_triangle,
     stat_table,
     table_to_poly,
@@ -80,31 +81,34 @@ def _report(check_id: str, limit: int, cases: Iterable[tuple]) -> CheckReport:
 
 
 class _Lazy(dict):
-    """``self[n]`` is ``build(n)``, computed on first read and kept."""
+    """``self[key]`` is ``build(key)``, computed on first read and kept."""
 
     def __init__(self, build) -> None:
         self.build = build
 
-    def __missing__(self, n):
-        self[n] = self.build(n)
-        return self[n]
+    def __missing__(self, key):
+        self[key] = self.build(key)
+        return self[key]
 
 
 def oracle_store() -> _Lazy:
-    """The statistics oracle of one run: ``store[n, kind]`` is
-    ``table_to_poly(stat_table(n, kind))`` and ``store[n, which]`` is
-    ``triangle_poly(n, which)``, each built when first read and kept.
+    """The statistics oracle of one run, each entry built when first read and kept.
 
+    ``store[n, kind]`` is ``stat_table(n, kind)``, the one place a table is
+    counted.  ``store[kind]`` is a row whose item n is
+    ``table_to_poly(store[n, kind])``, and ``store[which]`` one whose item n is
+    ``triangle_poly(store[n, kind], which)`` for the triangle's source kind.
     The functions are looked up in this module when an entry is built, and
     nothing outlives the store, so a run sees the functions it runs with.
     """
-    def build(key):
-        n, name = key
+    def row(name):
         if name in TRIANGLES:
-            return triangle_poly(n, name)
-        return table_to_poly(stat_table(n, name))
+            kind = TRIANGLE_SOURCE[name][0]
+            return _Lazy(lambda n: triangle_poly(store[n, kind], name))
+        return _Lazy(lambda n: table_to_poly(store[n, name]))
 
-    return _Lazy(build)
+    store = _Lazy(lambda key: stat_table(*key) if isinstance(key, tuple) else row(key))
+    return store
 
 
 class Derivatives(list):
@@ -146,49 +150,44 @@ ELIZALDE_NOY_POINT = EvalPoint({"y": Fraction(13, 4)}, Fraction(15, 4))
 SHIPPED_POINTS = GRAMMAR_POINTS + (GESSEL_POINT, ELIZALDE_NOY_POINT)
 
 
-def check_joint_ep_pdd(max_n: int, dz, oracle: _Lazy | None = None) -> CheckReport:
+def check_joint_ep_pdd(max_n: int, dz, oracle: _Lazy) -> CheckReport:
     """D^n(z) equals the counted (exterior peak, proper double descent) polynomial."""
-    oracle = oracle_store() if oracle is None else oracle
-    return _report("joint_ep_pdd", max_n, (
-        (f"n={n}", dz[n], oracle[n, KIND_EXTERIOR_PDD]) for n in range(max_n + 1)
-    ))
+    counted = oracle[KIND_EXTERIOR_PDD]
+    cases = ((f"n={n}", dz[n], counted[n]) for n in range(max_n + 1))
+    return _report("joint_ep_pdd", max_n, cases)
 
 
-def check_peak_dd(max_n: int, dy, oracle: _Lazy | None = None) -> CheckReport:
+def check_peak_dd(max_n: int, dy, oracle: _Lazy) -> CheckReport:
     """D^n(y) equals the counted (peak, double descent) polynomial.
 
     It also equals x*z times the counted carlitz_quadruple polynomial.
     """
-    oracle = oracle_store() if oracle is None else oracle
+    peak_dd, carlitz = oracle[KIND_PEAK_DD], oracle[KIND_CARLITZ]
 
     def cases():
         xz = _X * _Z
         for n in range(1, max_n + 1):
-            yield f"n={n}", dy[n], oracle[n, KIND_PEAK_DD]
-            yield f"n={n}, x*z*carlitz_quadruple", dy[n], xz * oracle[n, KIND_CARLITZ]
+            yield f"n={n}", dy[n], peak_dd[n]
+            yield f"n={n}, x*z*carlitz_quadruple", dy[n], xz * carlitz[n]
 
     return _report("peak_dd", max_n, cases())
 
 
-def check_recurrence(max_n: int, dz, dy, oracle: _Lazy | None = None) -> CheckReport:
+def check_recurrence(max_n: int, dz, dy, oracle: _Lazy) -> CheckReport:
     """The convolution recurrence, symbolically and on the four marginal triangles.
 
     Checks P(n+1) = w P(n) + sum_k C(n,k) P(k) Q(n-k) with Q taken both from
     the derivative engine (self-consistency) and from the statistic tables (cross
     check), then the same shape for the T/R and U/W marginals.
     """
-    oracle = oracle_store() if oracle is None else oracle
-    q_oracle, t, r, u, w = (
-        _Lazy(lambda m, name=name: oracle[m, name]) for name in (KIND_PEAK_DD, *"TRUW")
-    )
-
     def cases():
         for n in range(max_n + 1):
-            for label, q in (("engine", dy), ("oracle", q_oracle)):
+            for label, q in (("engine", dy), ("oracle", oracle[KIND_PEAK_DD])):
                 rhs = _convolution(_W * dz[n], dz, q, n)
                 yield f"n={n} (Q from {label})", rhs, dz[n + 1]
         for n in range(max_n + 1):
-            for name, left, right in (("T", t, r), ("U", u, w)):
+            for name, other in ("T", "R"), ("U", "W"):
+                left, right = oracle[name], oracle[other]
                 yield f"{name} marginal, n={n}", _convolution(left[n], left, right, n), left[n + 1]
 
     return _report("recurrence", max_n, cases())
@@ -244,7 +243,7 @@ def _check_point_forms(pt: EvalPoint, order: int, dz, dy, oracle):
         f_series = closed_form("carlitz_F", pt, order)
         egf_f = f_series.egf_coefficients()
         for n in range(order + 1):
-            carlitz = oracle[n, KIND_CARLITZ].eval(a) if n else 0  # F_0 = 0
+            carlitz = oracle[KIND_CARLITZ][n].eval(a) if n else 0  # F_0 = 0
             yield f"{tag}, carlitz_F, n={n}", egf_f[n], carlitz
         recombined = f_series * (a["x"] * a["z"]) + a["y"]
         yield _Bare(f"{tag}: gen_y differs from y + xz * carlitz_F"), recombined, gen_y
@@ -252,13 +251,13 @@ def _check_point_forms(pt: EvalPoint, order: int, dz, dy, oracle):
         form, which = ("gessel_T", "T") if "x" in a else ("elizalde_noy_U", "U")
         egf = closed_form(form, pt, order).egf_coefficients()
         for n in range(order + 1):
-            yield f"{tag}, {form}, n={n}", egf[n], oracle[n, which].eval(a)
+            yield f"{tag}, {form}, n={n}", egf[n], oracle[which][n].eval(a)
     else:
         raise InadmissiblePointError(f"{tag}: no closed form applies to this assignment")
 
 
 def check_closed_forms(
-    order: int, dz, dy, points: tuple[EvalPoint, ...] | None = None, oracle: _Lazy | None = None
+    order: int, dz, dy, oracle: _Lazy, points: tuple[EvalPoint, ...] | None = None
 ) -> CheckReport:
     """Closed-form series against the derivative engine and the statistics oracle.
 
@@ -269,8 +268,6 @@ def check_closed_forms(
     The point-free reciprocal series is checked against a specialization of
     D^n(z).  Every comparison runs for all n up to ``order``.
     """
-    oracle = oracle_store() if oracle is None else oracle
-
     def cases():
         for pt in SHIPPED_POINTS if points is None else points:
             yield from _check_point_forms(pt, order, dz, dy, oracle)
@@ -311,7 +308,7 @@ _TO_EXTERIOR = {"z": "x", "x": "x", "w": "y", "y": "y"}
 
 
 def check_classical_grammars(
-    max_n: int, dz, grammars: dict[str, Grammar] | None = None
+    max_n: int, dz, oracle: _Lazy, grammars: dict[str, Grammar] | None = None
 ) -> CheckReport:
     """Sanity checks for the built-in grammar catalog.
 
@@ -337,7 +334,7 @@ def check_classical_grammars(
             yield f"relabeled (exterior) rule for '{name}'", image.subst(_TO_EXTERIOR), expected
         ep_items = Derivatives(_X, exterior)
         for n in range(max_n + 1):
-            rows = specialize_triangle(stat_table(n, KIND_EXTERIOR_PDD), "T")
+            rows = specialize_triangle(oracle[n, KIND_EXTERIOR_PDD], "T")
             expected = LaurentPolynomial.from_dense(
                 "xy", {(2 * k + 1, n - 2 * k): count for k, count in rows}
             )
@@ -369,6 +366,8 @@ def run_checks(
         raise ValueError(f"--max-n {max_n} is outside 0..{MAX_N - 1}")
     if not 0 <= order <= MAX_N:
         raise ValueError(f"--order {order} is outside 0..{MAX_N}")
+    if isinstance(ids, str):
+        raise TypeError(f"ids must be a collection of check ids, not the str {ids!r}")
     selected = CHECK_IDS if ids is None else tuple(ids)
     for check_id in selected:
         if check_id not in CHECK_IDS:
@@ -381,7 +380,7 @@ def run_checks(
         "peak_dd": lambda: check_peak_dd(max_n, dy, oracle),
         "recurrence": lambda: check_recurrence(max_n, dz, dy, oracle),
         "invariants": check_invariants,
-        "closed_forms": lambda: check_closed_forms(order, dz, dy, oracle=oracle),
-        "classical_grammars": lambda: check_classical_grammars(min(max_n, 6), dz),
+        "closed_forms": lambda: check_closed_forms(order, dz, dy, oracle),
+        "classical_grammars": lambda: check_classical_grammars(min(max_n, 6), dz, oracle),
     }
     return [runners[check_id]() for check_id in selected]

@@ -114,10 +114,12 @@ def test_criterion_4_recurrence():
             rhs = rhs + comb(n, k) * (p_items[k] * q_oracle[n - k])
         assert p_items[n + 1] == rhs, n
 
-    t_polys = [triangle_poly(m, "T") for m in range(max_n + 2)]
-    r_polys = {m: triangle_poly(m, "R") for m in range(1, max_n + 1)}
-    u_polys = [triangle_poly(m, "U") for m in range(max_n + 2)]
-    w_polys = {m: triangle_poly(m, "W") for m in range(1, max_n + 1)}
+    ep_tables = [stat_table(m, KIND_EXTERIOR_PDD) for m in range(max_n + 2)]
+    pd_tables = {m: stat_table(m, KIND_PEAK_DD) for m in range(1, max_n + 1)}
+    t_polys = [triangle_poly(table, "T") for table in ep_tables]
+    r_polys = {m: triangle_poly(table, "R") for m, table in pd_tables.items()}
+    u_polys = [triangle_poly(table, "U") for table in ep_tables]
+    w_polys = {m: triangle_poly(table, "W") for m, table in pd_tables.items()}
     for n in range(max_n + 1):
         t_rhs, u_rhs = t_polys[n], u_polys[n]
         for k in range(n):
@@ -177,8 +179,9 @@ def test_criterion_7_marginal_generating_functions():
     egf_t = closed_form("gessel_T", GESSEL_POINT, order).egf_coefficients()
     egf_u = closed_form("elizalde_noy_U", ELIZALDE_NOY_POINT, order).egf_coefficients()
     for n in range(order + 1):
-        assert egf_t[n] == triangle_poly(n, "T").eval(GESSEL_POINT.assignment), n
-        assert egf_u[n] == triangle_poly(n, "U").eval(ELIZALDE_NOY_POINT.assignment), n
+        table = stat_table(n, KIND_EXTERIOR_PDD)
+        assert egf_t[n] == triangle_poly(table, "T").eval(GESSEL_POINT.assignment), n
+        assert egf_u[n] == triangle_poly(table, "U").eval(ELIZALDE_NOY_POINT.assignment), n
     _passed(7, "exterior-peak series at x=3/4 and double-descent series at y=13/4, n <= 10")
 
 

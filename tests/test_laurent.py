@@ -142,6 +142,15 @@ def test_from_dense_reads_exponents_in_the_given_order():
 
 
 @pytest.mark.parametrize(
+    "variables, key", [(("x",), (1.5,)), (("x",), (1.0,)), (("x",), ("1",)), (("y", "x"), (1.5, 1))]
+)
+def test_from_dense_refuses_a_non_integer_exponent(variables, key):
+    # As LaurentPolynomial() does: x^1.5 was once built and printed.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        LP.from_dense(variables, {key: 1})
+
+
+@pytest.mark.parametrize(
     "variables, key", [(("x", "y"), (1,)), (("x",), (1, 2, 3)), (("y", "x"), (1,)), ((), (1,))]
 )
 def test_from_dense_rejects_exponent_tuples_of_the_wrong_length(variables, key):

@@ -148,6 +148,14 @@ def test_table_cap():
         assert sum(stat_table(25, kind).counts.values()) == factorial(25)
 
 
+@pytest.mark.parametrize("n", [3.0, 3.5, "3"], ids=["integral_float", "float", "str"])
+def test_stat_table_refuses_a_non_integer_n(n):
+    # 3.0 once counted a table with float keys and 3.5 recursed without end.
+    for kind in TABLE_KINDS:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            stat_table(n, kind)
+
+
 _REBIND_COUNT_TABLE = """
 import sys
 import gramcalc.cli, gramcalc.verify
@@ -251,14 +259,24 @@ def test_triangle_kind_mismatch():
 
 def test_triangle_poly_rejects_unknown_triangle():
     with pytest.raises(ValueError, match="unknown triangle 'Q'"):
-        triangle_poly(5, "Q")
+        triangle_poly(stat_table(5, KIND_EXTERIOR_PDD), "Q")
+
+
+def test_triangle_poly_rejects_a_table_of_the_wrong_kind():
+    # The message is specialize_triangle's: triangle_poly reads the table through it.
+    with pytest.raises(ValueError, match="^triangle T needs an exterior_pdd table, got peak_dd$"):
+        triangle_poly(stat_table(3, KIND_PEAK_DD), "T")
+    with pytest.raises(ValueError, match="^triangle W needs a peak_dd table, got exterior_pdd$"):
+        triangle_poly(stat_table(3, KIND_EXTERIOR_PDD), "W")
+
 
 def test_triangle_poly():
     from fractions import Fraction
 
-    assert triangle_poly(3, "T") == parse_poly("1 + 5*x")
-    assert triangle_poly(0, "T") == LP({(): 1})
-    assert triangle_poly(3, "T").eval({"x": Fraction(1, 2)}) == Fraction(7, 2)
+    t_3 = triangle_poly(stat_table(3, KIND_EXTERIOR_PDD), "T")
+    assert t_3 == parse_poly("1 + 5*x")
+    assert t_3.eval({"x": Fraction(1, 2)}) == Fraction(7, 2)
+    assert triangle_poly(stat_table(0, KIND_EXTERIOR_PDD), "T") == LP({(): 1})
 
 
 # -- the recurrence against brute force ------------------------------------------

@@ -300,21 +300,23 @@ def test_carlitz_series_matches_enumeration():
 
 
 def test_gessel_series_matches_enumeration():
-    from gramcalc.permstat import triangle_poly
+    from gramcalc.permstat import KIND_EXTERIOR_PDD, stat_table, triangle_poly
 
     point = EvalPoint({"x": Fraction(3, 4)}, Fraction(1, 2))
     egf = closed_form("gessel_T", point, 8).egf_coefficients()
     for n in range(9):
-        assert egf[n] == triangle_poly(n, "T").eval(point.assignment)
+        t_poly = triangle_poly(stat_table(n, KIND_EXTERIOR_PDD), "T")
+        assert egf[n] == t_poly.eval(point.assignment)
 
 
 def test_elizalde_noy_series_matches_enumeration():
-    from gramcalc.permstat import triangle_poly
+    from gramcalc.permstat import KIND_EXTERIOR_PDD, stat_table, triangle_poly
 
     point = EvalPoint({"y": Fraction(13, 4)}, Fraction(15, 4))
     egf = closed_form("elizalde_noy_U", point, 8).egf_coefficients()
     for n in range(9):
-        assert egf[n] == triangle_poly(n, "U").eval(point.assignment)
+        u_poly = triangle_poly(stat_table(n, KIND_EXTERIOR_PDD), "U")
+        assert egf[n] == u_poly.eval(point.assignment)
 
 
 def test_marginal_forms_are_specializations_of_gen_z():

@@ -17,6 +17,7 @@ from gramcalc.verify import (
     check_joint_ep_pdd,
     check_peak_dd,
     check_recurrence,
+    oracle_store,
     run_checks,
 )
 
@@ -73,30 +74,41 @@ def test_default_run_derives_each_word_once(monkeypatch):
 
 
 def test_default_run_counts_each_table_once(monkeypatch):
+    import gramcalc.permstat as permstat_module
     import gramcalc.verify as verify_module
 
+    real_table = permstat_module.stat_table
     real_poly, real_triangle = verify_module.table_to_poly, verify_module.triangle_poly
-    builds = []
+    tables, builds = [], []
+
+    def counted_table(n, kind):
+        tables.append((n, kind))
+        return real_table(n, kind)
 
     def counted_poly(table):
         builds.append((table.n, table.kind))
         return real_poly(table)
 
-    def counted_triangle(n, which):
-        builds.append((n, which))
-        return real_triangle(n, which)
+    def counted_triangle(table, which):
+        builds.append((table.n, which))
+        return real_triangle(table, which)
 
+    for module in (permstat_module, verify_module):
+        monkeypatch.setattr(module, "stat_table", counted_table)
     monkeypatch.setattr(verify_module, "table_to_poly", counted_poly)
     monkeypatch.setattr(verify_module, "triangle_poly", counted_triangle)
-    # Four checks read the oracle; one store per run builds each table
-    # polynomial (n, kind) and each triangle (n, which) once between them.
+    # Four checks read the oracle; one store per run counts each table
+    # (n, kind) once and builds each table polynomial (n, kind) and each
+    # triangle (n, which) once from those tables.
     assert all(r.passed for r in run_checks())
+    assert len(tables) == len(set(tables)) == 33
     assert len(builds) == len(set(builds)) == 29 + 42
-    # The store lives for one run: the next run builds everything again.
-    first = list(builds)
+    # The store lives for one run: the next run counts and builds everything again.
+    first = tables[:], builds[:]
+    tables.clear()
     builds.clear()
     assert all(r.passed for r in run_checks())
-    assert builds == first
+    assert (tables, builds) == first
 
 
 def _swapped_carlitz(real):
@@ -114,14 +126,14 @@ def _swapped_carlitz(real):
 
 
 # Each check as a caller runs it alone, at run_checks' default bounds, with
-# no shared derivatives or oracle store.
+# derivatives and an oracle store of its own.
 _ALONE = {
-    "joint_ep_pdd": lambda: check_joint_ep_pdd(8, _paper(_z)),
-    "peak_dd": lambda: check_peak_dd(8, _paper(_y)),
-    "recurrence": lambda: check_recurrence(8, _paper(_z), _paper(_y)),
+    "joint_ep_pdd": lambda: check_joint_ep_pdd(8, _paper(_z), oracle_store()),
+    "peak_dd": lambda: check_peak_dd(8, _paper(_y), oracle_store()),
+    "recurrence": lambda: check_recurrence(8, _paper(_z), _paper(_y), oracle_store()),
     "invariants": check_invariants,
-    "closed_forms": lambda: check_closed_forms(12, _paper(_z), _paper(_y)),
-    "classical_grammars": lambda: check_classical_grammars(6, _paper(_z)),
+    "closed_forms": lambda: check_closed_forms(12, _paper(_z), _paper(_y), oracle_store()),
+    "classical_grammars": lambda: check_classical_grammars(6, _paper(_z), oracle_store()),
 }
 
 
@@ -147,6 +159,13 @@ def test_selected_check_and_unknown_id():
         run_checks(("nope",))
 
 
+def test_run_checks_refuses_a_str_of_ids():
+    # A str is not split into one-letter check ids.
+    message = "^ids must be a collection of check ids, not the str 'invariants'$"
+    with pytest.raises(TypeError, match=message):
+        run_checks("invariants")
+
+
 def test_report_json_shape():
     report = check_invariants()
     obj = report.to_json_obj()
@@ -170,13 +189,13 @@ def test_broken_grammar_reports_smallest_failure():
     rules = dict(builtin_grammar("paper_G").rules)
     rules["z"] = LP.variable("z") * LP.variable("x")  # should be z*w
     mutant = Grammar(rules=rules, name="mutant")
-    report = check_joint_ep_pdd(3, Derivatives(_z, mutant))
+    report = check_joint_ep_pdd(3, Derivatives(_z, mutant), oracle_store())
     assert not report.passed
     assert report.first_failure.startswith("n=1")
     # The first failing comparison is the last one made: nothing past D^1(z)
     # is derived, though the check would read up to D^24(z).
     dz = Derivatives(_z, mutant)
-    report = check_joint_ep_pdd(24, dz)
+    report = check_joint_ep_pdd(24, dz, oracle_store())
     assert report.first_failure.startswith("n=1:")
     assert list(dz) == [_z, _z * _x]
 
@@ -202,17 +221,17 @@ def _single_swap_mutants(g: Grammar):
         yield f"{var} -> {rules[var]}", Grammar(rules=rules, name=g.name)
 
 
-def _quick_reports(name: str, mutant: Grammar):
+def _quick_reports(name: str, mutant: Grammar, oracle):
     if name == "paper_G":
         dz, dy = Derivatives(_z, mutant), Derivatives(_y, mutant)
         return [
-            check_joint_ep_pdd(4, dz),
-            check_peak_dd(4, dy),
+            check_joint_ep_pdd(4, dz, oracle),
+            check_peak_dd(4, dy, oracle),
             check_invariants(mutant),
-            check_recurrence(4, dz, dy),
-            check_classical_grammars(3, dz, {"paper_G": mutant}),
+            check_recurrence(4, dz, dy, oracle),
+            check_classical_grammars(3, dz, oracle, {"paper_G": mutant}),
         ]
-    return [check_classical_grammars(4, _paper(_z), {name: mutant})]
+    return [check_classical_grammars(4, _paper(_z), oracle, {name: mutant})]
 
 
 @pytest.mark.parametrize("name", ["paper_G", "eulerian", "andre", "ramanujan", "exterior_peak"])
@@ -220,18 +239,21 @@ def test_any_rule_mutation_fails_some_check(name):
     grammar = builtin_grammar(name)
     mutants = list(_single_swap_mutants(grammar))
     assert mutants
+    # The oracle does not depend on the grammar, so every mutant reads one store.
+    oracle = oracle_store()
     for label, mutant in mutants:
-        reports = _quick_reports(name, mutant)
+        reports = _quick_reports(name, mutant, oracle)
         assert any(not r.passed for r in reports), f"undetected mutation {label}"
 
 
 def test_closed_forms_rejects_inadmissible_points():
     from gramcalc.series import EvalPoint, InadmissiblePointError
 
+    dz, dy, oracle = _paper(_z), _paper(_y), oracle_store()
     with pytest.raises(InadmissiblePointError, match="squared"):
-        check_closed_forms(4, _paper(_z), _paper(_y), points=(EvalPoint({"x": 4}, 2),))
+        check_closed_forms(4, dz, dy, oracle, points=(EvalPoint({"x": 4}, 2),))
     with pytest.raises(InadmissiblePointError, match="no closed form applies"):
-        check_closed_forms(4, _paper(_z), _paper(_y), points=(EvalPoint({"x": 1, "z": 1}, 1),))
+        check_closed_forms(4, dz, dy, oracle, points=(EvalPoint({"x": 1, "z": 1}, 1),))
 
 
 def test_wrong_carlitz_table_fails_verify(monkeypatch, capsys):
@@ -250,21 +272,21 @@ BUILTIN_NAMES = ["paper_G", "eulerian", "andre", "ramanujan", "exterior_peak"]
 
 def _mutant_first_failures():
     """First failures of every check that reads each single-swap mutant."""
-    rows = []
+    rows, oracle = [], oracle_store()
     for name in BUILTIN_NAMES:
         for label, mutant in _single_swap_mutants(builtin_grammar(name)):
             if name == "paper_G":
                 dz, dy = Derivatives(_z, mutant), Derivatives(_y, mutant)
                 reports = [
-                    check_joint_ep_pdd(4, dz),
-                    check_peak_dd(4, dy),
-                    check_recurrence(4, dz, dy),
+                    check_joint_ep_pdd(4, dz, oracle),
+                    check_peak_dd(4, dy, oracle),
+                    check_recurrence(4, dz, dy, oracle),
                     check_invariants(mutant),
-                    check_closed_forms(6, dz, dy),
-                    check_classical_grammars(4, dz, {"paper_G": mutant}),
+                    check_closed_forms(6, dz, dy, oracle),
+                    check_classical_grammars(4, dz, oracle, {"paper_G": mutant}),
                 ]
             else:
-                reports = [check_classical_grammars(4, _paper(_z), {name: mutant})]
+                reports = [check_classical_grammars(4, _paper(_z), oracle, {name: mutant})]
             rows.append([name, label] + [r.first_failure for r in reports])
     return rows
 
@@ -314,9 +336,11 @@ def _patch_triangle(monkeypatch, which, n):
 
     real = verify_module.triangle_poly
 
-    def tampered(m, w):
-        poly = real(m, w)
-        return poly + LP.variable("x" if w == "T" else "y") ** 7 if (m, w) == (n, which) else poly
+    def tampered(table, w):
+        poly = real(table, w)
+        if (table.n, w) != (n, which):
+            return poly
+        return poly + LP.variable("x" if w == "T" else "y") ** 7
 
     monkeypatch.setattr(verify_module, "triangle_poly", tampered)
 
@@ -344,12 +368,12 @@ def _case_gen_y_recombination(monkeypatch):
         return series
 
     monkeypatch.setattr(verify_module, "closed_form", unequal_gen_y)
-    return check_closed_forms(2, _paper(_z), _paper(_y))
+    return check_closed_forms(2, _paper(_z), _paper(_y), oracle_store())
 
 
 def _case_relabeled_dz(monkeypatch):
     dz = _paper_items(_z, 3)
-    return check_classical_grammars(3, _tamper(dz, 2, _x * _y))
+    return check_classical_grammars(3, _tamper(dz, 2, _x * _y), oracle_store())
 
 
 def _case_andre_golden(monkeypatch):
@@ -358,7 +382,7 @@ def _case_andre_golden(monkeypatch):
     golden = list(verify_module._ANDRE_GOLDEN)
     golden[3] = "x*y^3 + 5*x^2*y"
     monkeypatch.setattr(verify_module, "_ANDRE_GOLDEN", tuple(golden))
-    return check_classical_grammars(6, _paper(_z))
+    return check_classical_grammars(6, _paper(_z), oracle_store())
 
 
 def _case_carlitz_branch(monkeypatch):
@@ -371,7 +395,7 @@ def _case_carlitz_branch(monkeypatch):
         return poly + _y ** 9 if (table.kind, table.n) == ("carlitz_quadruple", 2) else poly
 
     monkeypatch.setattr(verify_module, "table_to_poly", tampered)
-    return check_peak_dd(3, _paper(_y))
+    return check_peak_dd(3, _paper(_y), oracle_store())
 
 
 def _case_oracle_q(monkeypatch):
@@ -384,27 +408,28 @@ def _case_oracle_q(monkeypatch):
         return poly + _y ** 9 if (table.kind, table.n) == ("peak_dd", 2) else poly
 
     monkeypatch.setattr(verify_module, "table_to_poly", tampered)
-    return check_recurrence(3, _paper(_z), _paper(_y))
+    return check_recurrence(3, _paper(_z), _paper(_y), oracle_store())
 
 
 def _case_t_marginal(monkeypatch):
     _patch_triangle(monkeypatch, "T", 2)
-    return check_recurrence(3, _paper(_z), _paper(_y))
+    return check_recurrence(3, _paper(_z), _paper(_y), oracle_store())
 
 
 def _case_u_marginal(monkeypatch):
     _patch_triangle(monkeypatch, "U", 3)
-    return check_recurrence(3, _paper(_z), _paper(_y))
+    return check_recurrence(3, _paper(_z), _paper(_y), oracle_store())
 
 
 def _case_gessel(monkeypatch):
     _patch_triangle(monkeypatch, "T", 2)
-    return check_closed_forms(3, _paper(_z), _paper(_y), points=(GESSEL_POINT,))
+    return check_closed_forms(3, _paper(_z), _paper(_y), oracle_store(), points=(GESSEL_POINT,))
 
 
 def _case_elizalde_noy(monkeypatch):
     _patch_triangle(monkeypatch, "U", 3)
-    return check_closed_forms(3, _paper(_z), _paper(_y), points=(ELIZALDE_NOY_POINT,))
+    points = (ELIZALDE_NOY_POINT,)
+    return check_closed_forms(3, _paper(_z), _paper(_y), oracle_store(), points=points)
 
 
 def _case_carlitz_f(monkeypatch):
@@ -417,17 +442,17 @@ def _case_carlitz_f(monkeypatch):
         return poly + _y if (table.kind, table.n) == ("carlitz_quadruple", 2) else poly
 
     monkeypatch.setattr(verify_module, "table_to_poly", tampered)
-    return check_closed_forms(3, _paper(_z), _paper(_y))
+    return check_closed_forms(3, _paper(_z), _paper(_y), oracle_store())
 
 
 def _case_gen_z_third_point(monkeypatch):
     dz = _tamper(_paper_items(_z, 3), 1, _y)
-    return check_closed_forms(3, dz, _paper(_y), points=GRAMMAR_POINTS[2:])
+    return check_closed_forms(3, dz, _paper(_y), oracle_store(), points=GRAMMAR_POINTS[2:])
 
 
 def _case_no_pdd_u0(monkeypatch):
     dz = _tamper(_paper_items(_z, 3), 2, _x)
-    return check_closed_forms(3, dz, _paper(_y), points=())
+    return check_closed_forms(3, dz, _paper(_y), oracle_store(), points=())
 
 
 def _case_zx_inverse(monkeypatch):
@@ -450,12 +475,12 @@ def _case_exterior_marginal(monkeypatch):
         return rows + [(5, 1)] if table.n == 2 else rows
 
     monkeypatch.setattr(verify_module, "specialize_triangle", tampered)
-    return check_classical_grammars(3, _paper(_z))
+    return check_classical_grammars(3, _paper(_z), oracle_store())
 
 
 def _case_eulerian_row_sum(monkeypatch):
     _patch_derive(monkeypatch, _x, 2, _x)
-    return check_classical_grammars(3, _paper(_z))
+    return check_classical_grammars(3, _paper(_z), oracle_store())
 
 
 FAILURE_MESSAGES = [
