@@ -28,13 +28,17 @@ MAX_N = 25
 #: (N+1)/N*x`` with N = 10^4299, whose 25 steps from ``x`` take 1.0 s.  At
 #: this limit the slowest request found took about 3 s (2-vCPU VM, Python
 #: 3.11), whatever the number of variables; the builtins use under 1 % of
-#: it.  The gcds that reduce a step took 1.3 ns per term and squared word of
-#: its denominator, and one gcd of two numbers of 500 to 4000 words 4.4 to
-#: 5.4 ns per squared word (Python 3.10 to 3.13), so a product adds
-#: ``d * d / 18`` units (5.6 ns at 100 ns a unit), ``d`` the words of the
-#: last derivative's denominator times the images': a start word with 20
-#: distinct 4300-digit denominators is refused under ``paper_G`` before its
-#: first step, which took 0.45 s.
+#: it.  A product also adds ``d * d / 18`` units (5.6 ns per squared word at
+#: 100 ns a unit), ``d`` the words of the last derivative's denominator
+#: times the images'.  That pays for two costs over such a denominator: the
+#: step's one reduction, which costs about one gcd of two d-word numbers
+#: (4.6 to 5.2 ns per squared word for 500 to 4000 words, Python 3.10 to
+#: 3.13), and the output walk's reductions, one ``Fraction`` per printed
+#: term (0.5 to 0.8 ns per term and squared word), as a product yields at
+#: most one term.  Charged once per step instead, a start word with 20
+#: distinct 4300-digit denominators was accepted under ``paper_G`` up to
+#: order 7, which took 7.2 s, 6 s of it printing; charged per product, it is
+#: refused before its first step (0.08 s, and 0.6 s to print).
 MAX_DERIVE_WORK = 30_000_000
 
 #: The most variables a ``.gram`` document declares or a polynomial written
@@ -54,11 +58,13 @@ MAX_LITERAL_DIGITS = 4300
 #: The most 64-bit words (rounded down) of the common denominator of a
 #: polynomial in that term syntax, counted once per term, as every term
 #: stores its numerator over it, and summed over a ``.gram`` document's
-#: polynomials.  Uncounted, k distinct 4300-digit denominators took time
-#: cubic in k to read (86 s for k = 100).  Each denominator grows term by
-#: term and the term that passes the limit is refused, so a refused word
-#: costs no more than an accepted one.  21 such denominators fit, read in
-#: 0.4 s (2-vCPU VM, Python 3.11); one under 64 bits counts nothing.
+#: polynomials.  Uncounted, k distinct 4300-digit denominators take time
+#: about quadratic in k to read: 1.9 s for k = 40 and 12 s for k = 100.
+#: Each denominator grows term by term and the term that passes the limit is
+#: refused, so a refused word costs no more than an accepted one.  21 such
+#: denominators fit: they are read in 0.38 to 0.48 s (Python 3.10 to 3.13),
+#: and ``derive --n 0`` reads and prints them in about 0.9 s (2-vCPU VM,
+#: Python 3.11).  One under 64 bits counts nothing.
 MAX_DENOMINATOR_WORDS = 100_000
 
 BUILTIN_GRAMMAR_NAMES = ("paper_G", "eulerian", "andre", "ramanujan", "exterior_peak")

@@ -19,6 +19,7 @@ from ``iter_derive``, which refuses an order past ``MAX_N``.
 from __future__ import annotations
 
 from itertools import islice
+from operator import index
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # MAX_DERIVE_WORK is re-exported: it is the public name of the bound that
@@ -94,6 +95,7 @@ def iter_derive(p: LaurentPolynomial, g: Grammar, n: int = MAX_N) -> Iterator[La
     the work of the steps so far passes ``MAX_DERIVE_WORK``; step n + 1 is
     never asked for, so it is never charged.
     """
+    n = index(n)
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n > MAX_N:

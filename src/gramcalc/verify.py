@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
+from operator import index
 from typing import Iterable, NamedTuple
 
 from ._names import CHECK_IDS, MAX_N, TRIANGLES
@@ -357,11 +358,12 @@ def run_checks(
     """Run the selected checks (all of them by default) and collect reports.
 
     The recurrence check derives to ``max_n + 1`` and ``closed_forms``
-    compares tables up to ``order``, so both are bounded by ``MAX_N`` and are
-    checked before any check runs.  ``D^n(z)`` and ``D^n(y)`` under
+    compares tables up to ``order``, so both are read as integers and bounded
+    by ``MAX_N`` before any check runs.  ``D^n(z)`` and ``D^n(y)`` under
     ``paper_G`` are derived once, as far as the selected checks read them,
     and shared by every check that reads them, and so is one ``oracle_store``.
     """
+    max_n, order = index(max_n), index(order)
     if not 0 <= max_n < MAX_N:
         raise ValueError(f"--max-n {max_n} is outside 0..{MAX_N - 1}")
     if not 0 <= order <= MAX_N:

@@ -97,8 +97,8 @@ def test_derivatives_agree_with_the_reference(case):
         expected = reference(p, g, ORDER)
         assert_same(got, expected)
         assert_same(list(derive_n(p, g, ORDER).items), expected)
-    # The terms come in the order the ``dot`` step summed them, the order
-    # that the reduction's gcd chain runs in.
+    # The terms come in the order the ``dot`` step summed them, so
+    # ``items()`` lists them as it did.
     by_dot = ref._dot_steps(p, g, ORDER)
     assert [list(a.items()) for a in got] == [list(b.items()) for b in by_dot]
 

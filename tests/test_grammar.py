@@ -13,6 +13,7 @@ from gramcalc.grammar import (
     builtin_grammar,
     derive,
     derive_n,
+    iter_derive,
 )
 from gramcalc.laurent import LaurentPolynomial as LP
 from gramcalc.laurent import dot
@@ -72,6 +73,14 @@ def test_derive_order_limits():
     assert len(derive_n(Z, G, 25).items) == 26
 
 
+@pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+def test_derive_refuses_a_non_integer_order(n):
+    # 2.0 once failed inside islice, with a message about its stop argument.
+    for derive_to in (lambda: list(iter_derive(Z, G, n)), lambda: derive_n(Z, G, n)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            derive_to()
+
+
 def test_derive_work_limit_is_exact(monkeypatch):
     import gramcalc.laurent as laurent_module
 
@@ -118,9 +127,10 @@ def test_derive_work_counts_the_size_of_the_numbers():
 
 def test_derive_work_counts_the_reduction_over_a_large_denominator():
     # Each step reduces its result over the lcm of 20 distinct 4300-digit
-    # denominators, a chain of gcds that took about 0.45 s whatever the term
-    # count.  Uncharged, the steps ran to order 9 and the request took 4.9 s;
-    # priced at 5.6 ns per squared word, the first step is refused.
+    # denominators (0.08 s), and printing D^n takes one gcd over it per term
+    # (0.6 s at order 1, 6 s at order 7).  Charged once per step, orders up
+    # to 7 were accepted and order 7 took 7.2 s; priced per product at
+    # 5.6 ns per squared word, the first step is refused.
     n = 10**4299
     start = parse_poly(" + ".join(f"1/{n + 2 * i + 1}*x^{i}*z^{20 - i}" for i in range(20)))
     with pytest.raises(ValueError) as exc:

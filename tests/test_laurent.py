@@ -6,17 +6,18 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramcalc.cli import main
 from gramcalc.grammar import builtin_grammar
 from gramcalc.laurent import LaurentPolynomial as LP
-from gramcalc.laurent import _bits, derivatives, dot
+from gramcalc.laurent import _bits, _reduce, derivatives, dot
 from gramcalc.gdsl import parse_poly
 
 
@@ -99,8 +100,8 @@ def test_constructor_canonicalises_monomials():
 
 
 def test_constructor_sums_to_lowest_terms():
-    # Each monomial's coefficients are summed as Fractions, with no gcd over
-    # the common denominator; the fields are still in lowest terms.
+    # Each monomial's numerators are summed over the lcm of the denominators,
+    # and ``_reduce`` divides by the gcd: the fields are in lowest terms.
     x, y = (("x", 1),), (("y", 1),)
     thirds = [(x, Fraction(1, 6)), (y, Fraction(5, 4)), (x, Fraction(1, 3)), (y, Fraction(-1, 4))]
     assert LP(thirds) == Fraction(1, 2) * X + Y
@@ -110,7 +111,9 @@ def test_constructor_sums_to_lowest_terms():
 
 def test_construction_over_many_denominators_takes_no_gcd_chain():
     # Reduced by a gcd of their lcm with every numerator in turn, 6000 terms
-    # over distinct 10-digit denominators took 33 s, cubic in the terms.
+    # over distinct 10-digit denominators took 33 s, cubic in the terms.  A
+    # gcd with one weighted sum of the numerators now comes first, so the
+    # chain runs on small numbers.
     code = (
         "from fractions import Fraction\n"
         "from gramcalc.laurent import LaurentPolynomial\n"
@@ -123,6 +126,63 @@ def test_construction_over_many_denominators_takes_no_gcd_chain():
         capture_output=True, text=True, timeout=10,
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "6000\n", "")
+
+
+# A factor of 100 digits shared by the denominator and the numerators.
+_SHARED = 10**99 + 289
+
+
+@st.composite
+def reductions(draw):
+    # Small numerators, so that weighted sums of them are often 0, times a
+    # factor that the denominator may share.
+    factor = draw(st.sampled_from([1, 2, 6, _SHARED, 6 * _SHARED]))
+    values = draw(st.lists(st.integers(-4, 4), max_size=5))
+    den = draw(st.sampled_from([1, 2, 3, 4, 12, _SHARED, 2 * _SHARED**2]))
+    return [v * factor for v in values], den
+
+
+@settings(max_examples=150, deadline=None)
+@given(reductions())
+@example(([2, -1], 3))
+@example(([2 * _SHARED, -_SHARED], 3 * _SHARED))
+@example(([6 * _SHARED, 10 * _SHARED, 0], 4 * _SHARED))
+@example(([0, 0], 12))
+def test_reduce_divides_by_the_gcd_in_any_order(case):
+    # The gcd is that of the denominator and every numerator, whatever the
+    # order of the dict and whether a weighted sum of its values is 0.
+    values, den = case
+    g = gcd(den, *values)
+    names = ("x",) if any(values) else ()
+    for ordered in permutations(enumerate(values, 1)):
+        num = {(e,): c for e, c in ordered}
+        reduced = {k: c // g for k, c in num.items() if c}
+        assert _reduce(("x",), num, den) == (names, reduced, den // g)
+
+
+def test_a_step_reduces_over_a_large_denominator_from_a_small_gcd(monkeypatch):
+    # A chain of gcds from the 86 000-digit denominator of this step shrank
+    # it a few denominators at a time, in 0.5 s in one order of the sums and
+    # 1.0 s in another.  From its gcd with one weighted sum of the
+    # numerators, the chain runs on small numbers in any order.
+    import gramcalc.laurent as laurent_module
+
+    n = 10**4299
+    start = parse_poly(" + ".join(f"1/{n + 2 * i + 1}*x^{i}*z^{20 - i}" for i in range(20)))
+    monkeypatch.setattr(laurent_module, "MAX_DERIVE_WORK", 10**9)
+    steps = derivatives(start, dict(builtin_grammar("paper_G").rules))
+    next(steps)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(laurent_module, "gcd", counted)
+    first = next(steps)
+    chains = [args for args in calls if len(args) > 2]
+    assert len(chains) == 1 and len(chains[0]) == len(first) + 1
+    assert abs(chains[0][0]) < 2**64
 
 
 def test_constructor_rejects_floats():

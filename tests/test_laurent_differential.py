@@ -88,6 +88,17 @@ merging_terms = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(merging_terms)
+@example([({"x": 1}, Fraction(1, 2)), ({"x": 1}, Fraction(-1, 2))])
+@example([({"x": 1}, Fraction(1, 6)), ({"x": 1}, Fraction(1, 3))])
+@example([({"x": 1}, Fraction(1, 2)), ({"y": 1}, Fraction(1, 3)), ({"x": 1}, Fraction(-1, 2))])
+@example([
+    ({"x": 1}, Fraction(1, 6)), ({"y": 1}, Fraction(5, 4)),
+    ({"x": 1}, Fraction(1, 3)), ({"y": 1}, Fraction(-1, 4)),
+])
+@example([
+    ({}, Fraction(1, 4)), ({"x": -1}, Fraction(1, 6)),
+    ({}, Fraction(-1, 4)), ({"x": -1}, Fraction(1, 3)),
+])
 def test_construction_agrees_and_is_in_lowest_terms(terms):
     a, ra = pair(terms)
     assert_same(a, ra)

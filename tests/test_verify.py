@@ -166,6 +166,21 @@ def test_run_checks_refuses_a_str_of_ids():
         run_checks("invariants")
 
 
+@pytest.mark.parametrize("bounds", [{"max_n": 2.5}, {"max_n": 2.0}, {"order": 3.0}, {"order": "3"}])
+def test_run_checks_refuses_a_non_integer_bound(bounds):
+    # 2.5 once ran the checks that do not read max_n, and passed.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        run_checks(("invariants",), **bounds)
+
+
+def test_run_checks_reads_a_bool_bound_as_an_int():
+    # A report once gave ``limit=True``.
+    (closed,) = run_checks(("closed_forms",), order=True)
+    (joint,) = run_checks(("joint_ep_pdd",), max_n=True)
+    for report in (closed, joint):
+        assert report.passed and type(report.limit) is int and report.limit == 1
+
+
 def test_report_json_shape():
     report = check_invariants()
     obj = report.to_json_obj()
